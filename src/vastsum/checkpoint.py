@@ -5,6 +5,10 @@ row-major values, with an optional metadata block (the run config travels
 there so downstream commands can rebuild the model). Serialization is
 canonical — sorted keys, repr floats — so identical parameters produce
 identical bytes.
+
+`atomic_write` is the package's one file-write path: checkpoints, datasets,
+decode masks and the CSV reports all go through it. This module imports
+nothing from vastsum, so every other module can use it without a cycle.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ def params_to_bytes(params: dict[str, np.ndarray], meta: dict | None = None) -> 
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def save_params(params: dict[str, np.ndarray], path, meta: dict | None = None) -> None:
-    payload = params_to_bytes(params, meta)
+def atomic_write(path, payload: bytes) -> None:
+    """Write payload to path through a temp file in the same directory and a
+    rename, so a reader sees the old file or the whole new one, never a part."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -41,14 +46,22 @@ def save_params(params: dict[str, np.ndarray], path, meta: dict | None = None) -
         raise
 
 
+def save_params(params: dict[str, np.ndarray], path, meta: dict | None = None) -> None:
+    atomic_write(path, params_to_bytes(params, meta))
+
+
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read tensors and metadata back; validates structure and finiteness."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ValueError(f"{path} is not a {FORMAT_NAME} checkpoint")
+    if not isinstance(doc.get("tensors"), dict):
+        raise ValueError(f"{path}: checkpoint lacks a 'tensors' object")
     params = {}
     for name, entry in doc["tensors"].items():
+        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
+            raise ValueError(f"tensor {name!r} needs 'shape' and 'data' entries")
         shape = tuple(int(s) for s in entry["shape"])
         value = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
         if not np.all(np.isfinite(value)):

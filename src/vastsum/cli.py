@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
-import tempfile
 
 from . import gradcheck as gradcheck_mod
-from .checkpoint import load_params, validate_shapes
+from .checkpoint import atomic_write, load_params, validate_shapes
 from .config import MODES, RunConfig, load_run_config, run_config_from_dict
 from .data import Dataset, SyntheticConfig, generate_synthetic, load_dataset, make_folds, save_dataset
 from .decoder import budget, decode_summary
@@ -24,32 +24,6 @@ from .errors import ConfigError
 from .evaluation import evaluate_summe, evaluate_tvsum, flip_rate, oracle_report, write_report_csv
 from .timeline import assign_segment_ids
 from .trainer import all_param_shapes, predict_scores, train
-
-
-def _threads_cap() -> int:
-    """VASTSUM_THREADS caps internal worker count; execution is currently
-    single-threaded, so any valid value only raises the ceiling."""
-    raw = os.environ.get("VASTSUM_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"VASTSUM_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigError("VASTSUM_THREADS must be >= 1")
-    return value
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def _load_config(args) -> RunConfig:
@@ -173,7 +147,7 @@ def cmd_decode(args) -> int:
                 "mask": [int(b) for b in mask.y],
             }
         )
-    _atomic_write_text(args.out, json.dumps({"rho": args.rho, "videos": entries}, indent=1))
+    atomic_write(args.out, json.dumps({"rho": args.rho, "videos": entries}, indent=1).encode("utf-8"))
     print(f"decoded {len(entries)} videos at rho={args.rho} -> {args.out}")
     return 0
 
@@ -199,13 +173,14 @@ def cmd_stability_report(args) -> int:
             seed=args.seed + index,
         )
         rates.append((video.video_id, rate))
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["video_id", "flip_rate"])
-        for vid, rate in rates:
-            writer.writerow([vid, repr(rate)])
-        mean = math.fsum(r for _, r in rates) / len(rates)
-        writer.writerow(["mean", repr(mean)])
+    mean = math.fsum(r for _, r in rates) / len(rates)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["video_id", "flip_rate"])
+    for vid, rate in rates:
+        writer.writerow([vid, repr(rate)])
+    writer.writerow(["mean", repr(mean)])
+    atomic_write(args.out, buf.getvalue().encode("utf-8"))
     print(f"mean flip rate {mean:.4f} over {len(rates)} videos -> {args.out}")
     return 0
 
@@ -289,7 +264,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,12 +18,11 @@ model (or even a linear probe) can recover it.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .config import MODES
 from .errors import ConfigError
 from .timeline import ChangePointPartition, PickSequence, assign_segment_ids
@@ -89,6 +88,9 @@ def _fail(video_id: str, reason: str):
 def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoRecord:
     vid = str(raw.get("id", "<missing id>"))
     required = {"id", "n_frames", "picks", "change_points", "features"}
+    missing = required - set(raw)
+    if missing:
+        _fail(vid, f"missing keys {sorted(missing)}")
     present_kinds = [k for k in ANNOTATION_KEY.values() if k in raw]
     if len(present_kinds) != 1:
         _fail(vid, f"expected exactly one annotation kind, found {present_kinds}")
@@ -187,17 +189,7 @@ def dataset_to_dict(dataset: Dataset) -> dict:
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Serialize to JSON, written atomically via a temp file in the same dir."""
-    payload = json.dumps(dataset_to_dict(dataset), indent=1)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    atomic_write(path, json.dumps(dataset_to_dict(dataset), indent=1).encode("utf-8"))
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> Dataset:

@@ -189,27 +189,19 @@ def mean_over_sets(a: Node, sets: Sequence[Sequence[int]]) -> Node:
     """Mean of the rows (axis 0) selected by each index set; empty sets give zeros.
 
     A 1-D input yields a 1-D output of len(sets); a 2-D input yields
-    len(sets) x C. This is the pooling primitive for segment tokenization and
-    for full reductions (pass a single set covering every row).
+    len(sets) x C. This is the pooling for segment tokenization and for full
+    reductions (pass a single set covering every row). It is recorded as
+    matmul(P, a) with the constant len(sets) x T averaging matrix P, whose
+    row k holds 1/|set k| at the set's indices.
     """
-    sets = [tuple(int(i) for i in s) for s in sets]
-    av = a.value
-    if av.ndim not in (1, 2):
-        raise ShapeError(f"mean-over-set: rank {av.ndim} input unsupported")
-    out_shape = (len(sets),) if av.ndim == 1 else (len(sets), av.shape[1])
-    out = np.zeros(out_shape, dtype=np.float64)
+    if a.value.ndim not in (1, 2):
+        raise ShapeError(f"mean-over-set: rank {a.value.ndim} input unsupported")
+    pool = np.zeros((len(sets), a.value.shape[0]))
     for k, idx in enumerate(sets):
+        idx = [int(i) for i in idx]
         if idx:
-            out[k] = av[list(idx)].mean(axis=0)
-
-    def vjp(g):
-        da = np.zeros_like(av)
-        for k, idx in enumerate(sets):
-            if idx:
-                np.add.at(da, list(idx), g[k] / len(idx))
-        return (da,)
-
-    return a.tape._record("mean-over-set", out, (a,), vjp)
+            np.add.at(pool[k], idx, 1.0 / len(idx))
+    return matmul(a.tape.constant(pool), a)
 
 
 def layer_norm(a: Node, eps: float = LN_EPS) -> Node:
@@ -330,20 +322,6 @@ def depthwise_conv1d(x: Node, w: Node) -> Node:
     return tape._record("depthwise-conv1d", out, (x, w), vjp)
 
 
-def pointwise_conv1d(x: Node, w: Node, b: Node) -> Node:
-    """1x1 channel mixing: x @ w + b applied at every timestep."""
-    tape = _same_tape(x, w, b)
-    xv, wv, bv = x.value, w.value, b.value
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],):
-        raise ShapeError(f"pointwise-conv1d: {xv.shape} @ {wv.shape} + {bv.shape}")
-    out = xv @ wv + bv
-
-    def vjp(g):
-        return (g @ wv.T, xv.T @ g, g.sum(axis=0))
-
-    return tape._record("pointwise-conv1d", out, (x, w, b), vjp)
-
-
 def concat_last(nodes: Sequence[Node]) -> Node:
     nodes = list(nodes)
     tape = _same_tape(*nodes)
@@ -366,37 +344,6 @@ def concat_last(nodes: Sequence[Node]) -> Node:
 def scale(a: Node, s: float) -> Node:
     s = float(s)
     return a.tape._record("scalar-scale", a.value * s, (a,), lambda g: (g * s,))
-
-
-PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "subtract": subtract,
-    "elementwise-multiply": multiply,
-    "mean-over-set": mean_over_sets,
-    "layer-norm": layer_norm,
-    "softmax-rows": softmax_rows,
-    "gelu": gelu,
-    "sigmoid": sigmoid,
-    "exp": exp,
-    "log": log,
-    "square": square,
-    "clip": clip,
-    "gather-rows": gather_rows,
-    "depthwise-conv1d": depthwise_conv1d,
-    "pointwise-conv1d": pointwise_conv1d,
-    "concat-last-dim": concat_last,
-    "scalar-scale": scale,
-}
-
-
-def primitive_forward(kind: str, *args, **kwargs) -> Node:
-    """Dispatch a primitive by its catalog name."""
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind {kind!r}") from None
-    return fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ exactly rounded and therefore order-independent.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .decoder import decode_summary
 from .timeline import ChangePointPartition, PickSequence
 
@@ -48,16 +50,12 @@ def average_ranks(x) -> np.ndarray:
     """1-based ranks with ties sharing the mean rank of their run."""
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], x.size)
     ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
+    # a run at sorted positions [start, end) holds ranks start+1 .. end
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 
 
@@ -205,9 +203,10 @@ def flip_rate(
 
 def write_report_csv(report: CorrelationReport, path) -> None:
     """One row per video plus a footer with the means and degenerate count."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["video_id", "tau", "rho", "degenerate"])
-        for row in report.per_video:
-            writer.writerow([row.video_id, repr(row.tau), repr(row.rho), str(row.degenerate).lower()])
-        writer.writerow(["mean", repr(report.mean_tau), repr(report.mean_rho), report.degenerate_count])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["video_id", "tau", "rho", "degenerate"])
+    for row in report.per_video:
+        writer.writerow([row.video_id, repr(row.tau), repr(row.rho), str(row.degenerate).lower()])
+    writer.writerow(["mean", repr(report.mean_tau), repr(report.mean_rho), report.degenerate_count])
+    atomic_write(path, buf.getvalue().encode("utf-8"))

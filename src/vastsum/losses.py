@@ -54,21 +54,22 @@ def tvsum_nll(mu: dc.Node, log_v: dc.Node, annotations, epsilon: float = 1e-6) -
     """Heteroscedastic Gaussian NLL averaged over annotators and timesteps.
 
     (1/UT) sum_a sum_t 0.5 * (log v_t + (y_at - mu_t)^2 / (v_t + eps)).
+
+    The annotator sum enters through sufficient statistics:
+    (1/U) sum_a (y_at - mu_t)^2 = (ybar_t - mu_t)^2 + s_t, where s_t is the
+    annotators' population variance at t, a constant of the tape.
     """
     annotations = np.asarray(annotations, dtype=np.float64)
     if annotations.ndim != 2 or annotations.shape[1] != mu.value.shape[0]:
         raise ValueError(f"annotations shape {annotations.shape} does not match T={mu.value.shape[0]}")
     tape = mu.tape
-    n_annot = annotations.shape[0]
+    y_mean = annotations.mean(axis=0)
+    spread = ((annotations - y_mean) ** 2).mean(axis=0)
     var = dc.exp(log_v)
     # 1/(v + eps) via exp(-log(v + eps)); v + eps > 0 always under the clamp
     recip = dc.exp(dc.scale(dc.log(dc.add(var, tape.constant(np.full_like(mu.value, epsilon)))), -1.0))
-    acc = None
-    for row in annotations:
-        resid = dc.subtract(tape.constant(row), mu)
-        term = dc.add(log_v, dc.multiply(dc.square(resid), recip))
-        acc = term if acc is None else dc.add(acc, term)
-    return dc.scale(_mean_all(acc), 0.5 / n_annot)
+    sq_err = dc.add(dc.square(dc.subtract(tape.constant(y_mean), mu)), tape.constant(spread))
+    return dc.scale(_mean_all(dc.add(log_v, dc.multiply(sq_err, recip))), 0.5)
 
 
 def _bce_per_annotator(p_clipped: dc.Node, annotations: np.ndarray) -> list[dc.Node]:

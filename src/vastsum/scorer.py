@@ -134,11 +134,8 @@ def temporal_refine(h: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConfig
     """Residual stack: depthwise temporal conv -> GELU -> pointwise mixing, repeated."""
     psi = h
     for j in range(cfg.refine_blocks):
-        psi = dc.pointwise_conv1d(
-            dc.gelu(dc.depthwise_conv1d(psi, params[f"refine{j}.depthwise"])),
-            params[f"refine{j}.pointwise.w"],
-            params[f"refine{j}.pointwise.b"],
-        )
+        local = dc.gelu(dc.depthwise_conv1d(psi, params[f"refine{j}.depthwise"]))
+        psi = dc.add(dc.matmul(local, params[f"refine{j}.pointwise.w"]), params[f"refine{j}.pointwise.b"])
     return dc.add(h, psi)
 
 

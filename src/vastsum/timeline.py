@@ -8,7 +8,7 @@ throughout the code and in file formats (docs elsewhere may count from 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,20 +75,13 @@ class SegmentIndexMap:
     """Per-timestep segment ids plus the induced per-segment index structure.
 
     segment_ids[t] is the (0-based) segment containing pick t. index_sets[k]
-    lists the sampled timesteps inside segment k (possibly empty), lengths[k]
-    is the segment length in original frames, sampled_counts[k] = |index_sets[k]|.
+    lists the sampled timesteps inside segment k (possibly empty), and
+    lengths[k] is the segment length in original frames.
     """
 
     segment_ids: tuple[int, ...]
     index_sets: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
-    sampled_counts: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.sampled_counts:
-            object.__setattr__(
-                self, "sampled_counts", tuple(len(s) for s in self.index_sets)
-            )
 
     @property
     def n_segments(self) -> int:
@@ -128,15 +121,3 @@ def expand_scores(scores, picks: PickSequence, n_frames: int) -> np.ndarray:
         raise ValueError(f"got {scores.size} scores for {len(picks)} picks")
     idx = np.searchsorted(picks.picks, np.arange(n_frames), side="right") - 1
     return scores[np.maximum(idx, 0)]
-
-
-def pool_segment_scores(scores, seg: SegmentIndexMap) -> np.ndarray:
-    """Average sampled scores within each segment; segments with no picks pool to 0."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size != len(seg.segment_ids):
-        raise ValueError(f"got {scores.size} scores for {len(seg.segment_ids)} timesteps")
-    out = np.zeros(seg.n_segments, dtype=np.float64)
-    for k, idx in enumerate(seg.index_sets):
-        if idx:
-            out[k] = scores[list(idx)].mean()
-    return out

@@ -11,6 +11,8 @@ fully determines the result.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import losses, prob_head, scorer
-from .checkpoint import save_params
+from .checkpoint import atomic_write, save_params
 from .config import RunConfig
 from .data import Dataset, VideoRecord
 from .decoder import budget
@@ -227,7 +229,7 @@ def train(
     history: list[losses.LossBreakdown] = []
     best_params, best_epoch, best_rho = None, None, None
 
-    meta = {"config": _config_dict(cfg)}
+    meta = {"config": dataclasses.asdict(cfg)}
     for epoch in range(cfg.train.epochs):
         order = rng.permutation(len(dataset.videos))
         acc: dict[str, np.ndarray] | None = None
@@ -281,34 +283,24 @@ def train(
     )
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    import dataclasses
-
-    return {
-        "scorer": dataclasses.asdict(cfg.scorer),
-        "head": dataclasses.asdict(cfg.head),
-        "loss": dataclasses.asdict(cfg.loss),
-        "train": dataclasses.asdict(cfg.train),
-    }
-
-
 def write_loss_log(history: list[losses.LossBreakdown], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        ["epoch", "main", "rank", "stab", "kl", "total", "lambda_rank", "lambda_stab", "lambda_kl"]
+    )
+    for row in history:
         writer.writerow(
-            ["epoch", "main", "rank", "stab", "kl", "total", "lambda_rank", "lambda_stab", "lambda_kl"]
+            [
+                row.epoch,
+                repr(row.main),
+                repr(row.rank),
+                repr(row.stab),
+                repr(row.kl),
+                repr(row.total),
+                repr(row.lambda_rank),
+                repr(row.lambda_stab),
+                repr(row.lambda_kl),
+            ]
         )
-        for row in history:
-            writer.writerow(
-                [
-                    row.epoch,
-                    repr(row.main),
-                    repr(row.rank),
-                    repr(row.stab),
-                    repr(row.kl),
-                    repr(row.total),
-                    repr(row.lambda_rank),
-                    repr(row.lambda_stab),
-                    repr(row.lambda_kl),
-                ]
-            )
+    atomic_write(path, buf.getvalue().encode("utf-8"))

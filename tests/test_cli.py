@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vastsum
 import vastsum.diffcore as dc
 from vastsum.cli import main
 from vastsum.decoder import budget
@@ -88,6 +93,20 @@ class TestTrain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, vid",
+        [("features", "v000"), ("picks", "v000"), ("n_frames", "v000"),
+         ("change_points", "v000"), ("id", "<missing id>")],
+    )
+    def test_video_missing_key_exit_2(self, tmp_path, tiny_dataset, capsys, key, vid):
+        doc = json.loads(Path(tiny_dataset).read_text())
+        del doc["videos"][0][key]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert run("train", "--data", str(path), "--out-dir", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"video {vid!r}: missing keys [{key!r}]" in err
+
     def test_fold_training(self, tmp_path, tiny_config_file):
         data = tmp_path / "ten.json"
         assert run(
@@ -168,6 +187,24 @@ class TestDecode:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "tensors, named",
+        [(None, "tensors"), ({"pos.table": {"data": [0.0]}}, "pos.table"),
+         ({"pos.table": {"shape": [1]}}, "pos.table")],
+    )
+    def test_malformed_checkpoint_exit_2(self, tmp_path, tiny_dataset, capsys, tensors, named):
+        doc = {"format": "vastsum-params-v1"}
+        if tensors is not None:
+            doc["tensors"] = tensors
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(doc))
+        code = run(
+            "decode", "--checkpoint", str(path), "--data", tiny_dataset,
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_determinism(self, tmp_path, trained, tiny_dataset):
         outs = [tmp_path / "m1.json", tmp_path / "m2.json"]
         for out in outs:
@@ -231,14 +268,12 @@ class TestGradcheck:
         assert "FAIL" in capsys.readouterr().out
 
 
-class TestEnvironment:
-    def test_threads_cap_validated(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("VASTSUM_THREADS", "zebra")
-        code = run("gen-data", "--out", str(tmp_path / "x.json"))
-        assert code == 2
-        assert "VASTSUM_THREADS" in capsys.readouterr().err
-
-    def test_threads_cap_accepts_positive_int(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("VASTSUM_THREADS", "4")
-        assert run("gen-data", "--out", str(tmp_path / "x.json"), "--videos", "1",
-                   "--timesteps", "8", "--segments", "2") == 0
+class TestImportFootprint:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # importing scipy.stats nearly doubles the CLI's peak RSS
+        src = str(Path(vastsum.__file__).resolve().parents[1])
+        code = "import sys, vastsum.cli; sys.exit('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=60
+        )
+        assert proc.returncode == 0

@@ -159,7 +159,7 @@ class TestGenerateSynthetic:
 
         for video in ds.videos:
             seg = assign_segment_ids(video.picks, video.change_points)
-            assert all(count >= 1 for count in seg.sampled_counts)
+            assert all(len(idx) >= 1 for idx in seg.index_sets)
 
 
 class TestMakeFolds:

@@ -16,7 +16,7 @@ from vastsum.evaluation import (
 )
 from vastsum.timeline import ChangePointPartition, PickSequence
 
-from oracles import naive_kendall_tau, naive_spearman
+from oracles import counting_ranks, naive_kendall_tau, naive_spearman
 
 
 def tied_corpus(count=100, max_n=50, seed=2024):
@@ -78,6 +78,14 @@ class TestAgainstNaiveOracles:
     def test_rho_matches_rank_pearson_exactly(self):
         for a, b in tied_corpus():
             assert spearman_rho(a, b) == naive_spearman(a.tolist(), b.tolist())
+
+    def test_average_ranks_match_counting_ranks_exactly(self):
+        rng = np.random.default_rng(31)
+        for trial in range(100):
+            n = int(rng.integers(1, 60))
+            # integers from a small pool tie often; normal draws do not tie
+            x = rng.integers(0, 6, n).astype(np.float64) if trial % 2 else rng.standard_normal(n)
+            assert np.array_equal(average_ranks(x), counting_ranks(x.tolist()))
 
     def test_scipy_cross_check(self):
         for a, b in tied_corpus(count=30):

@@ -5,10 +5,8 @@ from vastsum.errors import CoverageError
 from vastsum.timeline import (
     ChangePointPartition,
     PickSequence,
-    SegmentIndexMap,
     assign_segment_ids,
     expand_scores,
-    pool_segment_scores,
 )
 
 from oracles import random_partition, random_picks
@@ -49,13 +47,13 @@ class TestAssignSegmentIds:
         seg = seg_map((0, 1, 3, 5), ((0, 2), (3, 5)), 6)
         assert seg.segment_ids == (0, 0, 1, 1)
         assert seg.lengths == (3, 3)
-        assert seg.sampled_counts == (2, 2)
+        assert [len(s) for s in seg.index_sets] == [2, 2]
 
     def test_single_frame_video(self):
         seg = seg_map((0,), ((0, 0),), 1)
         assert seg.segment_ids == (0,)
         assert seg.lengths == (1,)
-        assert seg.sampled_counts == (1,)
+        assert [len(s) for s in seg.index_sets] == [1]
 
     def test_three_segments_against_scan_oracle(self):
         picks = (0, 2, 4, 6, 8)
@@ -69,7 +67,7 @@ class TestAssignSegmentIds:
                     expected.append(k)
                     break
         assert list(seg.segment_ids) == expected == [0, 0, 1, 2, 2]
-        assert seg.sampled_counts == (2, 1, 2)
+        assert [len(s) for s in seg.index_sets] == [2, 1, 2]
         assert seg.lengths == (4, 1, 5)
 
     def test_pick_outside_every_segment(self):
@@ -94,7 +92,7 @@ class TestAssignSegmentIds:
             seg = seg_map(picks, segments, n)
             flattened = [t for idx in seg.index_sets for t in idx]
             assert flattened == list(range(len(picks)))
-            assert sum(seg.sampled_counts) == len(picks)
+            assert sum(len(s) for s in seg.index_sets) == len(picks)
             assert sum(seg.lengths) == n
 
 
@@ -146,31 +144,12 @@ class TestExpandScores:
 
 
 class TestPoolSegmentScores:
-    def test_two_segment_means(self):
-        seg = seg_map((0, 1, 2, 3), ((0, 1), (2, 3)), 4)
-        assert pool_segment_scores([1.0, 3.0, 5.0, 7.0], seg).tolist() == [2, 6]
-
-    def test_identity(self):
-        seg = seg_map((0,), ((0, 0),), 1)
-        assert pool_segment_scores([4.0], seg).tolist() == [4]
-
-    def test_empty_segment_pools_to_zero(self):
-        seg = SegmentIndexMap(
-            segment_ids=(0, 0, 0), index_sets=((0, 1, 2), ()), lengths=(3, 2)
-        )
-        assert pool_segment_scores([1.0, 2.0, 3.0], seg).tolist() == [2, 0]
-
     def test_round_trip_through_expansion(self):
-        # expanding then resampling at the picks returns the original scores,
-        # so pooling either vector agrees when every segment has a pick
+        # expanding then resampling at the picks returns the original scores
         rng = np.random.default_rng(9)
         for _ in range(30):
             segments, n = random_partition(rng)
             picks = tuple(s for s, _ in segments)  # one pick at each segment start
             scores = rng.standard_normal(len(picks))
-            seg = seg_map(picks, segments, n)
             expanded = expand_scores(scores, PickSequence(picks), n)
-            resampled = expanded[list(picks)]
-            assert np.array_equal(
-                pool_segment_scores(resampled, seg), pool_segment_scores(scores, seg)
-            )
+            assert np.array_equal(expanded[list(picks)], scores)

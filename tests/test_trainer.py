@@ -193,7 +193,7 @@ class TestCheckpointRoundTrip:
         cfg = small_cfg()
         params = trainer.init_all_params(cfg, np.random.default_rng(0))
         path = tmp_path / "ckpt.json"
-        save_params(params, path, meta={"config": trainer._config_dict(cfg)})
+        save_params(params, path, meta={"config": dataclasses.asdict(cfg)})
         loaded, meta = load_params(path)
         assert set(loaded) == set(params)
         for name in params:
