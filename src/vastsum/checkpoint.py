@@ -33,11 +33,18 @@ def params_to_bytes(params: dict[str, np.ndarray], meta: dict | None = None) -> 
 
 def atomic_write(path, payload: bytes) -> None:
     """Write payload to path through a temp file in the same directory and a
-    rename, so a reader sees the old file or the whole new one, never a part."""
+    rename, so a reader sees the old file or the whole new one, never a part.
+
+    The file gets the mode open() would give it, 0o666 less the umask, not
+    mkstemp's owner-only 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:

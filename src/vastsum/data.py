@@ -151,10 +151,14 @@ def load_dataset(path) -> Dataset:
     mode = raw["mode"]
     if mode not in MODES:
         raise ValueError(f"dataset mode must be one of {MODES}, got {mode!r}")
+    if not isinstance(raw["videos"], list):
+        raise ValueError(f"dataset 'videos' must be a list, got {type(raw['videos']).__name__}")
     if not raw["videos"]:
         raise ValueError("dataset contains no videos")
     videos, feature_dim = [], None
-    for entry in raw["videos"]:
+    for index, entry in enumerate(raw["videos"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"videos[{index}] must be an object, got {type(entry).__name__}")
         record = _validate_record(entry, mode, feature_dim)
         feature_dim = record.features.shape[1]
         videos.append(record)

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_write
-from .decoder import decode_summary
-from .timeline import ChangePointPartition, PickSequence
+# decode_summary is not called here; perfbench's tracer and tests reach it as
+# evaluation.decode_summary, so the name stays bound.
+from .decoder import budget, decode_summary, knapsack_select, segment_values  # noqa: F401
+from .timeline import ChangePointPartition, PickSequence, expand_scores
 
 
 def _is_constant(x: np.ndarray) -> bool:
@@ -187,18 +189,22 @@ def flip_rate(
     seed: int,
 ) -> float:
     """Fraction of Gaussian-perturbed decodes whose selected segments differ
-    from the unperturbed decode."""
+    from the unperturbed decode.
+
+    Row 0 is the unperturbed decode and rows 1.. the trials; all rows are
+    pooled and solved in one batched knapsack call, with the same segment
+    values and selections as one `decode_summary` per row.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    capacity = budget(rho, cps.n_frames)
     scores = np.asarray(scores, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    base = decode_summary(scores, picks, cps, rho).selected_segments
-    flips = 0
-    for _ in range(trials):
-        noisy = scores + rng.normal(0.0, sigma, scores.shape)
-        if decode_summary(noisy, picks, cps, rho).selected_segments != base:
-            flips += 1
-    return flips / trials
+    noise = np.random.default_rng(seed).normal(0.0, sigma, (trials,) + scores.shape)
+    frames = expand_scores(np.vstack([scores, scores + noise]), picks, cps.n_frames)
+    instance = segment_values(frames, cps, capacity=capacity)
+    del frames  # [trials + 1, N]; freed before the DP allocates its tables
+    selection = knapsack_select(instance)
+    return int(np.count_nonzero((selection[1:] != selection[0]).any(axis=1))) / trials
 
 
 def write_report_csv(report: CorrelationReport, path) -> None:

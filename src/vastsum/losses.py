@@ -177,11 +177,9 @@ def stability_loss(
     m = s.shape[0]
     if noise.ndim != 2 or noise.shape[1] != m:
         raise ValueError(f"noise shape {noise.shape} does not match M={m}")
-    base = knapsack_select(SegmentKnapsackInstance(s, weights, capacity))
-    freq = np.zeros(m)
-    for row in noise:
-        freq += knapsack_select(SegmentKnapsackInstance(s + row, weights, capacity))
-    freq /= noise.shape[0]
+    batch = knapsack_select(SegmentKnapsackInstance(np.vstack([s, s + noise]), weights, capacity))
+    base = batch[0]
+    freq = batch[1:].sum(axis=0) / noise.shape[0]
     unstable = (freq > 0.0) & (freq < 1.0)
     selected = np.flatnonzero(base)
     unselected = np.flatnonzero(~base)

@@ -90,20 +90,19 @@ class SegmentIndexMap:
 
 def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> SegmentIndexMap:
     """Assign each pick to the segment whose inclusive bounds contain it."""
-    starts = [s for s, _ in cps.segments]
-    ends = [e for _, e in cps.segments]
-    ids = []
-    for t, p in enumerate(picks.picks):
-        k = int(np.searchsorted(starts, p, side="right")) - 1
-        if k < 0 or p > ends[k]:
-            raise CoverageError(f"pick {p} (timestep {t}) lies outside every segment")
-        ids.append(k)
-    index_sets: list[list[int]] = [[] for _ in range(cps.n_segments)]
-    for t, k in enumerate(ids):
-        index_sets[k].append(t)
+    starts = np.array([s for s, _ in cps.segments])
+    ends = np.array([e for _, e in cps.segments])
+    points = np.array(picks.picks)
+    ids = np.searchsorted(starts, points, side="right") - 1
+    outside = (ids < 0) | (points > ends[ids])
+    if outside.any():
+        t = int(np.argmax(outside))
+        raise CoverageError(f"pick {picks.picks[t]} (timestep {t}) lies outside every segment")
+    # picks increase, so ids do too and each segment's timesteps are one run
+    bounds = np.searchsorted(ids, np.arange(cps.n_segments + 1)).tolist()
     return SegmentIndexMap(
-        segment_ids=tuple(ids),
-        index_sets=tuple(tuple(s) for s in index_sets),
+        segment_ids=tuple(ids.tolist()),
+        index_sets=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])),
         lengths=tuple(cps.lengths()),
     )
 
@@ -112,12 +111,13 @@ def expand_scores(scores, picks: PickSequence, n_frames: int) -> np.ndarray:
     """Expand sampled scores to the original timeline, piecewise constant.
 
     Frame n takes the score of the last pick at or before it; frames before
-    the first pick are backfilled with the first score.
+    the first pick are backfilled with the first score. scores is [T] or
+    [K, T]; each row is expanded with the same frame-to-pick index.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValueError("scores must be a non-empty 1-D sequence")
-    if scores.size != len(picks):
-        raise ValueError(f"got {scores.size} scores for {len(picks)} picks")
+    if scores.ndim not in (1, 2) or scores.size == 0:
+        raise ValueError("scores must be a non-empty 1-D or 2-D sequence")
+    if scores.shape[-1] != len(picks):
+        raise ValueError(f"got {scores.shape[-1]} scores for {len(picks)} picks")
     idx = np.searchsorted(picks.picks, np.arange(n_frames), side="right") - 1
-    return scores[np.maximum(idx, 0)]
+    return scores[..., np.maximum(idx, 0)]

@@ -107,6 +107,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"video {vid!r}: missing keys [{key!r}]" in err
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [(lambda videos: [1], "videos[0] must be an object, got int"),
+         (lambda videos: videos + ["v999"], "videos[3] must be an object, got str"),
+         (lambda videos: {"a": 1}, "dataset 'videos' must be a list, got dict")],
+    )
+    def test_malformed_videos_exit_2(self, tmp_path, tiny_dataset, capsys, mutate, message):
+        doc = json.loads(Path(tiny_dataset).read_text())
+        doc["videos"] = mutate(doc["videos"])
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert run("train", "--data", str(path), "--out-dir", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+
     def test_fold_training(self, tmp_path, tiny_config_file):
         data = tmp_path / "ten.json"
         assert run(
@@ -247,6 +261,34 @@ class TestStabilityReport:
                 "--sigma", "0.05", "--trials", "25", "--seed", "3", "--out", str(out),
             ) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_the_umask_mode(tmp_path, tiny_config_file, umask, mode):
+    previous = os.umask(umask)
+    try:
+        data, run_dir = tmp_path / "data.json", tmp_path / "run"
+        masks, report = tmp_path / "masks.json", tmp_path / "report.csv"
+        assert run(
+            "gen-data", "--out", str(data), "--videos", "3", "--timesteps", "16",
+            "--feature-dim", "8", "--annotators", "2", "--segments", "3", "--seed", "4",
+        ) == 0
+        assert run(
+            "train", "--data", str(data), "--out-dir", str(run_dir),
+            "--config", tiny_config_file, "--epochs", "1",
+        ) == 0
+        checkpoint = run_dir / "checkpoint.json"
+        assert run(
+            "decode", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(masks),
+        ) == 0
+        assert run(
+            "eval", "--checkpoint", str(checkpoint), "--data", str(data),
+            "--protocol", "tvsum", "--out", str(report),
+        ) == 0
+    finally:
+        os.umask(previous)
+    for path in (data, checkpoint, masks, report):
+        assert os.stat(path).st_mode & 0o777 == mode, path.name
 
 
 class TestGradcheck:

@@ -10,7 +10,7 @@ from vastsum.decoder import (
     knapsack_select,
     segment_values,
 )
-from vastsum.timeline import ChangePointPartition, PickSequence
+from vastsum.timeline import ChangePointPartition, PickSequence, expand_scores
 
 from oracles import brute_force_knapsack, random_partition, random_picks
 
@@ -41,6 +41,25 @@ class TestSegmentValues:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             segment_values([1.0], ChangePointPartition(((0, 1),), 2))
+
+    def test_rows_equal_one_dimensional_means_bit_for_bit(self):
+        # A 2-D mean(axis=1) sums in another order and differs in the last
+        # bits; segment values must equal the 1-D mean of each run, row by row.
+        rng = np.random.default_rng(17)
+        cases = [(rng.integers(1, 40, 6), 4), (rng.integers(60, 200, 80), 3), ([9000, 1, 300], 2)]
+        for lengths, k in cases:
+            ends = np.cumsum(lengths) - 1
+            cps = ChangePointPartition(tuple(zip(ends - lengths + 1, ends)), int(ends[-1]) + 1)
+            picks = PickSequence(tuple(range(0, cps.n_frames, 7)))
+            for frames in (
+                rng.standard_normal((k, cps.n_frames)) * 10.0 ** rng.integers(-3, 4, (k, 1)),
+                expand_scores(rng.uniform(0, 1, (k, len(picks))), picks, cps.n_frames),
+            ):
+                values = segment_values(frames, cps).values
+                expected = [[row[a : e + 1].mean() for a, e in cps.segments] for row in frames]
+                assert values.shape == (k, cps.n_segments)
+                assert values.tobytes() == np.array(expected).tobytes()
+                assert segment_values(frames[0], cps).values.tobytes() == values[0].tobytes()
 
 
 class TestKnapsackSelect:
@@ -87,6 +106,59 @@ class TestKnapsackSelect:
             assert total_value(values, selection) == best_value
             assert tuple(np.flatnonzero(selection)) == best_subset
             assert sum(w for w, s in zip(weights, selection) if s) <= cap
+
+
+    def test_rows_equal_single_solves_and_brute_force(self):
+        # Random and tie-heavy value rows, zero capacity included. Every row
+        # reaches the brute-force value. Where sums are exact (constant and
+        # dyadic rows) the set is the brute-force one too; with 0.1-style
+        # values a rounded tie can leave the DP on another set of equal value.
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            m = int(rng.integers(1, 11))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            cap = 0 if trial % 10 == 0 else int(rng.integers(0, 61))
+            rows = np.vstack([
+                np.full(m, 0.5),
+                rng.choice([0.25, 0.5, 0.75, 1.0, -0.25], m),
+                np.round(rng.uniform(-2, 10, m), 3),
+                rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, -0.1], m),
+            ])
+            batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+            assert batch.shape == rows.shape and batch.dtype == bool
+            for r, (row, selection) in enumerate(zip(rows, batch)):
+                single = knapsack_select(SegmentKnapsackInstance(row, weights, cap))
+                assert np.array_equal(selection, single)
+                best_value, best_subset = brute_force_knapsack(row, weights, cap)
+                assert total_value(row, selection) == best_value
+                assert sum(w for w, s in zip(weights, selection) if s) <= cap
+                if r < 2:
+                    assert tuple(np.flatnonzero(selection)) == best_subset
+
+    def test_long_instances_keep_the_tie_order(self):
+        # Fillers (value -1, weight 1) are never worth taking but still use up
+        # rank bits, so the ranks are re-encoded mid-solve while the tie-heavy
+        # real items decide the answer; it must still be the brute-force one.
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            real = 9
+            cap = int(rng.integers(1, 40))
+            spacing = int(rng.integers(6, 16))
+            m = real * spacing
+            real_at = np.arange(real) * spacing + int(rng.integers(0, spacing))
+            values = np.full(m, -1.0)
+            weights = [1] * m
+            values[real_at] = rng.choice([0.25, 0.5, 0.75, 1.0], real)
+            real_weights = [int(w) for w in rng.integers(1, 8, real)]
+            for index, w in zip(real_at, real_weights):
+                weights[index] = w
+            selection = knapsack_select(SegmentKnapsackInstance(values, weights, cap))
+            _, best_subset = brute_force_knapsack(values[real_at], real_weights, cap)
+            assert tuple(np.flatnonzero(selection)) == tuple(real_at[list(best_subset)])
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SegmentKnapsackInstance(np.zeros((2, 3)), (1, 1), 1)
 
 
 class TestDecodeSummary:

@@ -14,9 +14,11 @@ from vastsum.evaluation import (
     spearman_rho,
     write_report_csv,
 )
+import vastsum.evaluation as evaluation
+from vastsum.decoder import decode_summary, knapsack_select
 from vastsum.timeline import ChangePointPartition, PickSequence
 
-from oracles import counting_ranks, naive_kendall_tau, naive_spearman
+from oracles import counting_ranks, naive_kendall_tau, naive_spearman, random_partition, random_picks
 
 
 def tied_corpus(count=100, max_n=50, seed=2024):
@@ -202,6 +204,40 @@ class TestFlipRate:
     def test_seeded_reproducibility(self):
         args = ([0.52, 0.5], self.picks, self.cps, 0.5, 0.1)
         assert flip_rate(*args, trials=50, seed=7) == flip_rate(*args, trials=50, seed=7)
+
+
+    def test_equals_per_trial_decodes_with_one_solve(self, monkeypatch):
+        # reference: one decode_summary for the base and one per noisy trial
+        def per_trial(scores, picks, cps, rho, sigma, trials, seed):
+            rng = np.random.default_rng(seed)
+            base = decode_summary(scores, picks, cps, rho).selected_segments
+            flips = 0
+            for _ in range(trials):
+                noisy = scores + rng.normal(0.0, sigma, scores.shape)
+                flips += decode_summary(noisy, picks, cps, rho).selected_segments != base
+            return flips / trials
+
+        calls = []
+
+        def counted(instance):
+            calls.append(instance.values.shape)
+            return knapsack_select(instance)
+
+        monkeypatch.setattr(evaluation, "knapsack_select", counted)
+        rng = np.random.default_rng(12)
+        rates = set()
+        for trial in range(40):
+            segments, n = random_partition(rng, max_segments=8, max_len=12)
+            picks = PickSequence(random_picks(rng, n))
+            cps = ChangePointPartition(segments, n)
+            scores = rng.uniform(0, 1, len(picks))
+            args = (scores, picks, cps, float(rng.uniform(0.1, 0.6)), 0.1, 30, trial)
+            calls.clear()
+            rate = flip_rate(*args)
+            assert rate == per_trial(*args)
+            assert calls == [(31, len(segments))]
+            rates.add(rate)
+        assert len(rates) > 3  # the rows really do flip, at varied rates
 
 
 class TestReportCsv:

@@ -6,6 +6,7 @@ import pytest
 import vastsum.diffcore as dc
 import vastsum.losses as losses
 from vastsum.config import LossConfig
+from vastsum.decoder import SegmentKnapsackInstance, knapsack_select
 
 
 def node(values):
@@ -327,6 +328,37 @@ class TestStabilityLoss:
 
         # hinge arguments are 0.05, far from 0 relative to the fd step
         assert dc.finite_difference_check(build, {"s": np.array([0.6, 0.55, 0.5])}) < 1e-4
+
+
+    def test_equals_per_trial_solves_with_one_solve(self, monkeypatch):
+        # reference: the base solve and one solve per noise row, each 1-D
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            m = int(rng.integers(2, 12))
+            weights = tuple(int(w) for w in rng.integers(1, 9, m))
+            cap = int(rng.integers(1, sum(weights)))
+            scores = rng.uniform(0, 1, m)
+            noise = rng.normal(0, 0.1, (8, m))
+            outcomes = []
+            for batched in (True, False):
+                calls = []
+
+                def solve(instance, batched=batched):
+                    calls.append(instance.values.shape)
+                    if batched:
+                        return knapsack_select(instance)
+                    rows = [scores] + [scores + row for row in noise]
+                    return np.array([
+                        knapsack_select(SegmentKnapsackInstance(row, weights, cap)) for row in rows
+                    ])
+
+                monkeypatch.setattr(losses, "knapsack_select", solve)
+                tape = dc.Tape()
+                s = tape.param("s", scores)
+                out = losses.stability_loss(s, weights, cap, self.cfg(), noise)
+                assert calls == [(9, m)]
+                outcomes.append((val(out), dc.backward(tape, out)["s"].tobytes()))
+            assert outcomes[0] == outcomes[1]
 
 
 class TestTotalLoss:

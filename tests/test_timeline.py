@@ -5,6 +5,7 @@ from vastsum.errors import CoverageError
 from vastsum.timeline import (
     ChangePointPartition,
     PickSequence,
+    SegmentIndexMap,
     assign_segment_ids,
     expand_scores,
 )
@@ -84,6 +85,32 @@ class TestAssignSegmentIds:
                 k = seg.segment_ids[t]
                 assert segments[k][0] <= p <= segments[k][1]
 
+    def test_random_equals_per_pick_loop(self):
+        # the per-pick scan, with picks past the last frame to hit coverage errors
+        def per_pick(picks, segments, n):
+            ids = []
+            for t, p in enumerate(picks):
+                k = int(np.searchsorted([a for a, _ in segments], p, side="right")) - 1
+                if k < 0 or p > segments[k][1]:
+                    return f"pick {p} (timestep {t}) lies outside every segment"
+                ids.append(k)
+            index_sets = tuple(tuple(t for t, j in enumerate(ids) if j == k)
+                               for k in range(len(segments)))
+            lengths = tuple(e - a + 1 for a, e in segments)
+            return SegmentIndexMap(tuple(ids), index_sets, lengths)
+
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            segments, n = random_partition(rng)
+            picks = random_picks(rng, n + int(rng.integers(0, 3)))
+            expected = per_pick(picks, segments, n)
+            if isinstance(expected, str):
+                with pytest.raises(CoverageError) as excinfo:
+                    seg_map(picks, segments, n)
+                assert str(excinfo.value) == expected
+            else:
+                assert seg_map(picks, segments, n) == expected
+
     def test_index_sets_partition_timesteps(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
@@ -118,6 +145,15 @@ class TestExpandScores:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="2 picks"):
             expand_scores([1.0], PickSequence((0, 1)), 3)
+
+    def test_rows_expand_like_single_rows(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            _, n = random_partition(rng)
+            picks = PickSequence(random_picks(rng, n))
+            rows = rng.standard_normal((3, len(picks)))
+            out = expand_scores(rows, picks, n)
+            assert np.array_equal(out, [expand_scores(row, picks, n) for row in rows])
 
     def test_output_length_and_value_set(self):
         rng = np.random.default_rng(3)
