@@ -8,7 +8,8 @@ identical bytes.
 
 `atomic_write` is the package's one file-write path: checkpoints, datasets,
 decode masks and the CSV reports all go through it. This module imports
-nothing from vastsum, so every other module can use it without a cycle.
+only `config` from vastsum, so every module but `config` can use it without
+a cycle.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import os
 import tempfile
 
 import numpy as np
+
+from .config import is_integral
 
 FORMAT_NAME = "vastsum-params-v1"
 
@@ -69,8 +72,13 @@ def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
     for name, entry in doc["tensors"].items():
         if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
             raise ValueError(f"tensor {name!r} needs 'shape' and 'data' entries")
-        shape = tuple(int(s) for s in entry["shape"])
-        value = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(is_integral(s) for s in shape):
+            raise ValueError(f"tensor {name!r}: shape must be a list of integers, got {shape!r}")
+        try:
+            value = np.asarray(entry["data"], dtype=np.float64).reshape([int(s) for s in shape])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"tensor {name!r}: {exc}") from exc
         if not np.all(np.isfinite(value)):
             raise ValueError(f"tensor {name!r} contains non-finite values")
         params[name] = value

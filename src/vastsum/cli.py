@@ -21,7 +21,7 @@ from .config import MODES, RunConfig, load_run_config, run_config_from_dict
 from .data import Dataset, SyntheticConfig, generate_synthetic, load_dataset, make_folds, save_dataset
 from .decoder import budget, decode_summary
 from .errors import ConfigError
-from .evaluation import evaluate_summe, evaluate_tvsum, flip_rate, oracle_report, write_report_csv
+from .evaluation import evaluate, flip_rate, oracle_report, write_report_csv
 from .timeline import assign_segment_ids
 from .trainer import all_param_shapes, predict_scores, train
 
@@ -36,15 +36,6 @@ def _load_config(args) -> RunConfig:
         cfg.train.epochs = args.epochs
     cfg.validate()
     return cfg
-
-
-def _load_checkpoint(path):
-    params, meta = load_params(path)
-    if "config" not in meta:
-        raise ConfigError(f"checkpoint {path} carries no run config metadata")
-    cfg = run_config_from_dict(meta["config"])
-    validate_shapes(params, all_param_shapes(cfg))
-    return params, cfg
 
 
 def cmd_gen_data(args) -> int:
@@ -86,33 +77,37 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predictions(params, cfg, dataset):
-    preds = []
-    for video in dataset.videos:
-        seg = assign_segment_ids(video.picks, video.change_points)
-        preds.append((video, seg, predict_scores(params, video, seg, cfg)))
-    return preds
+def _load_and_predict(args, protocol=None):
+    """The inference preamble: load the checkpoint and the dataset (whose mode
+    must match `protocol` when one is given) and run the checkpoint's config
+    in the dataset's mode. Returns the dataset and a generator of (video,
+    decode signal) pairs that predicts each video as it is reached, so a
+    caller that never iterates it predicts nothing."""
+    params, meta = load_params(args.checkpoint)
+    if "config" not in meta:
+        raise ConfigError(f"checkpoint {args.checkpoint} carries no run config metadata")
+    cfg = run_config_from_dict(meta["config"])
+    validate_shapes(params, all_param_shapes(cfg))
+    dataset = load_dataset(args.data)
+    if protocol is not None and dataset.mode != protocol:
+        raise ConfigError(f"protocol {protocol!r} does not match dataset mode {dataset.mode!r}")
+    cfg.train.mode = dataset.mode
+    cfg.validate()
+    predictions = (
+        (v, predict_scores(params, v, assign_segment_ids(v.picks, v.change_points), cfg)["signal"])
+        for v in dataset.videos
+    )
+    return dataset, predictions
 
 
 def cmd_eval(args) -> int:
-    params, cfg = _load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    if dataset.mode != args.protocol:
-        raise ConfigError(
-            f"protocol {args.protocol!r} does not match dataset mode {dataset.mode!r}"
-        )
+    dataset, predictions = _load_and_predict(args, protocol=args.protocol)
     ids = [v.video_id for v in dataset.videos]
     anns = [v.annotations for v in dataset.videos]
     if args.oracle:
         report = oracle_report(args.protocol, ids, anns)
     else:
-        cfg.train.mode = args.protocol
-        cfg.validate()
-        signals = [p["signal"] for _, _, p in _predictions(params, cfg, dataset)]
-        if args.protocol == "tvsum":
-            report = evaluate_tvsum(ids, signals, anns)
-        else:
-            report = evaluate_summe(ids, signals, anns)
+        report = evaluate(args.protocol, ids, [signal for _, signal in predictions], anns)
     write_report_csv(report, args.out)
     print(
         f"mean tau {report.mean_tau:.4f}, mean rho {report.mean_rho:.4f} "
@@ -124,13 +119,10 @@ def cmd_eval(args) -> int:
 def cmd_decode(args) -> int:
     if not 0 < args.rho <= 1:
         raise ConfigError(f"--rho must lie in (0, 1], got {args.rho}")
-    params, cfg = _load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    cfg.train.mode = dataset.mode
-    cfg.validate()
+    _, predictions = _load_and_predict(args)
     entries = []
-    for video, _, pred in _predictions(params, cfg, dataset):
-        mask = decode_summary(pred["signal"], video.picks, video.change_points, args.rho)
+    for video, signal in predictions:
+        mask = decode_summary(signal, video.picks, video.change_points, args.rho)
         cap = budget(args.rho, video.n_frames)
         kept = int(mask.y.sum())
         if kept > cap:
@@ -157,14 +149,11 @@ def cmd_stability_report(args) -> int:
         raise ConfigError(f"--rho must lie in (0, 1], got {args.rho}")
     if args.sigma < 0:
         raise ConfigError("--sigma must be >= 0")
-    params, cfg = _load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
-    cfg.train.mode = dataset.mode
-    cfg.validate()
+    _, predictions = _load_and_predict(args)
     rates = []
-    for index, (video, _, pred) in enumerate(_predictions(params, cfg, dataset)):
+    for index, (video, signal) in enumerate(predictions):
         rate = flip_rate(
-            pred["signal"],
+            signal,
             video.picks,
             video.change_points,
             args.rho,

@@ -8,11 +8,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
 MODES = ("tvsum", "summe")
+
+
+def is_integral(value) -> bool:
+    """True for an integral JSON number (2 or 2.0); False for 2.5, NaN and bools."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -153,12 +161,31 @@ class RunConfig:
 _SECTIONS = {"scorer": ScorerConfig, "head": HeadConfig, "loss": LossConfig, "train": TrainConfig}
 
 
-def _build_section(cls, values: dict):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - known
+_EXPECTED = {"int": "an integer", "int | None": "an integer or null", "float": "a finite number",
+             "str": "a string"}
+
+
+def _checked(section: str, field: dataclasses.Field, value):
+    """value, checked against the field's declared type; an int field's
+    integral number is returned as an int."""
+    if value is None and field.type == "int | None":
+        return value
+    if field.type.startswith("int") and is_integral(value):
+        return int(value)
+    finite = isinstance(value, float) and math.isfinite(value)
+    if field.type == "float" and (finite or is_integral(value)):
+        return value
+    if field.type == "str" and isinstance(value, str):
+        return value
+    raise ConfigError(f"{section}.{field.name} must be {_EXPECTED[field.type]}, got {value!r}")
+
+
+def _build_section(section: str, cls, values: dict):
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(values) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**values)
+    return cls(**{key: _checked(section, fields[key], value) for key, value in values.items()})
 
 
 def run_config_from_dict(raw: dict) -> RunConfig:
@@ -172,7 +199,7 @@ def run_config_from_dict(raw: dict) -> RunConfig:
         section = raw.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be an object")
-        kwargs[name] = _build_section(cls, section)
+        kwargs[name] = _build_section(name, cls, section)
     return RunConfig(**kwargs).validate()
 
 

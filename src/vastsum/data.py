@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_write
-from .config import MODES
+from .config import MODES, is_integral
 from .errors import ConfigError
 from .timeline import ChangePointPartition, PickSequence, assign_segment_ids
 
@@ -85,6 +85,13 @@ def _fail(video_id: str, reason: str):
     raise ValueError(f"video {video_id!r}: {reason}")
 
 
+def _float_array(video_id: str, raw: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(raw[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        _fail(video_id, f"{key} must be numeric: {exc}")
+
+
 def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoRecord:
     vid = str(raw.get("id", "<missing id>"))
     required = {"id", "n_frames", "picks", "change_points", "features"}
@@ -100,17 +107,26 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoReco
     if unknown:
         _fail(vid, f"unknown keys {sorted(unknown)}")
 
+    if not is_integral(raw["n_frames"]):
+        _fail(vid, f"n_frames must be an integer, got {raw['n_frames']!r}")
+    if not isinstance(raw["picks"], list) or not all(is_integral(p) for p in raw["picks"]):
+        _fail(vid, "picks must be a list of integers")
+    pairs = raw["change_points"]
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(is_integral(x) for x in p) for p in pairs
+    ):
+        _fail(vid, "change_points must be a list of [start, end] integer pairs")
     n_frames = int(raw["n_frames"])
     try:
         picks = PickSequence(tuple(raw["picks"]))
-        cps = ChangePointPartition(tuple(tuple(p) for p in raw["change_points"]), n_frames)
+        cps = ChangePointPartition(tuple(tuple(p) for p in pairs), n_frames)
     except ValueError as exc:
         _fail(vid, str(exc))
     if picks.picks[-1] >= n_frames:
         _fail(vid, f"pick {picks.picks[-1]} outside [0, {n_frames - 1}]")
     assign_segment_ids(picks, cps)  # raises CoverageError on a malformed partition
 
-    features = np.asarray(raw["features"], dtype=np.float64)
+    features = _float_array(vid, raw, "features")
     if features.ndim != 2 or features.shape[0] != len(picks):
         _fail(vid, f"features shape {features.shape} does not match {len(picks)} picks")
     if feature_dim is not None and features.shape[1] != feature_dim:
@@ -118,13 +134,13 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoReco
     if not np.all(np.isfinite(features)):
         _fail(vid, "features contain non-finite values")
 
-    annotations = np.asarray(raw[ANNOTATION_KEY[mode]], dtype=np.float64)
+    annotations = _float_array(vid, raw, ANNOTATION_KEY[mode])
     if annotations.ndim != 2 or annotations.shape[1] != len(picks):
         _fail(vid, f"annotations shape {annotations.shape} does not match T={len(picks)}")
     if annotations.shape[0] < 1:
         _fail(vid, "need at least one annotator")
     if mode == "tvsum":
-        if np.any(annotations < 0) or np.any(annotations > 1):
+        if not np.all((annotations >= 0) & (annotations <= 1)):  # NaN fails too
             _fail(vid, "tvsum scores must lie in [0, 1]")
     else:
         if not np.all(np.isin(annotations, (0.0, 1.0))):

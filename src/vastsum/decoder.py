@@ -29,8 +29,8 @@ best value; its set is the oracle's whenever the sums are exact.
 
 `values` may be one row [M] or a batch [K, M] that shares weights and
 capacity; each row is solved on its own and the selection has the shape of
-`values`. The stability loss and the flip rate solve their perturbed rows in
-one call this way.
+`values`. The stability loss and the flip rate (through `select_segments`)
+solve their perturbed rows in one call this way.
 """
 
 from __future__ import annotations
@@ -162,16 +162,27 @@ def budget(rho: float, n_frames: int) -> int:
     return int(math.floor(rho * n_frames))
 
 
+def select_segments(
+    scores, picks: PickSequence, cps: ChangePointPartition, rho: float
+) -> np.ndarray:
+    """The decode pipeline: budget, expand, pool, solve.
+
+    scores is [T] or [K, T]; the selection is [M] or [K, M], each row solved
+    as its own decode in one knapsack call.
+    """
+    capacity = budget(rho, cps.n_frames)
+    frames = expand_scores(scores, picks, cps.n_frames)
+    instance = segment_values(frames, cps, capacity=capacity)
+    del frames  # [K, N]; freed before the DP allocates its tables
+    return knapsack_select(instance)
+
+
 def decode_summary(
     scores, picks: PickSequence, cps: ChangePointPartition, rho: float = 0.15
 ) -> SummaryMask:
-    """Expand, pool, solve, and emit the binary summary mask."""
-    capacity = budget(rho, cps.n_frames)
-    frame_scores = expand_scores(scores, picks, cps.n_frames)
-    instance = segment_values(frame_scores, cps, capacity=capacity)
-    selection = knapsack_select(instance)
+    """Decode one score row and emit the binary summary mask."""
+    selected = tuple(int(k) for k in np.flatnonzero(select_segments(scores, picks, cps, rho)))
     y = np.zeros(cps.n_frames, dtype=bool)
-    selected = tuple(int(k) for k in np.flatnonzero(selection))
     for k in selected:
         start, end = cps.segments[k]
         y[start : end + 1] = True

@@ -19,8 +19,8 @@ import numpy as np
 from .checkpoint import atomic_write
 # decode_summary is not called here; perfbench's tracer and tests reach it as
 # evaluation.decode_summary, so the name stays bound.
-from .decoder import budget, decode_summary, knapsack_select, segment_values  # noqa: F401
-from .timeline import ChangePointPartition, PickSequence, expand_scores
+from .decoder import decode_summary, select_segments  # noqa: F401
+from .timeline import ChangePointPartition, PickSequence
 
 
 def _is_constant(x: np.ndarray) -> bool:
@@ -114,42 +114,49 @@ def _finish_report(rows: list[VideoCorrelation], protocol: str) -> CorrelationRe
     )
 
 
-def evaluate_tvsum(video_ids, predictions, annotations) -> CorrelationReport:
-    """Correlate each prediction with every annotator row, average per video,
-    then across videos. Constant predictions or all-constant annotator sets
-    are flagged degenerate."""
+def protocol_targets(protocol: str, annotations) -> np.ndarray:
+    """The rows a protocol correlates each prediction with: every annotator
+    row for tvsum, the elementwise mean user summary for summe."""
+    annotations = np.asarray(annotations, dtype=np.float64)
+    if protocol == "tvsum":
+        return annotations
+    if protocol == "summe":
+        return annotations.mean(axis=0, keepdims=True)
+    raise ValueError(f"unknown protocol {protocol!r}")
+
+
+def _correlate(video_id: str, pairs) -> VideoCorrelation:
+    """Mean tau and rho over the (prediction, target) pairs where neither side
+    is constant; degenerate when no pair is left."""
+    taus, rhos = [], []
+    for pred, target in pairs:
+        if not (_is_constant(pred) or _is_constant(target)):
+            taus.append(kendall_tau(pred, target))
+            rhos.append(spearman_rho(pred, target))
+    if not taus:
+        return VideoCorrelation(video_id, float("nan"), float("nan"), True)
+    return VideoCorrelation(video_id, math.fsum(taus) / len(taus), math.fsum(rhos) / len(rhos), False)
+
+
+def evaluate(protocol: str, video_ids, predictions, annotations) -> CorrelationReport:
+    """Correlate each prediction with its protocol targets, average per video,
+    then across videos. Constant predictions or all-constant targets are
+    flagged degenerate."""
     rows = []
     for vid, pred, ann in zip(video_ids, predictions, annotations):
         pred = np.asarray(pred, dtype=np.float64)
-        ann = np.asarray(ann, dtype=np.float64)
-        taus, rhos = [], []
-        if not _is_constant(pred):
-            for row in ann:
-                if not _is_constant(row):
-                    taus.append(kendall_tau(pred, row))
-                    rhos.append(spearman_rho(pred, row))
-        if taus:
-            rows.append(
-                VideoCorrelation(vid, math.fsum(taus) / len(taus), math.fsum(rhos) / len(rhos), False)
-            )
-        else:
-            rows.append(VideoCorrelation(vid, float("nan"), float("nan"), True))
-    return _finish_report(rows, "tvsum")
+        rows.append(_correlate(vid, [(pred, t) for t in protocol_targets(protocol, ann)]))
+    return _finish_report(rows, protocol)
+
+
+def evaluate_tvsum(video_ids, predictions, annotations) -> CorrelationReport:
+    """tvsum protocol: every annotator row is a target."""
+    return evaluate("tvsum", video_ids, predictions, annotations)
 
 
 def evaluate_summe(video_ids, predictions, user_summaries) -> CorrelationReport:
-    """Correlate each prediction with the elementwise mean user summary."""
-    rows = []
-    for vid, pred, summ in zip(video_ids, predictions, user_summaries):
-        pred = np.asarray(pred, dtype=np.float64)
-        target = np.asarray(summ, dtype=np.float64).mean(axis=0)
-        if _is_constant(pred) or _is_constant(target):
-            rows.append(VideoCorrelation(vid, float("nan"), float("nan"), True))
-        else:
-            rows.append(
-                VideoCorrelation(vid, kendall_tau(pred, target), spearman_rho(pred, target), False)
-            )
-    return _finish_report(rows, "summe")
+    """summe protocol: the mean user summary is the one target."""
+    return evaluate("summe", video_ids, predictions, user_summaries)
 
 
 def oracle_report(protocol: str, video_ids, annotations) -> CorrelationReport:
@@ -158,25 +165,11 @@ def oracle_report(protocol: str, video_ids, annotations) -> CorrelationReport:
     Every non-degenerate comparison correlates a target with itself, so the
     means must come out at exactly 1; useful as a CI smoke check of the
     metric plumbing."""
-    if protocol == "tvsum":
-        rows = []
-        for vid, ann in zip(video_ids, annotations):
-            ann = np.asarray(ann, dtype=np.float64)
-            taus = [kendall_tau(row, row) for row in ann if not _is_constant(row)]
-            rhos = [spearman_rho(row, row) for row in ann if not _is_constant(row)]
-            if taus:
-                rows.append(
-                    VideoCorrelation(
-                        vid, math.fsum(taus) / len(taus), math.fsum(rhos) / len(rhos), False
-                    )
-                )
-            else:
-                rows.append(VideoCorrelation(vid, float("nan"), float("nan"), True))
-        return _finish_report(rows, "tvsum")
-    if protocol == "summe":
-        targets = [np.asarray(a, dtype=np.float64).mean(axis=0) for a in annotations]
-        return evaluate_summe(video_ids, targets, annotations)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    rows = [
+        _correlate(vid, [(t, t) for t in protocol_targets(protocol, ann)])
+        for vid, ann in zip(video_ids, annotations)
+    ]
+    return _finish_report(rows, protocol)
 
 
 def flip_rate(
@@ -192,18 +185,14 @@ def flip_rate(
     from the unperturbed decode.
 
     Row 0 is the unperturbed decode and rows 1.. the trials; all rows are
-    pooled and solved in one batched knapsack call, with the same segment
-    values and selections as one `decode_summary` per row.
+    decoded by one `select_segments` call, with the same selections as one
+    `decode_summary` per row.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    capacity = budget(rho, cps.n_frames)
     scores = np.asarray(scores, dtype=np.float64)
     noise = np.random.default_rng(seed).normal(0.0, sigma, (trials,) + scores.shape)
-    frames = expand_scores(np.vstack([scores, scores + noise]), picks, cps.n_frames)
-    instance = segment_values(frames, cps, capacity=capacity)
-    del frames  # [trials + 1, N]; freed before the DP allocates its tables
-    selection = knapsack_select(instance)
+    selection = select_segments(np.vstack([scores, scores + noise]), picks, cps, rho)
     return int(np.count_nonzero((selection[1:] != selection[0]).any(axis=1))) / trials
 
 

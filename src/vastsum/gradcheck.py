@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import diffcore as dc
-from . import losses, prob_head, scorer
+from . import losses, trainer
 from .config import HeadConfig, LossConfig, RunConfig, ScorerConfig, TrainConfig
 from .timeline import ChangePointPartition, PickSequence, assign_segment_ids
 
@@ -33,7 +33,9 @@ def tiny_config(seed: int = 0) -> RunConfig:
         ),
         head=HeadConfig(latent_dim=4, temperature=1.0),
         loss=LossConfig(),
-        train=TrainConfig(seed=seed),
+        # summe mode makes the model's signal the calibrated probabilities,
+        # which the soft-min BCE term needs
+        train=TrainConfig(seed=seed, mode="summe"),
     )
 
 
@@ -50,17 +52,12 @@ def build_problem(seed: int = 0):
     binary = (continuous > 0.5).astype(np.float64)
     latent_noise = rng.standard_normal((t_len, cfg.head.latent_dim))
 
-    params = scorer.init_params(cfg.scorer, rng)
-    params.update(prob_head.init_params(cfg.scorer, cfg.head, rng))
+    params = trainer.init_all_params(cfg, rng)
 
     def f(theta):
-        tape = dc.Tape()
-        pnodes = dc.lift_params(tape, theta)
-        h_hat = scorer.forward(tape.constant(features), seg, pnodes, cfg.scorer)
-        out = prob_head.forward(h_hat, pnodes, latent_noise)
+        out, p = trainer.model_forward(theta, features, seg, cfg, latent_noise)
         nll = losses.tvsum_nll(out.mu, out.log_v, continuous, cfg.loss.epsilon)
         kl = losses.kl_standard_normal(out.mu_z, out.log_var_z)
-        p = prob_head.calibrate_probability(out.mu, cfg.head.temperature)
         soft = losses.summe_softmin_bce(p, binary, cfg.loss.tau_softmin)
         return dc.add(dc.add(nll, kl), soft)
 

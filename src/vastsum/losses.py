@@ -72,40 +72,60 @@ def tvsum_nll(mu: dc.Node, log_v: dc.Node, annotations, epsilon: float = 1e-6) -
     return dc.scale(_mean_all(dc.add(log_v, dc.multiply(sq_err, recip))), 0.5)
 
 
-def _bce_per_annotator(p_clipped: dc.Node, annotations: np.ndarray) -> list[dc.Node]:
-    tape = p_clipped.tape
-    ones = tape.constant(np.ones_like(p_clipped.value))
-    log_p = dc.log(p_clipped)
-    log_1p = dc.log(dc.subtract(ones, p_clipped))
-    losses = []
-    for row in annotations:
-        pos = dc.multiply(tape.constant(-row), log_p)
-        neg = dc.multiply(tape.constant(row - 1.0), log_1p)
-        losses.append(_mean_all(dc.add(pos, neg)))
-    return losses
+def annotator_bces(p: dc.Node, annotations) -> dc.Node:
+    """[U] node: each annotator's mean BCE against the probabilities.
+
+    BCE_a = -(1/T) sum_t (y_at log p_t + (1 - y_at) log(1 - p_t)), one
+    constant matmul per log term. Probabilities are clamped to
+    [1e-7, 1 - 1e-7] before the logs.
+    """
+    annotations = np.asarray(annotations, dtype=np.float64)
+    t_len = p.value.shape[0]
+    if annotations.ndim != 2 or annotations.shape[1] != t_len:
+        raise ValueError(f"annotations shape {annotations.shape} does not match T={t_len}")
+    tape = p.tape
+    p_clipped = dc.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    log_1p = dc.log(dc.subtract(tape.constant(np.ones(t_len)), p_clipped))
+    return dc.add(
+        dc.matmul(tape.constant(-annotations / t_len), dc.log(p_clipped)),
+        dc.matmul(tape.constant((annotations - 1.0) / t_len), log_1p),
+    )
+
+
+def soft_min(x: dc.Node, tau_sm: float) -> dc.Node:
+    """-tau * log sum_a exp(-x_a / tau) over a [U] node, with the max-shift trick."""
+    if not tau_sm > 0:
+        raise ValueError("tau_sm must be > 0")
+    tape = x.tape
+    scaled = dc.scale(x, -1.0 / tau_sm)
+    shift = tape.constant(np.array([scaled.value.max()]))
+    terms = dc.exp(dc.subtract(scaled, shift))
+    total = dc.matmul(tape.constant(np.ones((1, x.value.shape[0]))), terms)
+    return dc.scale(dc.add(shift, dc.log(total)), -tau_sm)
 
 
 def summe_softmin_bce(p: dc.Node, annotations, tau_sm: float) -> dc.Node:
-    """Soft minimum over per-annotator BCEs: -tau * log sum_a exp(-BCE_a / tau).
+    """Soft minimum over the per-annotator BCEs: -tau * log sum_a exp(-BCE_a / tau)."""
+    return soft_min(annotator_bces(p, annotations), tau_sm)
 
-    Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs, and the
-    log-sum-exp uses the max-shift trick.
+
+def likelihood(
+    mode: str, signal: dc.Node, log_v: dc.Node, annotations, cfg: LossConfig
+) -> tuple[dc.Node, np.ndarray]:
+    """The mode's data term and the target the ranking loss ranks the signal by.
+
+    tvsum: signal is the logits mu; Gaussian NLL, ranked against the
+    annotator mean. summe: signal is the calibrated probabilities; soft-min
+    BCE, ranked against the annotator whose BCE is smallest (ties resolve to
+    the lowest annotator index).
     """
     annotations = np.asarray(annotations, dtype=np.float64)
-    if annotations.ndim != 2 or annotations.shape[1] != p.value.shape[0]:
-        raise ValueError(f"annotations shape {annotations.shape} does not match T={p.value.shape[0]}")
-    if not tau_sm > 0:
-        raise ValueError("tau_sm must be > 0")
-    tape = p.tape
-    p_clipped = dc.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    scaled = [dc.scale(b, -1.0 / tau_sm) for b in _bce_per_annotator(p_clipped, annotations)]
-    shift = max(dc.scalar_value(c) for c in scaled)
-    shift_node = tape.constant(np.array([shift]))
-    acc = None
-    for c in scaled:
-        e = dc.exp(dc.subtract(c, shift_node))
-        acc = e if acc is None else dc.add(acc, e)
-    return dc.scale(dc.add(shift_node, dc.log(acc)), -tau_sm)
+    if mode == "tvsum":
+        return tvsum_nll(signal, log_v, annotations, cfg.epsilon), annotations.mean(axis=0)
+    if mode == "summe":
+        bces = annotator_bces(signal, annotations)
+        return soft_min(bces, cfg.tau_softmin), annotations[int(np.argmin(bces.value))]
+    raise ValueError(f"unknown dataset mode {mode!r}")
 
 
 def ranking_hinge(q: dc.Node, r, pairs, margin: float) -> dc.Node:
@@ -123,28 +143,6 @@ def ranking_hinge(q: dc.Node, r, pairs, margin: float) -> dc.Node:
     margins = q.tape.constant(np.full(len(kept), float(margin)))
     hinge = dc.clip(dc.subtract(margins, dc.subtract(qi, qj)), 0.0, np.inf)
     return _mean_all(hinge)
-
-
-def select_ranking_targets(dataset_mode: str, mu: dc.Node, p: dc.Node | None, annotations):
-    """Pick the prediction/target pair for the ranking loss.
-
-    tvsum ranks the raw logits against the annotator mean; summe ranks the
-    calibrated probabilities against the single annotator whose BCE is
-    smallest (ties resolve to the lowest annotator index).
-    """
-    annotations = np.asarray(annotations, dtype=np.float64)
-    if dataset_mode == "tvsum":
-        return mu, annotations.mean(axis=0)
-    if dataset_mode == "summe":
-        if p is None:
-            raise ValueError("summe ranking needs the calibrated probabilities")
-        pv = np.clip(p.value, PROB_FLOOR, 1.0 - PROB_FLOOR)
-        bces = [
-            float(np.mean(-row * np.log(pv) - (1.0 - row) * np.log(1.0 - pv)))
-            for row in annotations
-        ]
-        return p, annotations[int(np.argmin(bces))]
-    raise ValueError(f"unknown dataset mode {dataset_mode!r}")
 
 
 def kl_standard_normal(mu_z: dc.Node, log_var_z: dc.Node) -> dc.Node:

@@ -51,19 +51,6 @@ def param_shapes(scorer_cfg: ScorerConfig, head_cfg: HeadConfig) -> dict[str, tu
     }
 
 
-def init_params(
-    scorer_cfg: ScorerConfig, head_cfg: HeadConfig, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(scorer_cfg, head_cfg).items():
-        if name.endswith(".b"):
-            params[name] = np.zeros(shape)
-        else:
-            bound = 1.0 / np.sqrt(shape[0])
-            params[name] = rng.uniform(-bound, bound, shape)
-    return params
-
-
 def posterior_params(
     h_hat: dc.Node, params: Mapping[str, dc.Node]
 ) -> tuple[dc.Node, dc.Node]:

@@ -54,24 +54,6 @@ def param_shapes(cfg: ScorerConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: ScorerConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Scaled-uniform fan-in init for matrices; zeros for biases and positions;
-    unit gains for the layer norms."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        if name == "pos.table" or name.endswith((".b", ".bias", ".b1", ".b2")):
-            params[name] = np.zeros(shape)
-        elif name.endswith(".gain"):
-            params[name] = np.ones(shape)
-        elif name.endswith(".depthwise"):
-            bound = 1.0 / np.sqrt(shape[1])
-            params[name] = rng.uniform(-bound, bound, shape)
-        else:
-            bound = 1.0 / np.sqrt(shape[0])
-            params[name] = rng.uniform(-bound, bound, shape)
-    return params
-
-
 def _affine_norm(x: dc.Node, params: Mapping[str, dc.Node], prefix: str) -> dc.Node:
     return dc.add(dc.multiply(dc.layer_norm(x), params[f"{prefix}.gain"]), params[f"{prefix}.bias"])
 
@@ -131,7 +113,12 @@ def gated_fusion(
 
 
 def temporal_refine(h: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConfig) -> dc.Node:
-    """Residual stack: depthwise temporal conv -> GELU -> pointwise mixing, repeated."""
+    """Residual refinement stack: h + B_n(... B_1(h)), where each block B_j is
+    depthwise temporal conv -> GELU -> pointwise mixing.
+
+    The paper's "residual ... temporal refinement stack" is read as one
+    residual around the whole stack; the blocks carry no residual of their own.
+    """
     psi = h
     for j in range(cfg.refine_blocks):
         local = dc.gelu(dc.depthwise_conv1d(psi, params[f"refine{j}.depthwise"]))

@@ -26,7 +26,7 @@ from .config import RunConfig
 from .data import Dataset, VideoRecord
 from .decoder import budget
 from .errors import ConfigError
-from .evaluation import evaluate_summe, evaluate_tvsum
+from .evaluation import evaluate
 from .timeline import SegmentIndexMap, assign_segment_ids
 
 
@@ -64,10 +64,28 @@ class NoiseBundle:
     stab: np.ndarray
 
 
-def init_all_params(cfg: RunConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    params = scorer.init_params(cfg.scorer, rng)
-    params.update(prob_head.init_params(cfg.scorer, cfg.head, rng))
+def init_from_shapes(
+    shapes: dict[str, tuple[int, ...]], rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """The one init rule, drawn in the order of `shapes`: zeros for biases
+    and the position table, unit layer-norm gains, and U(-1/sqrt(fan_in),
+    1/sqrt(fan_in)) for every other tensor, where fan_in is the kernel width
+    of a depthwise filter and the first dimension otherwise."""
+    params: dict[str, np.ndarray] = {}
+    for name, shape in shapes.items():
+        if name == "pos.table" or name.endswith((".b", ".bias", ".b1", ".b2")):
+            params[name] = np.zeros(shape)
+        elif name.endswith(".gain"):
+            params[name] = np.ones(shape)
+        else:
+            fan_in = shape[1] if name.endswith(".depthwise") else shape[0]
+            bound = 1.0 / np.sqrt(fan_in)
+            params[name] = rng.uniform(-bound, bound, shape)
     return params
+
+
+def init_all_params(cfg: RunConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return init_from_shapes(all_param_shapes(cfg), rng)
 
 
 def all_param_shapes(cfg: RunConfig) -> dict[str, tuple[int, ...]]:
@@ -116,6 +134,25 @@ def draw_noise(video: VideoRecord, seg: SegmentIndexMap, cfg: RunConfig, rng) ->
     )
 
 
+def model_forward(
+    params: dict[str, np.ndarray],
+    features: np.ndarray,
+    seg: SegmentIndexMap,
+    cfg: RunConfig,
+    latent_noise: np.ndarray,
+) -> tuple[prob_head.ImportanceOutput, dc.Node]:
+    """The model on a fresh tape: lifted parameters, scorer, head, and the
+    decode signal (mu in tvsum mode, calibrated probabilities in summe mode).
+    Zero latent noise gives the posterior-mean prediction."""
+    tape = dc.Tape()
+    pnodes = dc.lift_params(tape, params)
+    h_hat = scorer.forward(tape.constant(features), seg, pnodes, cfg.scorer)
+    out = prob_head.forward(h_hat, pnodes, latent_noise)
+    if cfg.train.mode == "summe":
+        return out, prob_head.calibrate_probability(out.mu, cfg.head.temperature)
+    return out, out.mu
+
+
 def build_video_loss(
     params: dict[str, np.ndarray],
     video: VideoRecord,
@@ -125,20 +162,11 @@ def build_video_loss(
     noise: NoiseBundle,
 ) -> tuple[dc.Node, losses.LossBreakdown]:
     """One tape: scorer, head, and all four loss terms for a single video."""
-    tape = dc.Tape()
-    pnodes = dc.lift_params(tape, params)
-    h_hat = scorer.forward(tape.constant(video.features), seg, pnodes, cfg.scorer)
-    out = prob_head.forward(h_hat, pnodes, noise.latent)
-    if cfg.train.mode == "tvsum":
-        p = None
-        main = losses.tvsum_nll(out.mu, out.log_v, video.annotations, cfg.loss.epsilon)
-        signal = out.mu
-    else:
-        p = prob_head.calibrate_probability(out.mu, cfg.head.temperature)
-        main = losses.summe_softmin_bce(p, video.annotations, cfg.loss.tau_softmin)
-        signal = p
-    q, r = losses.select_ranking_targets(cfg.train.mode, out.mu, p, video.annotations)
-    rank = losses.ranking_hinge(q, r, noise.pairs, cfg.loss.rank_margin)
+    out, signal = model_forward(params, video.features, seg, cfg, noise.latent)
+    main, target = losses.likelihood(
+        cfg.train.mode, signal, out.log_v, video.annotations, cfg.loss
+    )
+    rank = losses.ranking_hinge(signal, target, noise.pairs, cfg.loss.rank_margin)
     kl = losses.kl_standard_normal(out.mu_z, out.log_var_z)
     pooled = dc.mean_over_sets(signal, seg.index_sets)
     stab = losses.stability_loss(
@@ -163,29 +191,16 @@ def predict_scores(
 
     Returns the logits mu and the decode signal (mu for tvsum, calibrated
     probabilities for summe)."""
-    tape = dc.Tape()
-    pnodes = dc.lift_params(tape, params)
-    h_hat = scorer.forward(tape.constant(video.features), seg, pnodes, cfg.scorer)
-    out = prob_head.forward(
-        h_hat, pnodes, np.zeros((video.n_timesteps, cfg.head.latent_dim))
-    )
-    mu = out.mu.value.copy()
-    if cfg.train.mode == "summe":
-        signal = prob_head.calibrate_probability(out.mu, cfg.head.temperature).value.copy()
-    else:
-        signal = mu
-    return {"mu": mu, "signal": signal, "log_v": out.log_v.value.copy()}
+    latent = np.zeros((video.n_timesteps, cfg.head.latent_dim))
+    out, signal = model_forward(params, video.features, seg, cfg, latent)
+    return {"mu": out.mu.value.copy(), "signal": signal.value.copy(), "log_v": out.log_v.value.copy()}
 
 
 def _validation_rho(params, videos, seg_maps, cfg) -> float:
-    ids = [v.video_id for v in videos]
     preds = [predict_scores(params, v, seg_maps[v.video_id], cfg)["signal"] for v in videos]
-    anns = [v.annotations for v in videos]
-    if cfg.train.mode == "tvsum":
-        report = evaluate_tvsum(ids, preds, anns)
-    else:
-        report = evaluate_summe(ids, preds, anns)
-    return report.mean_rho
+    return evaluate(
+        cfg.train.mode, [v.video_id for v in videos], preds, [v.annotations for v in videos]
+    ).mean_rho
 
 
 def train(

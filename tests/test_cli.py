@@ -121,6 +121,41 @@ class TestTrain:
         assert run("train", "--data", str(path), "--out-dir", str(tmp_path / "o")) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, mutate",
+        [("n_frames", lambda v: None), ("n_frames", lambda v: v + 0.5),
+         ("picks", lambda v: 3), ("picks", lambda v: [v[0], v[1] + 0.5] + v[2:]),
+         ("picks", lambda v: [False] + v[1:]), ("change_points", lambda v: [1, 2]),
+         ("features", lambda v: [["x"] + v[0][1:]] + v[1:]),
+         ("scores", lambda v: [[float("nan")] + v[0][1:]] + v[1:])],
+        ids=["n_frames-null", "n_frames-fractional", "picks-int", "picks-fractional",
+             "picks-bool", "change_points-flat", "features-string", "scores-nan"],
+    )
+    def test_malformed_video_field_exit_2(self, tmp_path, tiny_dataset, capsys, key, mutate):
+        doc = json.loads(Path(tiny_dataset).read_text())
+        doc["videos"][0][key] = mutate(doc["videos"][0][key])
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert run("train", "--data", str(path), "--out-dir", str(tmp_path / "o")) == 2
+        assert "video 'v000': " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [({"scorer": {"heads": "4"}}, "scorer.heads"), ({"train": {"lr": "x"}}, "train.lr"),
+         ({"loss": {"perturbations": None}}, "loss.perturbations"),
+         ({"train": {"epochs": 2.5}}, "train.epochs"), ({"train": {"seed": True}}, "train.seed"),
+         ({"head": {"temperature": "1"}}, "head.temperature"),
+         ({"train": {"weight_decay": float("nan")}}, "train.weight_decay")],
+    )
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, tiny_dataset, capsys, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = run(
+            "train", "--data", tiny_dataset, "--out-dir", str(tmp_path / "o"), "--config", str(path)
+        )
+        assert code == 2
+        assert f"error: {named} " in capsys.readouterr().err
+
     def test_fold_training(self, tmp_path, tiny_config_file):
         data = tmp_path / "ten.json"
         assert run(
@@ -204,7 +239,10 @@ class TestDecode:
     @pytest.mark.parametrize(
         "tensors, named",
         [(None, "tensors"), ({"pos.table": {"data": [0.0]}}, "pos.table"),
-         ({"pos.table": {"shape": [1]}}, "pos.table")],
+         ({"pos.table": {"shape": [1]}}, "pos.table"),
+         ({"pos.table": {"shape": [8], "data": [0.0] * 7}}, "pos.table"),
+         ({"pos.table": {"shape": ["a"], "data": [0.0]}}, "pos.table"),
+         ({"pos.table": {"shape": [1], "data": ["x"]}}, "pos.table")],
     )
     def test_malformed_checkpoint_exit_2(self, tmp_path, tiny_dataset, capsys, tensors, named):
         doc = {"format": "vastsum-params-v1"}

@@ -213,33 +213,42 @@ class TestRankingHinge:
         assert dc.finite_difference_check(build, params) < 1e-4
 
 
-class TestSelectRankingTargets:
+class TestLikelihood:
     def test_tvsum_uses_annotator_mean(self):
-        mu = node([0.0, 0.0])
-        _, r = losses.select_ranking_targets("tvsum", mu, None, [[0.0, 1.0], [2.0, 3.0]])
+        mu, log_v = nodes([0.0, 0.0], [0.0, 0.0])
+        ann = [[0.0, 1.0], [2.0, 3.0]]
+        main, r = losses.likelihood("tvsum", mu, log_v, ann, LossConfig())
         assert r.tolist() == [1.0, 2.0]
+        assert val(main) == val(losses.tvsum_nll(mu, log_v, ann, LossConfig().epsilon))
 
     def test_summe_single_annotator(self):
-        p = node([0.5, 0.5])
-        chosen, r = losses.select_ranking_targets("summe", node([0.0, 0.0]), p, [[1.0, 0.0]])
-        assert chosen is p
+        p, log_v = nodes([0.5, 0.5], [0.0, 0.0])
+        main, r = losses.likelihood("summe", p, log_v, [[1.0, 0.0]], LossConfig())
         assert r.tolist() == [1.0, 0.0]
+        assert val(main) == val(losses.summe_softmin_bce(p, [[1.0, 0.0]], LossConfig().tau_softmin))
 
     def test_summe_picks_best_matching_annotator(self):
-        p = node([0.9, 0.1])
         a1 = [1.0, 0.0]
         a2 = [0.0, 1.0]
-        _, r = losses.select_ranking_targets("summe", node([0.0, 0.0]), p, [a1, a2])
+        _, r = losses.likelihood("summe", *nodes([0.9, 0.1], [0.0, 0.0]), [a2, a1], LossConfig())
         assert r.tolist() == a1
 
     def test_summe_tie_goes_to_lowest_index(self):
-        p = node([0.5, 0.5])
-        _, r = losses.select_ranking_targets("summe", node([0.0, 0.0]), p, [[1.0, 0.0], [0.0, 1.0]])
+        ann = [[1.0, 0.0], [0.0, 1.0]]
+        _, r = losses.likelihood("summe", *nodes([0.5, 0.5], [0.0, 0.0]), ann, LossConfig())
         assert r.tolist() == [1.0, 0.0]
+
+    def test_annotator_bces_match_the_oracle(self):
+        rng = np.random.default_rng(11)
+        p = rng.uniform(0.0, 1.0, 9)
+        ann = rng.integers(0, 2, (4, 9)).astype(float)
+        bces = losses.annotator_bces(node(p), ann).value
+        assert bces.shape == (4,)
+        np.testing.assert_allclose(bces, [bce_oracle(p, row) for row in ann], rtol=1e-12)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            losses.select_ranking_targets("other", node([0.0]), None, [[0.0]])
+            losses.likelihood("other", *nodes([0.0], [0.0]), [[0.0]], LossConfig())
 
 
 class TestKlStandardNormal:

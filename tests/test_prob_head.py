@@ -7,6 +7,7 @@ import vastsum.diffcore as dc
 import vastsum.prob_head as prob_head
 from vastsum.config import HeadConfig, ScorerConfig
 from vastsum.errors import ConfigError
+from vastsum.trainer import init_from_shapes
 
 
 def configs(d=4, dz=2, hidden=None, temperature=1.0):
@@ -16,7 +17,8 @@ def configs(d=4, dz=2, hidden=None, temperature=1.0):
 
 
 def init(scorer_cfg, head_cfg, seed=0):
-    return prob_head.init_params(scorer_cfg, head_cfg, np.random.default_rng(seed))
+    shapes = prob_head.param_shapes(scorer_cfg, head_cfg)
+    return init_from_shapes(shapes, np.random.default_rng(seed))
 
 
 def lifted(params):

@@ -8,6 +8,7 @@ import vastsum.scorer as scorer
 from vastsum.config import ScorerConfig
 from vastsum.errors import CapacityError
 from vastsum.timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids
+from vastsum.trainer import init_from_shapes
 
 
 def tiny_cfg(**kw):
@@ -22,7 +23,7 @@ def tiny_cfg(**kw):
 
 
 def init(cfg, seed=0):
-    return scorer.init_params(cfg, np.random.default_rng(seed))
+    return init_from_shapes(scorer.param_shapes(cfg), np.random.default_rng(seed))
 
 
 def lifted(params):
@@ -266,6 +267,25 @@ class TestTemporalRefine:
         g2 = 2.0 * 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0)))  # 1.9545
         np.testing.assert_allclose(out.value, np.full((3, 1), 2.0 + g2), atol=1e-12)
         assert out.value[0, 0] == pytest.approx(3.9545, abs=1e-4)
+
+    def test_one_residual_around_the_whole_stack(self):
+        # out = h + B2(B1(h)); a residual per block would give x1 + B2(x1), x1 = h + B1(h)
+        cfg = tiny_cfg(model_dim=1, heads=1, input_dim=1, kernel=3, refine_blocks=2)
+        params = init(cfg, seed=20)
+        for j in range(2):
+            params[f"refine{j}.depthwise"][:] = [[0.0, 1.0, 0.0]]
+            params[f"refine{j}.pointwise.w"][:] = [[1.0]]
+            params[f"refine{j}.pointwise.b"][:] = 0.0
+        tape, p = lifted(params)
+        out = scorer.temporal_refine(tape.constant([[2.0], [2.0], [2.0]]), p, cfg)
+
+        def gelu(x):
+            return x * 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+        whole = 2.0 + gelu(gelu(2.0))
+        per_block = (2.0 + gelu(2.0)) + gelu(2.0 + gelu(2.0))
+        np.testing.assert_allclose(out.value, np.full((3, 1), whole), atol=1e-12)
+        assert abs(whole - per_block) > 1.0
 
     def test_single_timestep_padding(self):
         cfg = tiny_cfg(kernel=3)

@@ -35,6 +35,21 @@ def small_dataset(mode="tvsum", n_videos=3, seed=5):
     )
 
 
+class TestInitRule:
+    def test_zeros_ones_and_fan_in_bounds(self):
+        cfg = small_cfg()
+        params = trainer.init_all_params(cfg, np.random.default_rng(0))
+        assert list(params) == list(trainer.all_param_shapes(cfg))
+        for name, value in params.items():
+            if name == "pos.table" or name.endswith((".b", ".bias", ".b1", ".b2")):
+                assert not value.any(), name
+            elif name.endswith(".gain"):
+                assert (value == 1.0).all(), name
+            else:
+                fan_in = cfg.scorer.kernel if name.endswith(".depthwise") else value.shape[0]
+                assert 0 < np.abs(value).max() <= 1.0 / np.sqrt(fan_in), name
+
+
 class TestClipGlobalNorm:
     def test_large_norm_scaled_to_max(self):
         grads = {"a": np.full(4, 3.0), "b": np.full(8, 4.0) * -1}
