@@ -23,7 +23,7 @@ from .decoder import budget, decode_summary
 from .errors import ConfigError
 from .evaluation import evaluate, flip_rate, oracle_report, write_report_csv
 from .timeline import assign_segment_ids
-from .trainer import all_param_shapes, predict_scores, train
+from .trainer import all_param_shapes, check_videos_fit, predict_scores, train
 
 
 def _load_config(args) -> RunConfig:
@@ -38,7 +38,16 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _check_finite(flag: str, value: float, positive: bool = False) -> None:
+    """A numeric flag must be finite and >= 0 (> 0 when `positive`)."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{flag} must be a finite number {bound}, got {value}")
+
+
 def cmd_gen_data(args) -> int:
+    _check_finite("--feature-noise", args.feature_noise)
+    _check_finite("--annotator-noise", args.annotator_noise)
     cfg = SyntheticConfig(
         n_videos=args.videos,
         timesteps=args.timesteps,
@@ -93,6 +102,7 @@ def _load_and_predict(args, protocol=None):
         raise ConfigError(f"protocol {protocol!r} does not match dataset mode {dataset.mode!r}")
     cfg.train.mode = dataset.mode
     cfg.validate()
+    check_videos_fit(dataset.videos, cfg.scorer)
     predictions = (
         (v, predict_scores(params, v, assign_segment_ids(v.picks, v.change_points), cfg)["signal"])
         for v in dataset.videos
@@ -147,8 +157,7 @@ def cmd_decode(args) -> int:
 def cmd_stability_report(args) -> int:
     if not 0 < args.rho <= 1:
         raise ConfigError(f"--rho must lie in (0, 1], got {args.rho}")
-    if args.sigma < 0:
-        raise ConfigError("--sigma must be >= 0")
+    _check_finite("--sigma", args.sigma)
     _, predictions = _load_and_predict(args)
     rates = []
     for index, (video, signal) in enumerate(predictions):
@@ -175,6 +184,8 @@ def cmd_stability_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_finite("--step", args.step, positive=True)
+    _check_finite("--tolerance", args.tolerance, positive=True)
     error = gradcheck_mod.run(seed=args.seed, step=args.step)
     status = "PASS" if error < args.tolerance else "FAIL"
     print(f"gradcheck max relative error {error:.3e} (tolerance {args.tolerance:.1e}): {status}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -172,8 +172,8 @@ def _checked(section: str, field: dataclasses.Field, value):
         return value
     if field.type.startswith("int") and is_integral(value):
         return int(value)
-    finite = isinstance(value, float) and math.isfinite(value)
-    if field.type == "float" and (finite or is_integral(value)):
+    number = isinstance(value, float) or is_integral(value)
+    if field.type == "float" and number and abs(value) <= sys.float_info.max:
         return value
     if field.type == "str" and isinstance(value, str):
         return value

@@ -36,22 +36,6 @@ class Node:
         self.vjp = vjp
         self.name = name
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"<Node {self.nid} {self.kind} {self.value.shape}>"
 
@@ -198,9 +182,8 @@ def mean_over_sets(a: Node, sets: Sequence[Sequence[int]]) -> Node:
         raise ShapeError(f"mean-over-set: rank {a.value.ndim} input unsupported")
     pool = np.zeros((len(sets), a.value.shape[0]))
     for k, idx in enumerate(sets):
-        idx = [int(i) for i in idx]
-        if idx:
-            np.add.at(pool[k], idx, 1.0 / len(idx))
+        if len(idx):
+            np.add.at(pool[k], np.asarray(idx, dtype=np.intp), 1.0 / len(idx))
     return matmul(a.tape.constant(pool), a)
 
 
@@ -278,9 +261,9 @@ def clip(a: Node, lo: float, hi: float) -> Node:
 
 
 def gather_rows(a: Node, indices: Sequence[int]) -> Node:
-    idx = [int(i) for i in indices]
+    idx = np.asarray(indices, dtype=np.intp)
     av = a.value
-    if any(i < 0 or i >= av.shape[0] for i in idx):
+    if ((idx < 0) | (idx >= av.shape[0])).any():
         raise ShapeError(f"gather-rows: index out of range for {av.shape[0]} rows")
     out = av[idx]
 
@@ -356,42 +339,48 @@ def backward(tape: Tape, loss: Node) -> dict[str, np.ndarray]:
 
     Parameters the loss never touches get zero gradients of matching shape.
     The pass never mutates the tape, so repeated calls are bit-identical.
+    Finiteness is checked once, on the loss and on the parameter gradients.
     """
     if loss.tape is not tape:
         raise ValueError("loss node does not belong to this tape")
     if loss.value.size != 1:
         raise ValueError("loss must be a scalar (size-1) node")
-    if not np.all(np.isfinite(loss.value)):
+    if not np.isfinite(loss.value).all():
         for node in tape.nodes[: loss.nid + 1]:
-            if not np.all(np.isfinite(node.value)):
+            if not np.isfinite(node.value).all():
                 raise NumericError(
                     f"non-finite forward value at node {node.nid} ({node.kind})",
                     node_id=node.nid,
                 )
     grads: list[np.ndarray | None] = [None] * len(tape.nodes)
     grads[loss.nid] = np.ones_like(loss.value)
-    for node in reversed(tape.nodes[: loss.nid + 1]):
+    sweep = tape.nodes[loss.nid :: -1]
+    for node in sweep:
         g = grads[node.nid]
         if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if pg is None:
-                continue
-            if not np.all(np.isfinite(pg)):
-                raise NumericError(
-                    f"non-finite gradient produced by node {node.nid} ({node.kind})",
-                    node_id=node.nid,
-                )
-            if grads[parent.nid] is None:
-                grads[parent.nid] = pg
-            else:
-                grads[parent.nid] = grads[parent.nid] + pg
-    out = {}
-    for node in tape.nodes:
-        if node.kind == "param":
+            grads[parent.nid] = pg if grads[parent.nid] is None else grads[parent.nid] + pg
+    params = [node for node in tape.nodes if node.kind == "param"]
+    bad = [n for n in params if grads[n.nid] is not None and not np.isfinite(grads[n.nid]).all()]
+    if bad:
+        # Replay on the sweep's gradients: every node up to the first
+        # non-finite VJP output saw what a per-VJP check would have given
+        # it, so that node is named; else finite terms overflowed in a sum.
+        culprit = bad[0]
+        for node in sweep:
             g = grads[node.nid]
-            out[node.name] = np.zeros_like(node.value) if g is None else np.asarray(g)
-    return out
+            if g is not None and node.vjp and not all(np.isfinite(pg).all() for pg in node.vjp(g)):
+                culprit = node
+                break
+        raise NumericError(
+            f"non-finite gradient produced by node {culprit.nid} ({culprit.kind})",
+            node_id=culprit.nid,
+        )
+    return {
+        n.name: np.zeros_like(n.value) if grads[n.nid] is None else np.asarray(grads[n.nid])
+        for n in params
+    }
 
 
 def finite_difference_check(
@@ -403,7 +392,8 @@ def finite_difference_check(
 
     `f` builds a fresh tape from the parameter dict and returns the scalar
     loss node. Returns the worst relative error
-    max_i |g_i - ghat_i| / max(1e-8, |g_i| + |ghat_i|). The caller keeps f
+    max_i |g_i - ghat_i| / max(1e-8, |g_i| + |ghat_i|), or NaN as soon as
+    one comparison is NaN, so no tolerance accepts it. The caller keeps f
     smooth at the evaluation point (no active clamps or hinge kinks).
     """
     loss = f(params)
@@ -421,5 +411,7 @@ def finite_difference_check(
             flat[i] = saved
             numeric = (hi - lo) / (2.0 * step)
             err = abs(ga[i] - numeric) / max(1e-8, abs(ga[i]) + abs(numeric))
+            if math.isnan(err):
+                return math.nan
             worst = max(worst, err)
     return worst

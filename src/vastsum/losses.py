@@ -135,11 +135,12 @@ def ranking_hinge(q: dc.Node, r, pairs, margin: float) -> dc.Node:
     means zero loss.
     """
     r = np.asarray(r, dtype=np.float64)
-    kept = [(int(i), int(j)) for i, j in pairs if r[int(i)] > r[int(j)]]
-    if not kept:
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    kept = pairs[r[pairs[:, 0]] > r[pairs[:, 1]]]
+    if not len(kept):
         return _zero(q.tape)
-    qi = dc.gather_rows(q, [i for i, _ in kept])
-    qj = dc.gather_rows(q, [j for _, j in kept])
+    qi = dc.gather_rows(q, kept[:, 0])
+    qj = dc.gather_rows(q, kept[:, 1])
     margins = q.tape.constant(np.full(len(kept), float(margin)))
     hinge = dc.clip(dc.subtract(margins, dc.subtract(qi, qj)), 0.0, np.inf)
     return _mean_all(hinge)
@@ -185,18 +186,18 @@ def stability_loss(
 
     def hinge_mean(ks, anchor_idx, anchor_first):
         sk = dc.gather_rows(segment_scores, ks)
-        anchor = dc.gather_rows(segment_scores, [anchor_idx] * len(ks))
+        anchor = dc.gather_rows(segment_scores, np.full(len(ks), anchor_idx))
         gap = dc.subtract(sk, anchor) if anchor_first else dc.subtract(anchor, sk)
         margins = tape.constant(np.full(len(ks), cfg.stab_margin))
         return _mean_all(dc.clip(dc.subtract(margins, gap), 0.0, np.inf))
 
     terms = []
-    up_sel = [int(k) for k in selected if unstable[k]]
-    if up_sel and unselected.size:
+    up_sel = np.flatnonzero(base & unstable)
+    if up_sel.size and unselected.size:
         j_star = int(unselected[np.argmax(s[unselected])])
         terms.append(hinge_mean(up_sel, j_star, anchor_first=True))
-    up_unsel = [int(k) for k in unselected if unstable[k]]
-    if up_unsel and selected.size:
+    up_unsel = np.flatnonzero(~base & unstable)
+    if up_unsel.size and selected.size:
         i_star = int(selected[np.argmin(s[selected])])
         terms.append(hinge_mean(up_unsel, i_star, anchor_first=False))
     if not terms:

@@ -22,7 +22,7 @@ import numpy as np
 from . import diffcore as dc
 from . import losses, prob_head, scorer
 from .checkpoint import atomic_write, save_params
-from .config import RunConfig
+from .config import RunConfig, ScorerConfig
 from .data import Dataset, VideoRecord
 from .decoder import budget
 from .errors import ConfigError
@@ -92,6 +92,22 @@ def all_param_shapes(cfg: RunConfig) -> dict[str, tuple[int, ...]]:
     shapes = scorer.param_shapes(cfg.scorer)
     shapes.update(prob_head.param_shapes(cfg.scorer, cfg.head))
     return shapes
+
+
+def check_videos_fit(videos: list[VideoRecord], cfg: ScorerConfig) -> None:
+    """Raise ConfigError naming the first video the scorer cannot take: one
+    longer than its positional table or with another feature dimension."""
+    for video in videos:
+        if video.n_timesteps > cfg.max_timesteps:
+            raise ConfigError(
+                f"video {video.video_id!r}: T={video.n_timesteps} > "
+                f"scorer.max_timesteps {cfg.max_timesteps}"
+            )
+        if video.features.shape[1] != cfg.input_dim:
+            raise ConfigError(
+                f"video {video.video_id!r}: feature dim {video.features.shape[1]} "
+                f"!= scorer.input_dim {cfg.input_dim}"
+            )
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
@@ -223,16 +239,7 @@ def train(
             f"dataset mode {dataset.mode!r} does not match train.mode {cfg.train.mode!r}"
         )
     val_videos = list(val_videos or [])
-    for video in dataset.videos + val_videos:
-        if video.n_timesteps > cfg.scorer.max_timesteps:
-            raise ConfigError(
-                f"video {video.video_id!r} has T={video.n_timesteps} > max_timesteps"
-            )
-        if video.features.shape[1] != cfg.scorer.input_dim:
-            raise ConfigError(
-                f"video {video.video_id!r} feature dim {video.features.shape[1]} "
-                f"!= scorer.input_dim {cfg.scorer.input_dim}"
-            )
+    check_videos_fit(dataset.videos + val_videos, cfg.scorer)
     seg_maps = {
         v.video_id: assign_segment_ids(v.picks, v.change_points)
         for v in dataset.videos + val_videos

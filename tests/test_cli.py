@@ -145,7 +145,8 @@ class TestTrain:
          ({"loss": {"perturbations": None}}, "loss.perturbations"),
          ({"train": {"epochs": 2.5}}, "train.epochs"), ({"train": {"seed": True}}, "train.seed"),
          ({"head": {"temperature": "1"}}, "head.temperature"),
-         ({"train": {"weight_decay": float("nan")}}, "train.weight_decay")],
+         ({"train": {"weight_decay": float("nan")}}, "train.weight_decay"),
+         ({"train": {"lr": 10**400}}, "train.lr")],
     )
     def test_config_value_of_wrong_type_exit_2(self, tmp_path, tiny_dataset, capsys, config, named):
         path = tmp_path / "config.json"
@@ -175,6 +176,43 @@ class TestTrain:
             "--config", tiny_config_file, "--fold", "9", "--folds", "3",
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("gen-data", "--feature-noise", "nan"), ("gen-data", "--annotator-noise", "inf"),
+     ("gen-data", "--feature-noise", "-0.1"), ("stability-report", "--sigma", "nan"),
+     ("stability-report", "--sigma", "inf"), ("gradcheck", "--step", "0"),
+     ("gradcheck", "--step", "nan"), ("gradcheck", "--tolerance", "inf")],
+)
+def test_non_finite_or_out_of_range_flag_exit_2(request, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    args = {"gen-data": ["--out", str(out)], "gradcheck": []}.get(command)
+    if args is None:
+        args = ["--checkpoint", request.getfixturevalue("trained"),
+                "--data", request.getfixturevalue("tiny_dataset"), "--out", str(out)]
+    assert run(command, *args, flag, value) == 2
+    assert f"error: {flag} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "feature_dim, timesteps, message",
+    [("9", "16", "video 'v000': feature dim 9 != scorer.input_dim 8"),
+     ("8", "40", "video 'v000': T=40 > scorer.max_timesteps 32")],
+    ids=["feature-dim", "timesteps"],
+)
+def test_dataset_that_does_not_fit_the_checkpoint_names_the_video(
+    tmp_path, trained, capsys, feature_dim, timesteps, message
+):
+    data = tmp_path / "misfit.json"
+    assert run("gen-data", "--out", str(data), "--videos", "2", "--segments", "3",
+               "--feature-dim", feature_dim, "--timesteps", timesteps) == 0
+    capsys.readouterr()
+    common = ["--checkpoint", trained, "--data", str(data), "--out", str(tmp_path / "out")]
+    for argv in (["eval", "--protocol", "tvsum"], ["decode"], ["stability-report"]):
+        assert run(*argv, *common) == 2
+        assert f"error: {message}" in capsys.readouterr().err, argv[0]
 
 
 class TestEval:

@@ -121,6 +121,42 @@ class TestBackward:
         assert excinfo.value.node_id == bad.nid
         assert "log" in str(excinfo.value)
 
+    def test_gradient_only_overflow_names_the_producing_node(self):
+        # the forward pass stays finite (1e-300 * 1e308 * 10 = 1e9); the
+        # multiply's VJP, 10 * 1e308, is the first non-finite gradient
+        tape = dc.Tape()
+        x = tape.param("x", np.array([1e-300]))
+        with np.errstate(over="ignore"):
+            prod = dc.multiply(x, tape.constant(np.array([1e308])))
+            loss = dc.scale(prod, 10.0)
+            assert np.isfinite(loss.value).all()
+            with pytest.raises(NumericError) as excinfo:
+                dc.backward(tape, loss)
+        assert excinfo.value.node_id == prod.nid
+        assert "multiply" in str(excinfo.value)
+
+    def test_overflowing_gradient_sum_names_the_param(self):
+        # each scale's VJP is finite (1.5e308); their sum at x is not
+        tape = dc.Tape()
+        x = tape.param("x", np.array([1e-300]))
+        loss = dc.add(dc.scale(x, 1.5e308), dc.scale(x, 1.5e308))
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as excinfo:
+            dc.backward(tape, loss)
+        assert excinfo.value.node_id == x.nid
+
+    def test_finiteness_checked_once_per_parameter(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        tape = dc.Tape()
+        params = dc.lift_params(tape, {"w": rng.standard_normal((4, 3)), "b": np.zeros(3)})
+        h = dc.gelu(dc.add(dc.matmul(tape.constant(rng.standard_normal((5, 4))), params["w"]),
+                           params["b"]))
+        loss = dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(3))), [range(5)])
+        calls = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(dc.np, "isfinite", lambda a: calls.append(1) or isfinite(a))
+        dc.backward(tape, loss)
+        assert len(calls) == 1 + 2  # the loss, then each parameter gradient
+
     def test_backward_twice_bit_identical(self):
         rng = np.random.default_rng(11)
         tape = dc.Tape()
@@ -269,3 +305,11 @@ class TestFiniteDifferenceCheck:
             return tape.constant(np.array([5.0]))
 
         assert dc.finite_difference_check(build, {"x": np.array([1.0, 2.0])}) == 0.0
+
+    def test_nan_comparison_is_returned_not_dropped(self):
+        def build(theta):
+            tape = dc.Tape()
+            return dc.square(dc.lift_params(tape, theta)["x"])
+
+        # a NaN step makes every central difference NaN; max() would drop it
+        assert math.isnan(dc.finite_difference_check(build, {"x": np.array([3.0])}, math.nan))

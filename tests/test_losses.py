@@ -199,6 +199,20 @@ class TestRankingHinge:
         shifted = val(losses.ranking_hinge(node(q_vals + 1.234), r, pairs, margin=0.1))
         assert shifted == pytest.approx(base, abs=1e-12)
 
+    def test_pair_mask_matches_the_per_pair_loop(self):
+        # the per-pair filter the boolean mask replaced, on the same ops:
+        # same kept pairs in the same order, so the value is bit-identical
+        rng = np.random.default_rng(12)
+        q_vals, r = rng.standard_normal(16), rng.integers(0, 4, 16).astype(float)  # ties
+        pairs = rng.integers(0, 16, (64, 2))
+        kept = [(int(i), int(j)) for i, j in pairs if r[int(i)] > r[int(j)]]
+        q = node(q_vals)
+        gap = dc.subtract(dc.gather_rows(q, [i for i, _ in kept]),
+                          dc.gather_rows(q, [j for _, j in kept]))
+        hinge = dc.clip(dc.subtract(q.tape.constant(np.full(len(kept), 0.3)), gap), 0.0, np.inf)
+        reference = val(dc.mean_over_sets(hinge, [tuple(range(len(kept)))]))
+        assert val(losses.ranking_hinge(q, r, pairs, margin=0.3)) == reference
+
     def test_gradient_check_away_from_kinks(self):
         # hinge arguments sit at 0.3-(±0.5) = -0.2 or 0.8, far from the kink
         params = {"q": np.array([0.5, 0.0, 1.0])}
