@@ -173,6 +173,7 @@ def _checked(section: str, field: dataclasses.Field, value):
     if field.type.startswith("int") and is_integral(value):
         return int(value)
     number = isinstance(value, float) or is_integral(value)
+    # int/float comparison is exact: NaN, infinities and ints past the float range fail
     if field.type == "float" and number and abs(value) <= sys.float_info.max:
         return value
     if field.type == "str" and isinstance(value, str):

@@ -182,7 +182,7 @@ def mean_over_sets(a: Node, sets: Sequence[Sequence[int]]) -> Node:
         raise ShapeError(f"mean-over-set: rank {a.value.ndim} input unsupported")
     pool = np.zeros((len(sets), a.value.shape[0]))
     for k, idx in enumerate(sets):
-        if len(idx):
+        if len(idx):  # as an array: np.add.at reads a tuple as coordinates
             np.add.at(pool[k], np.asarray(idx, dtype=np.intp), 1.0 / len(idx))
     return matmul(a.tape.constant(pool), a)
 
