@@ -1,10 +1,12 @@
 """Parameter checkpoint files.
 
-One self-describing JSON document mapping tensor names to shape plus
-row-major values, with an optional metadata block (the run config travels
-there so downstream commands can rebuild the model). Serialization is
-canonical — sorted keys, repr floats — so identical parameters produce
-identical bytes.
+A `vastsum-params-v2` file has three parts, in this order: an 8-byte
+little-endian header length; a JSON header holding the format name, a
+metadata block (the run config travels there so downstream commands can
+rebuild the model) and each tensor's shape and byte offset; then every
+tensor's row-major `<f8` bytes, in header order. The header is canonical
+(sorted keys, compact separators) and the tensors go in sorted-name order,
+so identical parameters produce identical bytes.
 
 `atomic_write` is the package's one file-write path: checkpoints, datasets,
 decode masks and the CSV reports all go through it. This module imports
@@ -15,6 +17,7 @@ a cycle.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -22,16 +25,22 @@ import numpy as np
 
 from .config import is_integral
 
-FORMAT_NAME = "vastsum-params-v1"
+FORMAT_NAME = "vastsum-params-v2"
+_LENGTH_BYTES = 8
 
 
 def params_to_bytes(params: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
-    tensors = {
-        name: {"shape": list(value.shape), "data": [float(x) for x in value.reshape(-1)]}
-        for name, value in params.items()
-    }
+    arrays = {name: np.asarray(params[name], dtype="<f8") for name in sorted(params)}
+    tensors, offset = {}, 0
+    for name, value in arrays.items():
+        tensors[name] = {"offset": offset, "shape": list(value.shape)}
+        offset += value.nbytes
     doc = {"format": FORMAT_NAME, "meta": meta or {}, "tensors": tensors}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join(
+        [len(header).to_bytes(_LENGTH_BYTES, "little"), header]
+        + [value.tobytes() for value in arrays.values()]
+    )
 
 
 def atomic_write(path, payload: bytes) -> None:
@@ -60,29 +69,78 @@ def save_params(params: dict[str, np.ndarray], path, meta: dict | None = None) -
     atomic_write(path, params_to_bytes(params, meta))
 
 
+def _read_header(path, blob: bytes) -> tuple[dict, int]:
+    """The header object and the payload's start, or a ValueError naming the format."""
+
+    def refuse(reason: str):
+        raise ValueError(f"{path} is not a {FORMAT_NAME} checkpoint: {reason}")
+
+    if blob[:1] == b"{":
+        refuse("it is a JSON document (the v1 format, which is no longer read)")
+    if len(blob) < _LENGTH_BYTES:
+        refuse(f"{len(blob)} bytes is too short for the {_LENGTH_BYTES}-byte header length")
+    length = int.from_bytes(blob[:_LENGTH_BYTES], "little")
+    start = _LENGTH_BYTES + length
+    if start > len(blob):
+        refuse(f"header length {length} runs past the end of the {len(blob)}-byte file")
+    try:
+        header = json.loads(blob[_LENGTH_BYTES:start].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        refuse(f"header is not UTF-8 JSON ({exc})")
+    if not isinstance(header, dict):
+        refuse(f"header must be a JSON object, got {type(header).__name__}")
+    if header.get("format") != FORMAT_NAME:
+        refuse(f"header format is {header.get('format')!r}")
+    return header, start
+
+
 def load_params(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read tensors and metadata back; validates structure and finiteness."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
-        raise ValueError(f"{path} is not a {FORMAT_NAME} checkpoint")
-    if not isinstance(doc.get("tensors"), dict):
-        raise ValueError(f"{path}: checkpoint lacks a 'tensors' object")
-    params = {}
-    for name, entry in doc["tensors"].items():
-        if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
-            raise ValueError(f"tensor {name!r} needs 'shape' and 'data' entries")
+    """Read tensors and metadata back; validates the layout and finiteness.
+
+    The file is read once and its payload copied once; each tensor is a
+    writable view of that copy, and no two tensors overlap."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    header, start = _read_header(path, blob)
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: checkpoint 'meta' must be an object, got {type(meta).__name__}")
+    if not isinstance(header.get("tensors"), dict):
+        raise ValueError(f"{path}: checkpoint header lacks a 'tensors' object")
+    payload = len(blob) - start
+    spans, end = {}, 0
+    for name, entry in header["tensors"].items():
+        if not isinstance(entry, dict) or "shape" not in entry or "offset" not in entry:
+            raise ValueError(f"tensor {name!r} needs 'shape' and 'offset' entries")
         shape = entry["shape"]
-        if not isinstance(shape, list) or not all(is_integral(s) for s in shape):
-            raise ValueError(f"tensor {name!r}: shape must be a list of integers, got {shape!r}")
-        try:
-            value = np.asarray(entry["data"], dtype=np.float64).reshape([int(s) for s in shape])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"tensor {name!r}: {exc}") from exc
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"tensor {name!r} contains non-finite values")
-        params[name] = value
-    return params, doc.get("meta", {})
+        if not isinstance(shape, list) or not all(is_integral(s) and s >= 0 for s in shape):
+            raise ValueError(
+                f"tensor {name!r}: shape must be a list of non-negative integers, got {shape!r}"
+            )
+        offset = entry["offset"]
+        if not is_integral(offset) or offset != end:
+            raise ValueError(
+                f"tensor {name!r}: offset {offset!r} is not {end}, where the previous tensor ends"
+            )
+        shape = [int(s) for s in shape]
+        size = math.prod(shape)
+        spans[name] = (end // 8, size, shape)
+        end += 8 * size
+        if end > payload:
+            raise ValueError(
+                f"tensor {name!r} ends at payload byte {end}, past the payload's {payload} bytes"
+            )
+    if end != payload:
+        raise ValueError(f"{path}: {payload - end} trailing bytes after the last tensor")
+    flat = np.frombuffer(blob, dtype="<f8", offset=start).astype(np.float64)
+    params = {
+        name: flat[first : first + size].reshape(shape)
+        for name, (first, size, shape) in spans.items()
+    }
+    if not np.isfinite(flat).all():
+        bad = next(name for name, value in params.items() if not np.isfinite(value).all())
+        raise ValueError(f"tensor {bad!r} contains non-finite values")
+    return params, meta
 
 
 def validate_shapes(params: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:

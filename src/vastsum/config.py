@@ -135,6 +135,8 @@ class TrainConfig:
             raise ConfigError("train.epochs must be >= 1")
         if self.accumulate < 1:
             raise ConfigError("train.accumulate must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
         if self.mode not in MODES:
             raise ConfigError(f"train.mode must be one of {MODES}, got {self.mode!r}")
         if not 0 < self.rho <= 1:

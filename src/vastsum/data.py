@@ -18,6 +18,7 @@ model (or even a linear probe) can recover it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,12 @@ class SyntheticConfig:
             raise ConfigError("synthetic.segments cannot exceed timesteps")
         if self.mode not in MODES:
             raise ConfigError(f"synthetic.mode must be one of {MODES}")
-        if self.feature_noise < 0 or self.annotator_noise < 0:
-            raise ConfigError("synthetic noise scales must be >= 0")
+        for name in ("feature_noise", "annotator_noise"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"synthetic.{name} must be a finite number >= 0, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"synthetic.seed must be >= 0, got {self.seed}")
 
 
 ANNOTATION_KEY = {"tvsum": "scores", "summe": "summaries"}

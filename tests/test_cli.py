@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,21 @@ from vastsum.decoder import budget
 
 def run(*argv):
     return main(list(argv))
+
+
+def with_length(header: bytes) -> bytes:
+    """A checkpoint file holding `header` behind its 8-byte length, and no payload."""
+    return len(header).to_bytes(8, "little") + header
+
+
+def v2_file(tensors=None, payload=b"", **header) -> bytes:
+    doc = {"format": "vastsum-params-v2", "meta": {}, **header}
+    if tensors is not None:
+        doc["tensors"] = tensors
+    return with_length(json.dumps(doc).encode("utf-8")) + payload
+
+
+F8_ZERO = struct.pack("<d", 0.0)
 
 
 @pytest.fixture()
@@ -146,7 +162,7 @@ class TestTrain:
          ({"train": {"epochs": 2.5}}, "train.epochs"), ({"train": {"seed": True}}, "train.seed"),
          ({"head": {"temperature": "1"}}, "head.temperature"),
          ({"train": {"weight_decay": float("nan")}}, "train.weight_decay"),
-         ({"train": {"lr": 10**400}}, "train.lr")],
+         ({"train": {"lr": 10**400}}, "train.lr"), ({"train": {"seed": -1}}, "train.seed")],
     )
     def test_config_value_of_wrong_type_exit_2(self, tmp_path, tiny_dataset, capsys, config, named):
         path = tmp_path / "config.json"
@@ -183,16 +199,21 @@ class TestTrain:
     [("gen-data", "--feature-noise", "nan"), ("gen-data", "--annotator-noise", "inf"),
      ("gen-data", "--feature-noise", "-0.1"), ("stability-report", "--sigma", "nan"),
      ("stability-report", "--sigma", "inf"), ("gradcheck", "--step", "0"),
-     ("gradcheck", "--step", "nan"), ("gradcheck", "--tolerance", "inf")],
+     ("gradcheck", "--step", "nan"), ("gradcheck", "--tolerance", "inf"),
+     ("train", "--seed", "-1"), ("gen-data", "--seed", "-1"), ("gradcheck", "--seed", "-1"),
+     ("stability-report", "--seed", "-1")],
 )
 def test_non_finite_or_out_of_range_flag_exit_2(request, tmp_path, capsys, command, flag, value):
     out = tmp_path / "out"
     args = {"gen-data": ["--out", str(out)], "gradcheck": []}.get(command)
-    if args is None:
+    if command == "train":
+        args = ["--data", request.getfixturevalue("tiny_dataset"), "--out-dir", str(out)]
+    elif args is None:
         args = ["--checkpoint", request.getfixturevalue("trained"),
                 "--data", request.getfixturevalue("tiny_dataset"), "--out", str(out)]
     assert run(command, *args, flag, value) == 2
-    assert f"error: {flag} must be a finite number" in capsys.readouterr().err
+    rule = "must be >= 0, got -1" if flag == "--seed" else "must be a finite number"
+    assert f"error: {flag} {rule}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -275,25 +296,45 @@ class TestDecode:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "tensors, named",
-        [(None, "tensors"), ({"pos.table": {"data": [0.0]}}, "pos.table"),
-         ({"pos.table": {"shape": [1]}}, "pos.table"),
-         ({"pos.table": {"shape": [8], "data": [0.0] * 7}}, "pos.table"),
-         ({"pos.table": {"shape": ["a"], "data": [0.0]}}, "pos.table"),
-         ({"pos.table": {"shape": [1], "data": ["x"]}}, "pos.table")],
+        "blob, named",
+        [(v2_file(), "tensors"),
+         (v2_file({"pos.table": {"offset": 0}}, F8_ZERO), "pos.table"),
+         (v2_file({"pos.table": {"shape": [1]}}, F8_ZERO), "pos.table"),
+         (v2_file({"pos.table": {"shape": [8], "offset": 0}}, F8_ZERO * 7), "pos.table"),
+         (v2_file({"pos.table": {"shape": ["a"], "offset": 0}}, F8_ZERO), "pos.table"),
+         (v2_file({"pos.table": {"shape": [1], "offset": 0}}, struct.pack("<d", math.nan)),
+          "pos.table"),
+         (b"\x01\x00\x00", "header length"),
+         ((1 << 62).to_bytes(8, "little") + b"{}", "header length"),
+         (with_length(b"\xff\xfe{}"), "header is not UTF-8 JSON"),
+         (with_length(b"{not json"), "header is not UTF-8 JSON"),
+         (with_length(b"[1, 2]"), "header must be a JSON object"),
+         (v2_file({}, meta="has config"), "'meta'"),
+         (v2_file({"pos.table": {"shape": 1, "offset": 0}}, F8_ZERO), "pos.table"),
+         (v2_file({"pos.table": {"shape": [1.5], "offset": 0}}, F8_ZERO), "pos.table"),
+         (v2_file({"a": {"shape": [1], "offset": 0}, "pos.table": {"shape": [1], "offset": 16}},
+                  F8_ZERO * 3), "pos.table"),
+         (v2_file({"pos.table": {"shape": [1], "offset": 0}}, F8_ZERO * 2), "trailing bytes"),
+         (v2_file({"a": {"shape": [1], "offset": 0}, "pos.table": {"shape": [1], "offset": 8}},
+                  F8_ZERO + struct.pack("<d", -math.inf)), "pos.table"),
+         (v2_file({}, format="vastsum-params-v1"), "vastsum-params-v2"),
+         (json.dumps({"format": "vastsum-params-v1", "meta": {}, "tensors": {}}).encode(),
+          "vastsum-params-v2")],
+        # the first six cases keep the ids they had when checkpoints were JSON documents
+        ids=["None-tensors", "tensors1-pos.table", "tensors2-pos.table", "tensors3-pos.table",
+             "tensors4-pos.table", "tensors5-pos.table", "shorter-than-length", "length-past-end", "header-not-utf8",
+             "header-not-json", "header-not-object", "meta-string", "shape-not-list",
+             "shape-fractional", "offset-gap", "trailing-bytes", "inf-data", "format-v1",
+             "v1-json-file"],
     )
-    def test_malformed_checkpoint_exit_2(self, tmp_path, tiny_dataset, capsys, tensors, named):
-        doc = {"format": "vastsum-params-v1"}
-        if tensors is not None:
-            doc["tensors"] = tensors
+    def test_malformed_checkpoint_exit_2(self, tmp_path, tiny_dataset, capsys, blob, named):
         path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps(doc))
-        code = run(
-            "decode", "--checkpoint", str(path), "--data", tiny_dataset,
-            "--out", str(tmp_path / "m.json"),
-        )
+        path.write_bytes(blob)
+        out = tmp_path / "m.json"
+        code = run("decode", "--checkpoint", str(path), "--data", tiny_dataset, "--out", str(out))
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_determinism(self, tmp_path, trained, tiny_dataset):
         outs = [tmp_path / "m1.json", tmp_path / "m2.json"]

@@ -149,6 +149,15 @@ class TestGenerateSynthetic:
         for video in ds.videos:
             assert np.all(np.isin(video.annotations, (0.0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("feature_noise", float("nan")), ("feature_noise", -0.1),
+         ("annotator_noise", float("inf")), ("annotator_noise", float("nan")), ("seed", -1)],
+    )
+    def test_bad_noise_or_seed_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"synthetic.{field} must be"):
+            generate_synthetic(SyntheticConfig(**{field: value}))
+
     def test_segments_bounded_by_timesteps(self):
         with pytest.raises(ConfigError):
             generate_synthetic(SyntheticConfig(segments=20, timesteps=10)).videos

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import vastsum.trainer as trainer
 from vastsum.checkpoint import load_params, params_to_bytes, save_params, validate_shapes
 from vastsum.config import HeadConfig, LossConfig, RunConfig, ScorerConfig, TrainConfig
-from vastsum.data import Dataset, SyntheticConfig, generate_synthetic
+from vastsum.data import Dataset, SyntheticConfig, generate_synthetic, make_folds
 from vastsum.errors import ConfigError
 from vastsum.trainer import OptimizerState, adamw_step, clip_global_norm, train
 
@@ -198,6 +200,10 @@ class TestTrainLoop:
         result = train(small_dataset(n_videos=3), small_cfg(epochs=1, accumulate=2))
         assert len(result.history) == 1
 
+    def test_negative_seed_names_the_key(self):
+        with pytest.raises(ConfigError, match="train.seed must be >= 0, got -1"):
+            train(small_dataset(), small_cfg(seed=-1))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             train(Dataset("tvsum", []), small_cfg())
@@ -215,6 +221,57 @@ class TestCheckpointRoundTrip:
             np.testing.assert_array_equal(loaded[name], params[name])
         assert meta["config"]["train"]["mode"] == "tvsum"
         validate_shapes(loaded, trainer.all_param_shapes(cfg))
+
+    def test_bit_patterns_survive(self, tmp_path):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        params = {
+            "edge": np.array([-0.0, tiny, -tiny, sys.float_info.max, -sys.float_info.max]),
+            "pos.table": np.random.default_rng(3).standard_normal((320, 128)),
+            "scalar": np.array(-0.0),
+            "transposed": np.arange(6.0).reshape(2, 3).T,  # written in row-major order
+        }
+        path = tmp_path / "ckpt.json"
+        save_params(params, path)
+        loaded, meta = load_params(path)
+        assert meta == {}
+        assert list(loaded) == sorted(params)
+        for name, value in params.items():
+            assert loaded[name].shape == value.shape, name
+            assert np.array_equal(loaded[name].view(np.int64), value.view(np.int64)), name
+
+    def test_loaded_arrays_are_writable_and_disjoint(self, tmp_path):
+        params = trainer.init_all_params(small_cfg(), np.random.default_rng(0))
+        path = tmp_path / "ckpt.json"
+        save_params(params, path)
+        loaded, _ = load_params(path)
+        for name, value in loaded.items():
+            assert value.flags.writeable, name
+        for (a, x), (b, y) in itertools.combinations(loaded.items(), 2):
+            assert not np.shares_memory(x, y), (a, b)
+        loaded["pos.table"] += 1.0
+        assert np.array_equal(load_params(path)[0]["pos.table"], params["pos.table"])
+
+    def test_bytes_ignore_insertion_order(self):
+        params = trainer.init_all_params(small_cfg(), np.random.default_rng(0))
+        backwards = dict(reversed(list(params.items())))
+        assert list(backwards) != list(params)
+        meta = {"b": 1, "a": [2.5, {"d": 0, "c": 1}]}
+        assert params_to_bytes(params, meta) == params_to_bytes(backwards, meta)
+
+    def test_best_checkpoint_holds_the_best_epoch(self, tmp_path):
+        ds = small_dataset(n_videos=6, seed=1)
+        by_id = {v.video_id: v for v in ds.videos}
+        train_ids, test_ids = make_folds(ds, k=3, seed=1)[0]
+        result = train(
+            Dataset(ds.mode, [by_id[i] for i in train_ids]), small_cfg(epochs=4),
+            val_videos=[by_id[i] for i in test_ids], checkpoint_dir=str(tmp_path),
+        )
+        assert result.best_epoch == 1  # an early epoch, so best.json is not the last save
+        best, _ = load_params(tmp_path / "best.json")
+        last, _ = load_params(tmp_path / "checkpoint.json")
+        assert params_to_bytes(best) == params_to_bytes(result.best_params)
+        assert params_to_bytes(last) == params_to_bytes(result.params)
+        assert params_to_bytes(best) != params_to_bytes(last)
 
     def test_shape_validation_catches_mismatch(self, tmp_path):
         cfg = small_cfg()
