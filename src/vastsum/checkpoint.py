@@ -75,14 +75,17 @@ def _read_header(path, blob: bytes) -> tuple[dict, int]:
     def refuse(reason: str):
         raise ValueError(f"{path} is not a {FORMAT_NAME} checkpoint: {reason}")
 
-    if blob[:1] == b"{":
-        refuse("it is a JSON document (the v1 format, which is no longer read)")
+    # A v1 file is a JSON document; its leading `{"format` read as a length
+    # lands far past the end, so the v1 wording is added only on that path.
+    # The first byte alone decides nothing: a v2 header of 123 bytes mod 256
+    # starts with the same byte.
+    v1 = " (it looks like a v1 JSON checkpoint, which is no longer read)" if blob[:1] == b"{" else ""
     if len(blob) < _LENGTH_BYTES:
-        refuse(f"{len(blob)} bytes is too short for the {_LENGTH_BYTES}-byte header length")
+        refuse(f"{len(blob)} bytes is too short for the {_LENGTH_BYTES}-byte header length{v1}")
     length = int.from_bytes(blob[:_LENGTH_BYTES], "little")
     start = _LENGTH_BYTES + length
     if start > len(blob):
-        refuse(f"header length {length} runs past the end of the {len(blob)}-byte file")
+        refuse(f"header length {length} runs past the end of the {len(blob)}-byte file{v1}")
     try:
         header = json.loads(blob[_LENGTH_BYTES:start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

