@@ -1,10 +1,21 @@
 """Rank-correlation metrics and the two dataset evaluation protocols.
 
 Kendall's tau uses the tau-b tie correction; Spearman's rho is the Pearson
-correlation of tie-averaged ranks. Constant vectors make both undefined: the
-functions return NaN and the protocols flag the video as degenerate and
-exclude it from the reported means. Reductions go through math.fsum, which is
-exactly rounded and therefore order-independent.
+correlation of tie-averaged ranks. Both take a [T] vector or [K, T] rows on
+either side, so a video's prediction meets all of its target rows in one call,
+and both raise ValueError on non-finite input. Constant vectors make both
+undefined: the functions return NaN and the protocols flag the video as
+degenerate and exclude it from the reported means. Reductions go through
+math.fsum, which is exactly rounded and therefore order-independent.
+
+Tau counts pairs in O(T log T) time and O(T) memory per row, after Knight
+("A Computer Method for Calculating Kendall's Tau with Ungrouped Data", JASA
+1966). Tied pairs in a, in b and jointly in (a, b) come from the run starts of
+the sorted rows. Sorting by (a, b) leaves b ascending within each tie of a, so
+the discordant pairs D are exactly the inversions of b in that order, which a
+bottom-up merge sort counts (`_inversions`). Then C - D = n0 - ties_a - ties_b
++ ties_ab - 2D. All of these are exact integers that feed the tau-b formula
+unchanged, so each tau equals the pairwise count's bit for bit.
 """
 
 from __future__ import annotations
@@ -23,65 +34,143 @@ from .decoder import decode_summary, select_segments  # noqa: F401
 from .timeline import ChangePointPartition, PickSequence
 
 
-def _is_constant(x: np.ndarray) -> bool:
-    return bool(np.all(x == x[0]))
+def _constant_rows(x: np.ndarray) -> np.ndarray:
+    """True for each row of `x` (a [T] or [K, T] array) whose entries all
+    equal its first."""
+    return np.all(x == x[..., :1], axis=-1)
 
 
-def kendall_tau(a, b) -> float:
-    """Kendall's tau-b; NaN when either vector is constant."""
+def _pair(name: str, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """`a` and `b` as float64 [T] or [K, T] arrays of one length T >= 2 (a
+    [T] side is paired with every row of a [K, T] side); both finite."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    n = a.size
-    if n < 2 or b.size != n:
-        raise ValueError("kendall_tau needs two vectors of equal length >= 2")
-    if _is_constant(a) or _is_constant(b):
-        return float("nan")
-    iu = np.triu_indices(n, 1)
-    sa = np.sign(a[:, None] - a[None, :])[iu]
-    sb = np.sign(b[:, None] - b[None, :])[iu]
-    prod = sa * sb
-    concordant = int(np.count_nonzero(prod > 0))
-    discordant = int(np.count_nonzero(prod < 0))
+    if not (
+        a.ndim in (1, 2) and b.ndim in (1, 2) and a.shape[-1] == b.shape[-1] >= 2
+        and (a.ndim == 1 or b.ndim == 1 or a.shape[0] == b.shape[0])
+    ):
+        raise ValueError(f"{name} needs [T] or [K, T] inputs of one length T >= 2")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError(f"{name} needs finite inputs")
+    return a, b
+
+
+def _run_starts(xs: np.ndarray) -> np.ndarray:
+    """For each position of the sorted rows `xs`, the position where its run
+    of equal values starts."""
+    new = np.ones(xs.shape, dtype=bool)
+    new[..., 1:] = xs[..., 1:] != xs[..., :-1]
+    return np.maximum.accumulate(np.where(new, np.arange(xs.shape[-1]), 0), axis=-1)
+
+
+def _min_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0-based ranks with ties sharing the lowest rank of their run, and the
+    number of tied pairs in each row."""
+    order = np.argsort(x, axis=-1, kind="stable")
+    starts = _run_starts(np.take_along_axis(x, order, axis=-1))
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, starts, axis=-1)
+    return ranks, _tied_pairs(starts)
+
+
+def _tied_pairs(starts: np.ndarray) -> np.ndarray:
+    # a run of length L adds 0 + 1 + ... + (L - 1) = L(L - 1)/2
+    return (np.arange(starts.shape[-1]) - starts).sum(axis=-1)
+
+
+def _inversions(seq: np.ndarray, bound: int) -> np.ndarray:
+    """Per row of `seq` ([K, T] integers in [0, bound)), the number of pairs
+    i < j with seq[i] > seq[j].
+
+    A bottom-up merge sort over all rows at once. At width w each block of 2w
+    holds two sorted halves; adding (bound + 1) x the block's index to the
+    keys lets one stable argsort of the whole array merge every block. A
+    right-half element then moves left by the number of left-half elements
+    greater than it, so the sum of those moves is the block's cross
+    inversions. Rows are padded to a power of two with `bound`, which adds
+    no inversion."""
+    k, t = seq.shape
+    width = 1 << (t - 1).bit_length()
+    vals = np.full(k * width, bound, dtype=np.int64)
+    vals.reshape(k, width)[:, :t] = seq
+    pos = np.arange(k * width)
+    counts = np.zeros(k, dtype=np.int64)
+    w = 1
+    while w < width:
+        order = np.argsort(vals + pos // (2 * w) * (bound + 1), kind="stable")
+        moved = np.where(order % (2 * w) >= w, order - pos, 0)
+        counts += moved.reshape(k, width).sum(axis=1)
+        vals = vals[order]
+        w *= 2
+    return counts
+
+
+def kendall_tau(a, b):
+    """Kendall's tau-b; NaN when either side is constant.
+
+    `a` and `b` are [T] or [K, T]; two [T] vectors give a float, otherwise
+    one tau per row comes back as a [K] array."""
+    a, b = _pair("kendall_tau", a, b)
+    n = a.shape[-1]
+    ra, ties_a = _min_ranks(a)
+    rb, ties_b = _min_ranks(b)
+    # sorting (a, b) rank keys leaves b's ranks in (a, b) order: b ascends
+    # within each tie of a, so its inversions are exactly the discordant pairs
+    keys = np.sort((ra * n + rb).reshape(-1, n), axis=1)
+    ties_ab = _tied_pairs(_run_starts(keys))
+    discordant = _inversions(keys % n, n)
+    k = len(keys)
     n0 = n * (n - 1) // 2
-    ties_a = int(np.count_nonzero(sa == 0))
-    ties_b = int(np.count_nonzero(sb == 0))
-    return (concordant - discordant) / math.sqrt(float((n0 - ties_a) * (n0 - ties_b)))
+    taus = []
+    for ta, tb, tab, d in zip(
+        np.broadcast_to(ties_a, k).tolist(), np.broadcast_to(ties_b, k).tolist(),
+        ties_ab.tolist(), discordant.tolist(),
+    ):
+        if ta == n0 or tb == n0:
+            taus.append(float("nan"))
+        else:
+            # concordant + discordant = n0 - ties_a - ties_b + ties_ab
+            taus.append((n0 - ta - tb + tab - 2 * d) / math.sqrt(float((n0 - ta) * (n0 - tb))))
+    return taus[0] if a.ndim == b.ndim == 1 else np.array(taus)
 
 
 def average_ranks(x) -> np.ndarray:
-    """1-based ranks with ties sharing the mean rank of their run."""
+    """1-based ranks with ties sharing the mean rank of their run; [T] or
+    [K, T], ranked along the last axis."""
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
-    ends = np.append(starts[1:], x.size)
-    ranks = np.empty(x.size, dtype=np.float64)
+    order = np.argsort(x, axis=-1, kind="stable")
+    xs = np.take_along_axis(x, order, axis=-1)
+    starts = _run_starts(xs)
+    # a run's last position, found as its start in the reversed rows
+    ends = x.shape[-1] - _run_starts(xs[..., ::-1])[..., ::-1]
+    ranks = np.empty(x.shape, dtype=np.float64)
     # a run at sorted positions [start, end) holds ranks start+1 .. end
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    np.put_along_axis(ranks, order, (starts + ends + 1) / 2.0, axis=-1)
     return ranks
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:
+    # fsum reads a list of Python floats faster than an array's scalars
     n = a.size
-    am = math.fsum(a) / n
-    bm = math.fsum(b) / n
+    am = math.fsum(a.tolist()) / n
+    bm = math.fsum(b.tolist()) / n
     da = a - am
     db = b - bm
-    cov = math.fsum(da * db)
-    var_a = math.fsum(da * da)
-    var_b = math.fsum(db * db)
+    cov = math.fsum((da * db).tolist())
+    var_a = math.fsum((da * da).tolist())
+    var_b = math.fsum((db * db).tolist())
     return cov / math.sqrt(var_a * var_b)
 
 
-def spearman_rho(a, b) -> float:
-    """Spearman's rho over tie-averaged ranks; NaN when either vector is constant."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 2 or b.size != a.size:
-        raise ValueError("spearman_rho needs two vectors of equal length >= 2")
-    if _is_constant(a) or _is_constant(b):
-        return float("nan")
-    return _pearson(average_ranks(a), average_ranks(b))
+def spearman_rho(a, b):
+    """Spearman's rho over tie-averaged ranks; NaN when either side is
+    constant. Shapes as for `kendall_tau`."""
+    a, b = _pair("spearman_rho", a, b)
+    n = a.shape[-1]
+    ra, rb = (r.reshape(-1, n) for r in np.broadcast_arrays(average_ranks(a), average_ranks(b)))
+    constant = np.broadcast_to(_constant_rows(a) | _constant_rows(b), len(ra))
+    rhos = [float("nan") if c else _pearson(x, y) for x, y, c in zip(ra, rb, constant)]
+    return rhos[0] if a.ndim == b.ndim == 1 else np.array(rhos)
 
 
 @dataclass
@@ -125,16 +214,16 @@ def protocol_targets(protocol: str, annotations) -> np.ndarray:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def _correlate(video_id: str, pairs) -> VideoCorrelation:
-    """Mean tau and rho over the (prediction, target) pairs where neither side
-    is constant; degenerate when no pair is left."""
-    taus, rhos = [], []
-    for pred, target in pairs:
-        if not (_is_constant(pred) or _is_constant(target)):
-            taus.append(kendall_tau(pred, target))
-            rhos.append(spearman_rho(pred, target))
-    if not taus:
+def _correlate(video_id: str, preds: np.ndarray, targets: np.ndarray) -> VideoCorrelation:
+    """Mean tau and rho over the (prediction, target) rows where neither side
+    is constant, all rows in one call of each; degenerate when no row is
+    left. `preds` is one [T] prediction for every target row, or [K, T]."""
+    keep = ~(_constant_rows(preds) | _constant_rows(targets))
+    if not keep.any():
         return VideoCorrelation(video_id, float("nan"), float("nan"), True)
+    preds, targets = (preds[keep] if preds.ndim == 2 else preds), targets[keep]
+    taus = kendall_tau(preds, targets)
+    rhos = spearman_rho(preds, targets)
     return VideoCorrelation(video_id, math.fsum(taus) / len(taus), math.fsum(rhos) / len(rhos), False)
 
 
@@ -144,8 +233,7 @@ def evaluate(protocol: str, video_ids, predictions, annotations) -> CorrelationR
     flagged degenerate."""
     rows = []
     for vid, pred, ann in zip(video_ids, predictions, annotations):
-        pred = np.asarray(pred, dtype=np.float64)
-        rows.append(_correlate(vid, [(pred, t) for t in protocol_targets(protocol, ann)]))
+        rows.append(_correlate(vid, np.asarray(pred, dtype=np.float64), protocol_targets(protocol, ann)))
     return _finish_report(rows, protocol)
 
 
@@ -165,10 +253,10 @@ def oracle_report(protocol: str, video_ids, annotations) -> CorrelationReport:
     Every non-degenerate comparison correlates a target with itself, so the
     means must come out at exactly 1; useful as a CI smoke check of the
     metric plumbing."""
-    rows = [
-        _correlate(vid, [(t, t) for t in protocol_targets(protocol, ann)])
-        for vid, ann in zip(video_ids, annotations)
-    ]
+    rows = []
+    for vid, ann in zip(video_ids, annotations):
+        targets = protocol_targets(protocol, ann)
+        rows.append(_correlate(vid, targets, targets))
     return _finish_report(rows, protocol)
 
 

@@ -206,9 +206,16 @@ def predict_scores(
     """Deterministic inference: posterior-mean latent, no sampling.
 
     Returns the logits mu and the decode signal (mu for tvsum, calibrated
-    probabilities for summe)."""
+    probabilities for summe). A signal that is not finite (finite weights or
+    features can still overflow the forward pass) raises ValueError naming
+    the video."""
     latent = np.zeros((video.n_timesteps, cfg.head.latent_dim))
     out, signal = model_forward(params, video.features, seg, cfg, latent)
+    bad = int(np.count_nonzero(~np.isfinite(signal.value)))
+    if bad:
+        raise ValueError(
+            f"video {video.video_id!r}: prediction is not finite ({bad} of {signal.value.size} scores)"
+        )
     return {"mu": out.mu.value.copy(), "signal": signal.value.copy(), "log_v": out.log_v.value.copy()}
 
 

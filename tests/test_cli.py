@@ -11,7 +11,9 @@ import pytest
 
 import vastsum
 import vastsum.diffcore as dc
+from vastsum.checkpoint import load_params, save_params
 from vastsum.cli import main
+from vastsum.data import load_dataset, make_folds
 from vastsum.decoder import budget
 
 
@@ -234,6 +236,36 @@ def test_dataset_that_does_not_fit_the_checkpoint_names_the_video(
     for argv in (["eval", "--protocol", "tvsum"], ["decode"], ["stability-report"]):
         assert run(*argv, *common) == 2
         assert f"error: {message}" in capsys.readouterr().err, argv[0]
+
+
+def test_non_finite_prediction_names_the_video(tmp_path, trained, tiny_dataset, capsys):
+    # every weight is finite, but one huge bias overflows the forward pass
+    params, meta = load_params(trained)
+    params["input.norm.bias"][0] = 1e308
+    overflowing = tmp_path / "overflow.ckpt"
+    save_params(params, overflowing, meta)
+    out = tmp_path / "out"
+    common = ["--checkpoint", str(overflowing), "--data", tiny_dataset, "--out", str(out)]
+    for argv in (["eval", "--protocol", "tvsum"], ["decode"], ["stability-report"]):
+        assert run(*argv, *common) == 2, argv[0]
+        assert "error: video 'v000': prediction is not finite" in capsys.readouterr().err, argv[0]
+        assert not out.exists()
+
+
+def test_non_finite_validation_prediction_names_the_video(tmp_path, tiny_config_file, capsys):
+    data = tmp_path / "six.json"
+    assert run("gen-data", "--out", str(data), "--videos", "6", "--timesteps", "16",
+               "--feature-dim", "8", "--annotators", "2", "--segments", "3", "--seed", "2") == 0
+    doc = json.loads(data.read_text())
+    held_out = make_folds(load_dataset(str(data)), k=3, seed=1)[0][1][0]
+    for video in doc["videos"]:
+        if video["id"] == held_out:
+            # finite features that overflow the input projection
+            video["features"] = [[1.7e308, -1.7e308] * 4 for _ in video["features"]]
+    data.write_text(json.dumps(doc))
+    assert run("train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+               "--config", tiny_config_file, "--epochs", "1", "--fold", "0", "--folds", "3") == 2
+    assert f"error: video {held_out!r}: prediction is not finite" in capsys.readouterr().err
 
 
 class TestEval:

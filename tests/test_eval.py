@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,85 @@ class TestAgainstNaiveOracles:
                 assert kendall_tau(a, transform(b)) == tau
                 assert spearman_rho(transform(a), b) == rho
                 assert spearman_rho(a, transform(b)) == rho
+
+
+def all_tied_but_one(rng, n):
+    x = np.full(n, float(rng.integers(0, 3)))
+    x[rng.integers(n)] += rng.choice([-1.0, 1.0])
+    return x
+
+
+class TestBatchedRows:
+    """[T] and [K, T] inputs, checked with == against the loop oracles."""
+
+    def cases(self, seed):
+        # lengths 2, 3 and non-powers of two; untied, heavily tied, all-tied-but-one
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 5, 7, 12, 31, 33, 50):
+            yield rng.standard_normal(n), rng.standard_normal((3, n))
+            yield rng.integers(0, 3, n).astype(float), rng.integers(0, 2, (5, n)).astype(float)
+            yield all_tied_but_one(rng, n), np.array([all_tied_but_one(rng, n) for _ in range(6)])
+            yield rng.standard_normal(n), np.array([all_tied_but_one(rng, n) for _ in range(3)])
+
+    def test_rows_match_the_oracles_exactly(self):
+        checked = 0
+        for pred, targets in self.cases(seed=41):
+            taus = kendall_tau(pred, targets)
+            rhos = spearman_rho(pred, targets)
+            assert taus.shape == rhos.shape == (len(targets),)
+            for tau, rho, target in zip(taus, rhos, targets):
+                want_tau = naive_kendall_tau(pred.tolist(), target.tolist())
+                if math.isnan(want_tau):  # a constant row
+                    assert math.isnan(tau) and math.isnan(rho)
+                    continue
+                assert tau == want_tau
+                assert rho == naive_spearman(pred.tolist(), target.tolist())
+                checked += 1
+        assert checked > 80
+
+    def test_rows_equal_single_calls(self):
+        for pred, targets in self.cases(seed=42):
+            for a, b in ((pred, targets), (targets, pred), (targets, targets[::-1])):
+                rows = np.broadcast_arrays(a, b)
+                singles = [(kendall_tau(x, y), spearman_rho(x, y)) for x, y in zip(*rows)]
+                assert repr(kendall_tau(a, b).tolist()) == repr([t for t, _ in singles])
+                assert repr(spearman_rho(a, b).tolist()) == repr([r for _, r in singles])
+            assert np.array_equal(average_ranks(targets), [average_ranks(t) for t in targets])
+
+    def test_two_vectors_give_a_float(self):
+        assert type(kendall_tau([1.0, 2.0], [2.0, 1.0])) is float
+        assert type(spearman_rho([1.0, 2.0], [2.0, 1.0])) is float
+
+    @pytest.mark.parametrize("fn", [kendall_tau, spearman_rho])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_rejected(self, fn, bad):
+        clean = np.array([0.3, 0.1, 0.2, 0.4])
+        dirty = clean.copy()
+        dirty[2] = bad
+        for a, b in ((dirty, clean), (clean, dirty), (clean, np.vstack([clean, dirty]))):
+            with pytest.raises(ValueError, match="finite"):
+                fn(a, b)
+
+    @pytest.mark.parametrize("fn", [kendall_tau, spearman_rho])
+    def test_mismatched_shapes_rejected(self, fn):
+        for a, b in (([1.0, 2.0], [1.0, 2.0, 3.0]), (np.ones((2, 3)), np.ones((3, 3))),
+                     (np.ones((1, 1, 3)), [1.0, 2.0, 3.0]), ([1.0], [[1.0]])):
+            with pytest.raises(ValueError):
+                fn(a, b)
+
+    def test_tau_memory_is_linear_in_length(self):
+        # three T x T float arrays at T = 4,000 would take ~380 MB
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal(4000)
+        b = rng.integers(0, 40, 4000).astype(np.float64)
+        tracemalloc.start()
+        try:
+            tau = kendall_tau(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert -1.0 < tau < 1.0
+        assert peak < 4 * 2**20
 
 
 class TestProtocols:
