@@ -2,7 +2,8 @@
 
 Subcommands: gen-data, train, eval, decode, stability-report, gradcheck.
 Every command is deterministic given its inputs and --seed; exit codes are
-0 on success, 1 when a check fails, 2 for usage or configuration errors.
+0 on success, 1 when a check fails, 2 for usage, configuration or data
+errors (a non-finite result included).
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import gradcheck as gradcheck_mod
 from .checkpoint import atomic_write, load_params, validate_shapes
 from .config import MODES, RunConfig, load_run_config, run_config_from_dict
 from .data import Dataset, SyntheticConfig, generate_synthetic, load_dataset, make_folds, save_dataset
 from .decoder import budget, decode_summary
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .evaluation import evaluate, flip_rate, oracle_report, write_report_csv
 from .timeline import assign_segment_ids
 from .trainer import all_param_shapes, check_videos_fit, predict_scores, train
@@ -266,8 +269,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+        # a non-finite result is reported by name, so numpy's warnings add nothing
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except (ConfigError, ValueError, OSError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

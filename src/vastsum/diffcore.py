@@ -4,6 +4,12 @@ Covers exactly the primitives the scoring network, the probabilistic head and
 the smooth loss terms need. Values are float64 numpy arrays; a Tape owns the
 nodes it created and is confined to one logical thread. Gradients come out of
 `backward` keyed by parameter name.
+
+Shapes are exact: `add`, `subtract` and `multiply` take two operands of one
+shape and raise ShapeError otherwise, so no VJP reduces a broadcast. The two
+broadcasts the model needs live inside the ops that own them: `affine` adds
+its bias to every row of `x @ w`, and `layer_norm` applies its gain and bias
+to every row.
 """
 
 from __future__ import annotations
@@ -78,21 +84,10 @@ def _same_tape(*nodes: Node) -> Tape:
     return tape
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] > 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def _broadcast_shape(a: Node, b: Node, op: str) -> tuple:
-    try:
-        return np.broadcast_shapes(a.value.shape, b.value.shape)
-    except ValueError as exc:
-        raise ShapeError(f"{op}: cannot broadcast {a.value.shape} with {b.value.shape}") from exc
+def _same_shape(a: Node, b: Node, op: str) -> Tape:
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
+    return _same_tape(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -133,40 +128,36 @@ def matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
     return tape._record("matmul", out, (a, b), vjp)
 
 
+def affine(x: Node, w: Node, b: Node) -> Node:
+    """x @ w + b in one node: a [T, D] input with a [D, C] weight and [C] bias,
+    or with a [D] weight and [1] bias (one output per row)."""
+    tape = _same_tape(x, w, b)
+    xv, wv, bv = x.value, w.value, b.value
+    bias_shape = wv.shape[1:] if wv.ndim == 2 else (1,)
+    if xv.ndim != 2 or wv.ndim not in (1, 2) or xv.shape[1] != wv.shape[0] or bv.shape != bias_shape:
+        raise ShapeError(f"affine: {xv.shape} @ {wv.shape} + {bv.shape}")
+
+    def vjp(g):
+        gx = g @ wv.T if wv.ndim == 2 else np.outer(g, wv)
+        return (gx, xv.T @ g, g.sum(axis=0).reshape(bias_shape))
+
+    return tape._record("affine", xv @ wv + bv, (x, w, b), vjp)
+
+
 def add(a: Node, b: Node) -> Node:
-    tape = _same_tape(a, b)
-    _broadcast_shape(a, b, "add")
-    sa, sb = a.value.shape, b.value.shape
-    return tape._record(
-        "add",
-        a.value + b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
-    )
+    tape = _same_shape(a, b, "add")
+    return tape._record("add", a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def subtract(a: Node, b: Node) -> Node:
-    tape = _same_tape(a, b)
-    _broadcast_shape(a, b, "subtract")
-    sa, sb = a.value.shape, b.value.shape
-    return tape._record(
-        "subtract",
-        a.value - b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
-    )
+    tape = _same_shape(a, b, "subtract")
+    return tape._record("subtract", a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def multiply(a: Node, b: Node) -> Node:
-    tape = _same_tape(a, b)
-    _broadcast_shape(a, b, "multiply")
+    tape = _same_shape(a, b, "multiply")
     av, bv = a.value, b.value
-    return tape._record(
-        "multiply",
-        av * bv,
-        (a, b),
-        lambda g: (_unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)),
-    )
+    return tape._record("multiply", av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def mean_over_sets(a: Node, sets: Sequence[Sequence[int]]) -> Node:
@@ -187,21 +178,26 @@ def mean_over_sets(a: Node, sets: Sequence[Sequence[int]]) -> Node:
     return matmul(a.tape.constant(pool), a)
 
 
-def layer_norm(a: Node, eps: float = LN_EPS) -> Node:
-    """Normalize along the last axis with an eps-stabilized population variance."""
-    av = a.value
+def layer_norm(a: Node, gain: Node, bias: Node) -> Node:
+    """Normalize each row of a [T, d] input (population variance plus LN_EPS),
+    then scale by the [d] gain and shift by the [d] bias."""
+    tape = _same_tape(a, gain, bias)
+    av, gv, bv = a.value, gain.value, bias.value
+    if av.ndim != 2 or gv.shape != av.shape[1:] or bv.shape != av.shape[1:]:
+        raise ShapeError(f"layer-norm: {av.shape} with gain {gv.shape}, bias {bv.shape}")
     mu = av.mean(axis=-1, keepdims=True)
     centered = av - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     y = centered * inv
 
     def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gym),)
+        gy = g * gv
+        gm = gy.mean(axis=-1, keepdims=True)
+        gym = (gy * y).mean(axis=-1, keepdims=True)
+        return (inv * (gy - gm - y * gym), (g * y).sum(axis=0), g.sum(axis=0))
 
-    return a.tape._record("layer-norm", y, (a,), vjp)
+    return tape._record("layer-norm", y * gv + bv, (a, gain, bias), vjp)
 
 
 def softmax_rows(a: Node) -> Node:

@@ -242,11 +242,6 @@ def evaluate_tvsum(video_ids, predictions, annotations) -> CorrelationReport:
     return evaluate("tvsum", video_ids, predictions, annotations)
 
 
-def evaluate_summe(video_ids, predictions, user_summaries) -> CorrelationReport:
-    """summe protocol: the mean user summary is the one target."""
-    return evaluate("summe", video_ids, predictions, user_summaries)
-
-
 def oracle_report(protocol: str, video_ids, annotations) -> CorrelationReport:
     """Sanity protocol run with the targets standing in for the predictions.
 

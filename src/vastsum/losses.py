@@ -98,10 +98,10 @@ def soft_min(x: dc.Node, tau_sm: float) -> dc.Node:
         raise ValueError("tau_sm must be > 0")
     tape = x.tape
     scaled = dc.scale(x, -1.0 / tau_sm)
-    shift = tape.constant(np.array([scaled.value.max()]))
-    terms = dc.exp(dc.subtract(scaled, shift))
+    top = scaled.value.max()
+    terms = dc.exp(dc.subtract(scaled, tape.constant(np.full_like(scaled.value, top))))
     total = dc.matmul(tape.constant(np.ones((1, x.value.shape[0]))), terms)
-    return dc.scale(dc.add(shift, dc.log(total)), -tau_sm)
+    return dc.scale(dc.add(tape.constant(np.array([top])), dc.log(total)), -tau_sm)
 
 
 def summe_softmin_bce(p: dc.Node, annotations, tau_sm: float) -> dc.Node:

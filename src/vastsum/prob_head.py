@@ -55,8 +55,8 @@ def posterior_params(
     h_hat: dc.Node, params: Mapping[str, dc.Node]
 ) -> tuple[dc.Node, dc.Node]:
     """Latent posterior mean and clamped log-variance from the refined tokens."""
-    mu_z = dc.add(dc.matmul(h_hat, params["head.latent_mu.w"]), params["head.latent_mu.b"])
-    raw = dc.add(dc.matmul(h_hat, params["head.latent_logvar.w"]), params["head.latent_logvar.b"])
+    mu_z = dc.affine(h_hat, params["head.latent_mu.w"], params["head.latent_mu.b"])
+    raw = dc.affine(h_hat, params["head.latent_logvar.w"], params["head.latent_logvar.b"])
     return mu_z, dc.clip(raw, LOGVAR_MIN, LOGVAR_MAX)
 
 
@@ -74,9 +74,9 @@ def importance_params(
 ) -> tuple[dc.Node, dc.Node]:
     """Importance logit mu_t and clamped observation log-variance from [h; z]."""
     joint = dc.concat_last([h_hat, z])
-    hidden = dc.gelu(dc.add(dc.matmul(joint, params["head.mlp.w"]), params["head.mlp.b"]))
-    mu = dc.add(dc.matmul(hidden, params["head.mu.w"]), params["head.mu.b"])
-    raw_v = dc.add(dc.matmul(hidden, params["head.logv.w"]), params["head.logv.b"])
+    hidden = dc.gelu(dc.affine(joint, params["head.mlp.w"], params["head.mlp.b"]))
+    mu = dc.affine(hidden, params["head.mu.w"], params["head.mu.b"])
+    raw_v = dc.affine(hidden, params["head.logv.w"], params["head.logv.b"])
     return mu, dc.clip(raw_v, LOGVAR_MIN, LOGVAR_MAX)
 
 

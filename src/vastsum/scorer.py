@@ -54,10 +54,6 @@ def param_shapes(cfg: ScorerConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _affine_norm(x: dc.Node, params: Mapping[str, dc.Node], prefix: str) -> dc.Node:
-    return dc.add(dc.multiply(dc.layer_norm(x), params[f"{prefix}.gain"]), params[f"{prefix}.bias"])
-
-
 def project_and_embed(x: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConfig) -> dc.Node:
     """LN(W x + b) + positional row, per timestep."""
     t_len = x.value.shape[0]
@@ -65,8 +61,8 @@ def project_and_embed(x: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConf
         raise CapacityError(
             f"sequence length {t_len} exceeds positional table size {cfg.max_timesteps}"
         )
-    h = dc.add(dc.matmul(x, params["input.proj.w"]), params["input.proj.b"])
-    h = _affine_norm(h, params, "input.norm")
+    h = dc.affine(x, params["input.proj.w"], params["input.proj.b"])
+    h = dc.layer_norm(h, params["input.norm.gain"], params["input.norm.bias"])
     pos = dc.gather_rows(params["pos.table"], range(t_len))
     return dc.add(h, pos)
 
@@ -93,11 +89,11 @@ def segment_transformer(z0: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerC
     """Pre-norm encoder stack over the M segment tokens."""
     z = z0
     for i in range(cfg.layers):
-        u = dc.add(z, _mha(_affine_norm(z, params, f"seg{i}.norm1"), params, cfg, i))
-        un = _affine_norm(u, params, f"seg{i}.norm2")
-        hidden = dc.gelu(dc.add(dc.matmul(un, params[f"seg{i}.ffn.w1"]), params[f"seg{i}.ffn.b1"]))
-        ffn = dc.add(dc.matmul(hidden, params[f"seg{i}.ffn.w2"]), params[f"seg{i}.ffn.b2"])
-        z = dc.add(u, ffn)
+        zn = dc.layer_norm(z, params[f"seg{i}.norm1.gain"], params[f"seg{i}.norm1.bias"])
+        u = dc.add(z, _mha(zn, params, cfg, i))
+        un = dc.layer_norm(u, params[f"seg{i}.norm2.gain"], params[f"seg{i}.norm2.bias"])
+        hidden = dc.gelu(dc.affine(un, params[f"seg{i}.ffn.w1"], params[f"seg{i}.ffn.b1"]))
+        z = dc.add(u, dc.affine(hidden, params[f"seg{i}.ffn.w2"], params[f"seg{i}.ffn.b2"]))
     return z
 
 
@@ -107,9 +103,9 @@ def gated_fusion(
     """Inject each frame's segment context through a sigmoid gate, then normalize."""
     g = dc.gather_rows(context, seg.segment_ids)
     gate_in = dc.concat_last([h0, g])
-    alpha = dc.sigmoid(dc.add(dc.matmul(gate_in, params["fusion.gate.w"]), params["fusion.gate.b"]))
+    alpha = dc.sigmoid(dc.affine(gate_in, params["fusion.gate.w"], params["fusion.gate.b"]))
     fused = dc.add(h0, dc.multiply(alpha, g))
-    return _affine_norm(fused, params, "fusion.norm")
+    return dc.layer_norm(fused, params["fusion.norm.gain"], params["fusion.norm.bias"])
 
 
 def temporal_refine(h: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConfig) -> dc.Node:
@@ -122,7 +118,7 @@ def temporal_refine(h: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConfig
     psi = h
     for j in range(cfg.refine_blocks):
         local = dc.gelu(dc.depthwise_conv1d(psi, params[f"refine{j}.depthwise"]))
-        psi = dc.add(dc.matmul(local, params[f"refine{j}.pointwise.w"]), params[f"refine{j}.pointwise.b"])
+        psi = dc.affine(local, params[f"refine{j}.pointwise.w"], params[f"refine{j}.pointwise.b"])
     return dc.add(h, psi)
 
 

@@ -25,7 +25,7 @@ from .checkpoint import atomic_write, save_params
 from .config import RunConfig, ScorerConfig
 from .data import Dataset, VideoRecord
 from .decoder import budget
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .evaluation import evaluate
 from .timeline import SegmentIndexMap, assign_segment_ids
 
@@ -269,7 +269,10 @@ def train(
             seg = seg_maps[video.video_id]
             noise = draw_noise(video, seg, cfg, rng)
             total, breakdown = build_video_loss(params, video, seg, cfg, epoch, noise)
-            grads = dc.backward(total.tape, total)
+            try:
+                grads = dc.backward(total.tape, total)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, video {video.video_id!r}: {exc}", exc.node_id) from exc
             if acc is None:
                 acc = grads
             else:

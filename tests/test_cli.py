@@ -252,6 +252,34 @@ def test_non_finite_prediction_names_the_video(tmp_path, trained, tiny_dataset, 
         assert not out.exists()
 
 
+def test_overflowing_prediction_prints_one_stderr_line(tmp_path, trained, tiny_dataset):
+    # numpy's overflow warnings would come before the error line
+    params, meta = load_params(trained)
+    params["input.norm.bias"][0] = 1e308
+    overflowing = tmp_path / "overflow.ckpt"
+    save_params(params, overflowing, meta)
+    src = str(Path(vastsum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "vastsum.cli", "eval", "--checkpoint", str(overflowing),
+         "--data", tiny_dataset, "--protocol", "tvsum", "--out", str(tmp_path / "out.csv")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: video 'v000': prediction is not finite (16 of 16 scores)"]
+
+
+def test_overflowing_training_step_names_the_epoch_and_video(tmp_path, tiny_config_file, tiny_dataset, capsys):
+    doc = json.loads(Path(tiny_dataset).read_text())
+    # finite features that overflow the input projection
+    doc["videos"][1]["features"] = [[1.7e308, -1.7e308] * 4 for _ in doc["videos"][1]["features"]]
+    data = tmp_path / "overflow.json"
+    data.write_text(json.dumps(doc))
+    assert run("train", "--data", str(data), "--out-dir", str(tmp_path / "run"),
+               "--config", tiny_config_file, "--epochs", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 0, video 'v001': non-finite forward value at node "), err
+
+
 def test_non_finite_validation_prediction_names_the_video(tmp_path, tiny_config_file, capsys):
     data = tmp_path / "six.json"
     assert run("gen-data", "--out", str(data), "--videos", "6", "--timesteps", "16",

@@ -22,12 +22,17 @@ class TestForwardValues:
         assert dc.softmax_rows(x).value.tolist() == [[1.0]]
 
     def test_layer_norm_hand_value(self):
-        _, x = fresh([1.0, 2.0, 3.0])
-        out = dc.layer_norm(x).value
+        tape, x = fresh([[1.0, 2.0, 3.0]])
+        out = dc.layer_norm(x, tape.constant(np.ones(3)), tape.constant(np.zeros(3))).value[0]
         # (x - mean) / sqrt(var + 1e-5) computed by hand
         expected = [(v - 2.0) / math.sqrt(2.0 / 3.0 + 1e-5) for v in [1.0, 2.0, 3.0]]
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out, [-1.22474, 0.0, 1.22474], atol=1e-4)
+        gain, bias = tape.constant(np.array([2.0, 3.0, 4.0])), tape.constant(np.array([1.0, 0.0, -1.0]))
+        np.testing.assert_allclose(
+            dc.layer_norm(x, gain, bias).value[0], np.array(expected) * [2.0, 3.0, 4.0] + [1.0, 0.0, -1.0],
+            rtol=0, atol=1e-12,
+        )
 
     def test_gelu_exact_form(self):
         _, x = fresh([2.0])
@@ -63,6 +68,99 @@ class TestForwardValues:
         b = tape.constant(np.ones((4,)))
         with pytest.raises(ShapeError):
             dc.add(a, b)
+
+    @pytest.mark.parametrize("op", [dc.add, dc.subtract, dc.multiply])
+    @pytest.mark.parametrize("shapes", [((5, 3), (3,)), ((5,), (5, 1)), ((4,), (1,))])
+    def test_elementwise_ops_take_equal_shapes_only(self, op, shapes):
+        tape = dc.Tape()
+        a, b = (tape.constant(np.ones(shape)) for shape in shapes)
+        with pytest.raises(ShapeError, match="differ"):
+            op(a, b)
+
+    @pytest.mark.parametrize(
+        "w_shape, b_shape", [((4, 3), (1, 3)), ((4, 3), (4,)), ((4,), (3,)), ((4,), ())]
+    )
+    def test_affine_bias_must_match_the_output_width(self, w_shape, b_shape):
+        tape = dc.Tape()
+        x, w, b = (tape.constant(np.ones(s)) for s in ((5, 4), w_shape, b_shape))
+        with pytest.raises(ShapeError, match="affine"):
+            dc.affine(x, w, b)
+
+    def test_layer_norm_gain_and_bias_match_the_row_width(self):
+        tape = dc.Tape()
+        x = tape.constant(np.ones((5, 4)))
+        with pytest.raises(ShapeError, match="layer-norm"):
+            dc.layer_norm(x, tape.constant(np.ones(4)), tape.constant(np.ones(3)))
+        with pytest.raises(ShapeError, match="layer-norm"):
+            dc.layer_norm(tape.constant(np.ones(4)), tape.constant(np.ones(4)), tape.constant(np.ones(4)))
+
+
+def _weighted_sum(node: dc.Node, weights: np.ndarray) -> dc.Node:
+    """A scalar loss whose gradient at `node` is `weights` scaled by 1/rows."""
+    tape = node.tape
+    rows = dc.multiply(node, tape.constant(weights))
+    if rows.value.ndim == 2:
+        rows = dc.matmul(rows, tape.constant(np.ones(rows.value.shape[1])))
+    return dc.mean_over_sets(rows, [range(rows.value.shape[0])])
+
+
+class TestFusedNodes:
+    """`affine` and `layer_norm` give the same bits as the two- and three-node
+    chains they replace: matmul then a broadcast bias add, and a plain
+    normalization then a broadcast gain multiply and bias add. Each chain is
+    rebuilt here with shape-exact ops on row-tiled bias/gain parameters, whose
+    row sums are the broadcast reductions the old VJPs made."""
+
+    @pytest.mark.parametrize("w_shape, b_shape", [((4, 3), (3,)), ((4,), (1,))])
+    def test_affine_matches_matmul_plus_bias(self, w_shape, b_shape):
+        rng = np.random.default_rng(31)
+        x, w, b = (rng.standard_normal(s) for s in ((6, 4), w_shape, b_shape))
+        out_shape = (6,) + w_shape[1:]
+        weights = rng.standard_normal(out_shape)
+
+        tape = dc.Tape()
+        p = dc.lift_params(tape, {"x": x, "w": w, "b": b})
+        fused = dc.affine(p["x"], p["w"], p["b"])
+        grads = dc.backward(tape, _weighted_sum(fused, weights))
+
+        tape = dc.Tape()
+        q = dc.lift_params(tape, {"x": x, "w": w, "rows": np.broadcast_to(b, out_shape).copy()})
+        chain = dc.add(dc.matmul(q["x"], q["w"]), q["rows"])
+        chain_grads = dc.backward(tape, _weighted_sum(chain, weights))
+
+        assert np.array_equal(fused.value, x @ w + b)
+        assert np.array_equal(fused.value, chain.value)
+        assert np.array_equal(grads["x"], chain_grads["x"])
+        assert np.array_equal(grads["w"], chain_grads["w"])
+        assert grads["b"].shape == b_shape
+        assert np.array_equal(grads["b"], chain_grads["rows"].sum(axis=0).reshape(b_shape))
+
+    def test_layer_norm_matches_normalize_then_gain_and_bias(self):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((6, 5)) * 3.0
+        gain, bias = 1.0 + rng.standard_normal(5) * 0.3, rng.standard_normal(5)
+        weights = rng.standard_normal((6, 5))
+
+        tape = dc.Tape()
+        p = dc.lift_params(tape, {"x": x, "gain": gain, "bias": bias})
+        fused = dc.layer_norm(p["x"], p["gain"], p["bias"])
+        grads = dc.backward(tape, _weighted_sum(fused, weights))
+
+        # unit gain and zero bias make layer_norm the bare normalization
+        tape = dc.Tape()
+        q = dc.lift_params(tape, {"x": x, "gains": np.tile(gain, (6, 1)), "biases": np.tile(bias, (6, 1))})
+        y = dc.layer_norm(q["x"], tape.constant(np.ones(5)), tape.constant(np.zeros(5)))
+        chain = dc.add(dc.multiply(y, q["gains"]), q["biases"])
+        chain_grads = dc.backward(tape, _weighted_sum(chain, weights))
+
+        centered = x - x.mean(axis=-1, keepdims=True)
+        normalized = centered * (1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + dc.LN_EPS))
+        assert np.array_equal(y.value, normalized)
+        assert np.array_equal(fused.value, normalized * gain + bias)
+        assert np.array_equal(fused.value, chain.value)
+        assert np.array_equal(grads["x"], chain_grads["x"])
+        assert np.array_equal(grads["gain"], chain_grads["gains"].sum(axis=0))
+        assert np.array_equal(grads["bias"], chain_grads["biases"].sum(axis=0))
 
 
 class TestBackward:
@@ -148,8 +246,7 @@ class TestBackward:
         rng = np.random.default_rng(3)
         tape = dc.Tape()
         params = dc.lift_params(tape, {"w": rng.standard_normal((4, 3)), "b": np.zeros(3)})
-        h = dc.gelu(dc.add(dc.matmul(tape.constant(rng.standard_normal((5, 4))), params["w"]),
-                           params["b"]))
+        h = dc.gelu(dc.affine(tape.constant(rng.standard_normal((5, 4))), params["w"], params["b"]))
         loss = dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(3))), [range(5)])
         calls = []
         isfinite = np.isfinite
@@ -198,7 +295,7 @@ class TestPrimitiveGradients:
         def build(theta):
             tape = dc.Tape()
             p = dc.lift_params(tape, theta)
-            h = dc.gelu(dc.add(dc.matmul(tape.constant(x), p["w1"]), p["b1"]))
+            h = dc.gelu(dc.affine(tape.constant(x), p["w1"], p["b1"]))
             h = dc.sigmoid(dc.matmul(h, p["w2"]))
             return dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(2))), [range(5)])
 
@@ -206,13 +303,18 @@ class TestPrimitiveGradients:
 
     def test_norm_softmax_attention_block(self):
         rng = np.random.default_rng(22)
-        params = {"q": rng.standard_normal((3, 4)) * 0.3, "k": rng.standard_normal((3, 4)) * 0.3}
+        params = {
+            "q": rng.standard_normal((3, 4)) * 0.3,
+            "k": rng.standard_normal((3, 4)) * 0.3,
+            "gain": 1.0 + rng.standard_normal(4) * 0.2,
+            "bias": rng.standard_normal(4) * 0.1,
+        }
 
         def build(theta):
             tape = dc.Tape()
             p = dc.lift_params(tape, theta)
             attn = dc.softmax_rows(dc.scale(dc.matmul(p["q"], p["k"], transpose_b=True), 0.5))
-            mixed = dc.matmul(attn, dc.layer_norm(p["k"]))
+            mixed = dc.matmul(attn, dc.layer_norm(p["k"], p["gain"], p["bias"]))
             return dc.mean_over_sets(dc.matmul(mixed, tape.constant(np.ones(4))), [range(3)])
 
         _check(build, params)
@@ -268,7 +370,7 @@ class TestPrimitiveGradients:
             tape = dc.Tape()
             p = dc.lift_params(tape, theta)
             h = dc.gelu(dc.depthwise_conv1d(tape.constant(x), p["dw"]))
-            h = dc.add(dc.matmul(h, p["pw"]), p["pb"])
+            h = dc.affine(h, p["pw"], p["pb"])
             return dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(3))), [range(7)])
 
         _check(build, params)

@@ -7,7 +7,7 @@ from scipy import stats
 
 from vastsum.evaluation import (
     average_ranks,
-    evaluate_summe,
+    evaluate,
     evaluate_tvsum,
     flip_rate,
     kendall_tau,
@@ -216,19 +216,19 @@ class TestProtocols:
         assert report.mean_tau == pytest.approx((1.0 + 1.0 - 1.0) / 3.0, abs=1e-15)
 
     def test_summe_single_user(self):
-        report = evaluate_summe(["v0"], [[0.1, 0.9]], [[[0.0, 1.0]]])
+        report = evaluate("summe", ["v0"], [[0.1, 0.9]], [[[0.0, 1.0]]])
         assert report.mean_tau == 1.0
         assert report.mean_rho == 1.0
 
     def test_summe_all_zero_users_degenerate(self):
-        report = evaluate_summe(["v0"], [[0.2, 0.8]], [[[0.0, 0.0], [0.0, 0.0]]])
+        report = evaluate("summe", ["v0"], [[0.2, 0.8]], [[[0.0, 0.0], [0.0, 0.0]]])
         assert report.per_video[0].degenerate
         assert report.degenerate_count == 1
         assert math.isnan(report.mean_tau)
 
     def test_summe_mean_target_ordering(self):
         summaries = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]  # mean [1, 0.5, 0]
-        report = evaluate_summe(["v0"], [[0.9, 0.5, 0.1]], [summaries])
+        report = evaluate("summe", ["v0"], [[0.9, 0.5, 0.1]], [summaries])
         assert report.mean_tau == 1.0
         assert report.mean_rho == 1.0
 
@@ -239,7 +239,7 @@ class TestProtocols:
         if np.all(row == row[0]):
             row[0] = 1.0 - row[0]
         tv = evaluate_tvsum(["v"], [pred], [row[None, :]])
-        sm = evaluate_summe(["v"], [pred], [row[None, :]])
+        sm = evaluate("summe", ["v"], [pred], [row[None, :]])
         assert tv.mean_tau == sm.mean_tau
         assert tv.mean_rho == sm.mean_rho
 

@@ -10,7 +10,7 @@ import vastsum.trainer as trainer
 from vastsum.checkpoint import load_params, params_to_bytes, save_params, validate_shapes
 from vastsum.config import HeadConfig, LossConfig, RunConfig, ScorerConfig, TrainConfig
 from vastsum.data import Dataset, SyntheticConfig, generate_synthetic, make_folds
-from vastsum.errors import ConfigError
+from vastsum.errors import ConfigError, NumericError
 from vastsum.trainer import OptimizerState, adamw_step, clip_global_norm, train
 
 
@@ -207,6 +207,17 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError, match="empty"):
             train(Dataset("tvsum", []), small_cfg())
+
+    def test_numeric_error_names_the_epoch_and_video(self):
+        dataset = small_dataset()
+        # finite features that overflow the input projection
+        dataset.videos[1].features[:] = [1.7e308, -1.7e308] * 4
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
+            train(dataset, small_cfg(epochs=1))
+        message = str(excinfo.value)
+        assert message.startswith(f"epoch 0, video {dataset.videos[1].video_id!r}: non-finite forward value")
+        assert isinstance(excinfo.value.node_id, int)
+        assert f"at node {excinfo.value.node_id} (affine)" in message
 
 
 class TestCheckpointRoundTrip:
