@@ -48,20 +48,24 @@ def atomic_write(path, payload: bytes) -> None:
     rename, so a reader sees the old file or the whole new one, never a part.
 
     The file gets the mode open() would give it, 0o666 less the umask, not
-    mkstemp's owner-only 0o600.
+    mkstemp's owner-only 0o600. An OSError keeps its errno but names path,
+    not the temp file's random name.
     """
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)  # the umask can only be read by setting it
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(payload)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 

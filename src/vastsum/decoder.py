@@ -9,18 +9,31 @@ pure function of its inputs.
 
 The DP (Kellerer, Pferschy & Pisinger, *Knapsack Problems*, 2004, ch. 2)
 takes items in forward index order and works on whole capacity rows at once.
-Cell c holds the best set of the items seen so far that fits in c, as its
-value and one int64 key; a keep[M, K, cap+1] table records whether item i
-entered cell c, and one backtrack from cell cap reads the selection off.
-Values accumulate as `base + v_i`, i.e. in ascending index order, as
-`tests/oracles.brute_force_knapsack` sums them. Exact value ties go to the
-smaller key. The key is weight * 2**shift + rank, with the rank in
-(-2**shift, 0], so it orders by weight and then by rank. The rank orders
-sets by "the smallest index in the symmetric difference belongs to the
-better set", which at equal weight is the lexicographic rule: taking item i
-subtracts 2**bit(i) from its base's rank, with earlier items on higher bits,
-and every few dozen items the ranks are re-encoded densely, in the same
-order, before the bits run out.
+Cell c holds the best set of the items seen so far that fits in c; a
+keep[M, K, cap+1] table records whether item i entered cell c, and one
+backtrack from cell cap reads the selection off. Values accumulate as
+`base + v_i`, i.e. in ascending index order, as
+`tests/oracles.brute_force_knapsack` sums them.
+
+It runs in two passes. The first keeps values only: item i enters a cell
+when `base + v_i` is strictly greater than the cell's value, and a row is
+marked tied once any of its cells meets an exact tie (`base + v_i` equal to
+the cell's value). The keyed DP below takes a candidate when it is greater,
+or equal with a smaller key; on a row where no cell is ever equal that is
+the same rule, so an untied row's keep table, and its selection, is the
+keyed DP's bit for bit. The second pass re-solves only the tied rows with
+the keyed DP (`_keyed_dp`); rows with continuous values rarely tie, so it
+seldom runs at all. NaN and infinite values take the same path: a NaN cell
+never compares equal, and equal infinities tie.
+
+The keyed DP holds each cell's set as its value and one int64 key, and
+exact value ties go to the smaller key. The key is weight * 2**shift +
+rank, with the rank in (-2**shift, 0], so it orders by weight and then by
+rank. The rank orders sets by "the smallest index in the symmetric
+difference belongs to the better set", which at equal weight is the
+lexicographic rule: taking item i subtracts 2**bit(i) from its base's rank,
+with earlier items on higher bits, and every few dozen items the ranks are
+re-encoded densely, in the same order, before the bits run out.
 
 Where float sums round, two sets that differ in value can tie once an item
 is added to both, and the set the DP dropped earlier may be the one the
@@ -108,16 +121,44 @@ def _rerank(key: np.ndarray, shift: int, item_bits: int, cap: int) -> np.ndarray
     return weight * (1 << shift) + (rank - cap) * (1 << item_bits)
 
 
-def knapsack_select(instance: SegmentKnapsackInstance) -> np.ndarray:
-    """Exact 0/1 knapsack; returns the boolean selection, shaped like values.
+def _backtrack(keep: np.ndarray, weights: tuple[int, ...], fits: list[int], m: int) -> np.ndarray:
+    """The [K, M] selection read off a keep[len(fits), K, cap+1] table,
+    from cell cap of every row at once, through keep flattened: cell holds
+    each row's flat offset within one item's [K, cap+1] table."""
+    _, k, width = keep.shape
+    selection = np.zeros((k, m), dtype=bool)
+    flat = keep.reshape(-1)
+    cell = np.arange(k) * width + width - 1
+    for j in range(len(fits) - 1, -1, -1):
+        taken = flat[cell + j * k * width]
+        selection[:, fits[j]] = taken
+        np.subtract(cell, weights[fits[j]], out=cell, where=taken)
+    return selection
 
-    Candidates for a cell are compared by value first, then smaller weight,
-    then lexicographically smaller index set (see the module docstring).
-    """
-    weights, cap = instance.weights, instance.capacity
-    rows = np.atleast_2d(instance.values)
-    k, m = rows.shape
-    fits = [i for i, w in enumerate(weights) if w <= cap]  # the others change no cell
+
+def _value_dp(
+    rows: np.ndarray, weights: tuple[int, ...], cap: int, fits: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """First pass: the selection with strict improvements only, and which
+    rows met an exact value tie (their selection is re-solved)."""
+    k = rows.shape[0]
+    value = np.zeros((k, cap + 1))
+    keep = np.zeros((len(fits), k, cap + 1), dtype=bool)
+    cand_value, eq = np.empty_like(value), np.empty((k, cap + 1), dtype=bool)
+    tied = np.zeros(k, dtype=bool)
+    for j, i in enumerate(fits):
+        w = weights[i]
+        n = cap + 1 - w
+        cv = np.add(value[:, :n], rows[:, i : i + 1], out=cand_value[:, :n])
+        take = np.greater(cv, value[:, w:], out=keep[j, :, w:])
+        tied |= np.equal(cv, value[:, w:], out=eq[:, :n]).any(axis=1)
+        np.copyto(value[:, w:], cv, where=take)
+    return _backtrack(keep, weights, fits, rows.shape[1]), tied
+
+
+def _keyed_dp(rows: np.ndarray, weights: tuple[int, ...], cap: int, fits: list[int]) -> np.ndarray:
+    """The keyed DP's selection: equal values go to the smaller key."""
+    k = rows.shape[0]
     # A dense re-rank leaves ranks in [-cap, 0] * 2**item_bits, and the next
     # item_bits items take bits item_bits-1 .. 0; weights are <= cap, so
     # every key stays below 2**62 in magnitude.
@@ -143,15 +184,21 @@ def knapsack_select(instance: SegmentKnapsackInstance) -> np.ndarray:
         take |= tied
         np.copyto(value[:, w:], cv, where=take)
         np.copyto(key[:, w:], ck, where=take)
-    # Backtrack from cell cap of every row at once, through keep flattened:
-    # cell holds each row's flat offset within one item's [k, cap+1] table.
-    selection = np.zeros((k, m), dtype=bool)
-    flat = keep.reshape(-1)
-    cell = np.arange(k) * (cap + 1) + cap
-    for j in range(len(fits) - 1, -1, -1):
-        taken = flat[cell + j * k * (cap + 1)]
-        selection[:, fits[j]] = taken
-        np.subtract(cell, weights[fits[j]], out=cell, where=taken)
+    return _backtrack(keep, weights, fits, rows.shape[1])
+
+
+def knapsack_select(instance: SegmentKnapsackInstance) -> np.ndarray:
+    """Exact 0/1 knapsack; returns the boolean selection, shaped like values.
+
+    Candidates for a cell are compared by value first, then smaller weight,
+    then lexicographically smaller index set (see the module docstring).
+    """
+    weights, cap = instance.weights, instance.capacity
+    rows = np.atleast_2d(instance.values)
+    fits = [i for i, w in enumerate(weights) if w <= cap]  # the others change no cell
+    selection, tied = _value_dp(rows, weights, cap, fits)
+    if tied.any():
+        selection[tied] = _keyed_dp(rows[tied], weights, cap, fits)
     return selection.reshape(instance.values.shape)
 
 

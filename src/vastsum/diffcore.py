@@ -14,6 +14,7 @@ to every row.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -171,10 +172,12 @@ def mean_over_sets(a: Node, sets: Sequence[Sequence[int]]) -> Node:
     """
     if a.value.ndim not in (1, 2):
         raise ShapeError(f"mean-over-set: rank {a.value.ndim} input unsupported")
+    lengths = np.array([len(idx) for idx in sets], dtype=np.intp)
+    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp, count=lengths.sum())
+    owner = np.repeat(np.arange(len(sets)), lengths)
     pool = np.zeros((len(sets), a.value.shape[0]))
-    for k, idx in enumerate(sets):
-        if len(idx):  # as an array: np.add.at reads a tuple as coordinates
-            np.add.at(pool[k], np.asarray(idx, dtype=np.intp), 1.0 / len(idx))
+    # an empty set's share is repeated zero times; the max only avoids 1/0
+    np.add.at(pool, (owner, members), np.repeat(1.0 / np.maximum(lengths, 1), lengths))
     return matmul(a.tape.constant(pool), a)
 
 

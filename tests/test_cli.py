@@ -355,6 +355,15 @@ class TestDecode:
         )
         assert code == 2
 
+    def test_unwritable_out_names_the_requested_path(self, tmp_path, trained, tiny_dataset, capsys):
+        out = tmp_path / "missing" / "m.json"
+        errors = []
+        for _ in range(2):
+            assert run("decode", "--checkpoint", trained, "--data", tiny_dataset, "--out", str(out)) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert ".tmp" not in errors[0] and errors[1] == errors[0]
+
     @pytest.mark.parametrize(
         "blob, named",
         [(v2_file(), "tensors"),

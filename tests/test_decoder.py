@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import vastsum.decoder as decoder
 from vastsum.decoder import (
     SegmentKnapsackInstance,
     budget,
@@ -20,6 +21,28 @@ def total_value(values, selection):
     for i in np.flatnonzero(selection):
         acc += float(values[i])
     return acc
+
+
+_KEYED_DP = decoder._keyed_dp
+
+
+def keyed_dp(rows, weights, cap):
+    """The keyed DP alone, on every row: the selection the two passes must give."""
+    fits = [i for i, w in enumerate(weights) if w <= cap]
+    return _KEYED_DP(np.asarray(rows, dtype=float), tuple(weights), cap, fits)
+
+
+@pytest.fixture()
+def keyed_rows(monkeypatch):
+    """The row batches knapsack_select hands to the keyed DP, one per call."""
+    calls = []
+
+    def spy(rows, *args):
+        calls.append(rows.copy())
+        return _KEYED_DP(rows, *args)
+
+    monkeypatch.setattr(decoder, "_keyed_dp", spy)
+    return calls
 
 
 class TestSegmentValues:
@@ -135,11 +158,14 @@ class TestKnapsackSelect:
                 if r < 2:
                     assert tuple(np.flatnonzero(selection)) == best_subset
 
-    def test_long_instances_keep_the_tie_order(self):
+    def test_long_instances_keep_the_tie_order(self, keyed_rows, monkeypatch):
         # Fillers (value -1, weight 1) are never worth taking but still use up
         # rank bits, so the ranks are re-encoded mid-solve while the tie-heavy
         # real items decide the answer; it must still be the brute-force one.
         rng = np.random.default_rng(32)
+        reranks, keyed_solves = [], 0
+        rerank = decoder._rerank
+        monkeypatch.setattr(decoder, "_rerank", lambda *args: reranks.append(1) or rerank(*args))
         for _ in range(20):
             real = 9
             cap = int(rng.integers(1, 40))
@@ -155,6 +181,65 @@ class TestKnapsackSelect:
             selection = knapsack_select(SegmentKnapsackInstance(values, weights, cap))
             _, best_subset = brute_force_knapsack(values[real_at], real_weights, cap)
             assert tuple(np.flatnonzero(selection)) == tuple(real_at[list(best_subset)])
+            assert all(np.array_equal(rows, values[None]) for rows in keyed_rows)
+            keyed_solves += len(keyed_rows)
+            keyed_rows.clear()
+        # the tie-heavy rows went through the keyed DP, and it re-ranked them
+        assert keyed_solves >= 10 and reranks
+
+    def test_only_tied_rows_enter_the_keyed_dp(self, keyed_rows):
+        # Constant and dyadic rows whose first two items are equal and fit
+        # always meet an exact tie (both make a one-item set in the larger
+        # item's cell); continuous rows do not. One batch interleaves them.
+        rng = np.random.default_rng(33)
+        tie_heavy = np.array([False, True, False, True, True, False])
+        for _ in range(60):
+            m = int(rng.integers(2, 11))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            cap = int(rng.integers(20, 61))
+            dyadic = rng.choice([0.25, 0.5, 0.75, 1.0, -0.25], m)
+            dyadic[1] = dyadic[0] = 0.75
+            rows = np.vstack([
+                rng.uniform(-2, 10, m),
+                np.full(m, 0.5),
+                rng.uniform(0, 1, m),
+                dyadic,
+                np.full(m, 2.0),
+                rng.standard_normal(m),
+            ])
+            batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+            assert len(keyed_rows) == 1 and np.array_equal(keyed_rows.pop(), rows[tie_heavy])
+            assert np.array_equal(batch, keyed_dp(rows, weights, cap))
+            for row, selection, tied in zip(rows, batch, tie_heavy):
+                single = knapsack_select(SegmentKnapsackInstance(row, weights, cap))
+                assert np.array_equal(selection, single)
+                best_value, best_subset = brute_force_knapsack(row, weights, cap)
+                assert total_value(row, selection) == best_value
+                if tied:  # exact sums: the brute-force set too
+                    assert tuple(np.flatnonzero(selection)) == best_subset
+            keyed_rows.clear()
+
+    def test_continuous_rows_skip_the_keyed_dp(self, keyed_rows):
+        rng = np.random.default_rng(34)
+        for k, m, cap in [(1, 80, 1536), (9, 40, 300), (101, 12, 50)]:
+            weights = tuple(int(w) for w in rng.integers(1, 2 * cap // m + 3, m))
+            rows = rng.uniform(0, 1, (k, m))
+            batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+            assert keyed_rows == []
+            assert np.array_equal(batch, keyed_dp(rows, weights, cap))
+
+    def test_non_finite_rows_select_what_the_keyed_dp_selects(self):
+        rng = np.random.default_rng(35)
+        for _ in range(200):
+            m = int(rng.integers(1, 9))
+            weights = tuple(int(w) for w in rng.integers(1, 11, m))
+            cap = int(rng.integers(0, 31))
+            rows = rng.choice([np.nan, np.inf, -np.inf, 0.5, 1.0], (4, m))
+            rows[3] = rng.uniform(-1, 1, m)
+            rows[3, int(rng.integers(0, m))] = rng.choice([np.nan, np.inf, -np.inf])
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+                assert np.array_equal(batch, keyed_dp(rows, weights, cap))
 
     def test_rejects_rows_of_the_wrong_width(self):
         with pytest.raises(ValueError, match="equal length"):

@@ -378,14 +378,24 @@ class TestPrimitiveGradients:
     def test_mean_over_sets_partial_and_empty(self):
         rng = np.random.default_rng(26)
         params = {"x": rng.standard_normal((6, 2))}
+        sets = [(0, 1, 4), (), (2,), (3, 5, 3), ()]
 
         def build(theta):
             tape = dc.Tape()
             p = dc.lift_params(tape, theta)
-            pooled = dc.mean_over_sets(p["x"], [(0, 1, 4), (), (2,)])
-            return dc.mean_over_sets(dc.matmul(dc.square(pooled), tape.constant(np.ones(2))), [range(3)])
+            pooled = dc.mean_over_sets(p["x"], sets)
+            return dc.mean_over_sets(dc.matmul(dc.square(pooled), tape.constant(np.ones(2))), [range(5)])
 
         _check(build, params)
+        # the pooling matrix is the one a per-set loop builds, bit for bit: a
+        # duplicate index adds its share twice, an empty set leaves a zero row
+        loop = np.zeros((len(sets), 6))
+        for k, idx in enumerate(sets):
+            if idx:
+                np.add.at(loop[k], list(idx), 1.0 / len(idx))
+        pool = dc.mean_over_sets(dc.Tape().constant(params["x"]), sets).parents[0].value
+        assert pool.tobytes() == loop.tobytes()
+        assert pool[3].tolist() == [0.0, 0.0, 0.0, 2 / 3, 0.0, 1 / 3]
 
 
 class TestFiniteDifferenceCheck:
