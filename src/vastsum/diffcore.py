@@ -2,14 +2,18 @@
 
 Covers exactly the primitives the scoring network, the probabilistic head and
 the smooth loss terms need. Values are float64 numpy arrays; a Tape owns the
-nodes it created and is confined to one logical thread. Gradients come out of
-`backward` keyed by parameter name.
+nodes it created and is confined to one logical thread. `backward` writes each
+parameter's gradient into the view of that name in a `FlatTensors`, a mapping
+whose arrays are views of one flat buffer.
 
 Shapes are exact: `add`, `subtract` and `multiply` take two operands of one
 shape and raise ShapeError otherwise, so no VJP reduces a broadcast. The two
 broadcasts the model needs live inside the ops that own them: `affine` adds
 its bias to every row of `x @ w`, and `layer_norm` applies its gain and bias
 to every row.
+
+A constant carries no gradient: `matmul` and `affine` return None for a
+`const` operand instead of computing its product, and `backward` skips None.
 """
 
 from __future__ import annotations
@@ -65,6 +69,27 @@ class Tape:
         return self._record("param", np.asarray(value, dtype=np.float64), (), None, name=name)
 
 
+class FlatTensors(dict):
+    """Named float64 tensors that are views of one 1-D buffer, `flat`.
+
+    The views lie in `flat` in sorted-name order, the checkpoint's tensor
+    order, and the mapping keeps the order of `shapes`. A new buffer is
+    zeroed. Vector ops on `flat` update every tensor at once; write a tensor
+    in place, since assigning a new array to a name unlinks it from `flat`.
+    """
+
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
+        self.shapes = dict(shapes)
+        sizes = {name: math.prod(shape) for name, shape in self.shapes.items()}
+        order = sorted(sizes)
+        start = dict(zip(order, itertools.accumulate((sizes[n] for n in order), initial=0)))
+        self.flat = np.zeros(sum(sizes.values())) if flat is None else flat
+        super().__init__(
+            (name, self.flat[start[name] : start[name] + sizes[name]].reshape(shape))
+            for name, shape in self.shapes.items()
+        )
+
+
 def scalar_value(node: Node) -> float:
     """Extract the float from a size-1 node."""
     if node.value.size != 1:
@@ -73,7 +98,9 @@ def scalar_value(node: Node) -> float:
 
 
 def lift_params(tape: Tape, params: dict[str, np.ndarray]) -> dict[str, Node]:
-    """Register every parameter array on the tape, preserving dict order."""
+    """Register every parameter array on the tape, preserving dict order.
+    The nodes hold the arrays given, not copies, so a FlatTensors' views stay
+    views of its buffer."""
     return {name: tape.param(name, value) for name, value in params.items()}
 
 
@@ -99,6 +126,7 @@ def _same_shape(a: Node, b: Node, op: str) -> Tape:
 def matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
+    need_a, need_b = a.kind != "const", b.kind != "const"
     if av.ndim == 2 and bv.ndim == 2:
         if transpose_b:
             if av.shape[1] != bv.shape[1]:
@@ -106,7 +134,7 @@ def matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
             out = av @ bv.T
 
             def vjp(g):
-                return (g @ bv, g.T @ av)
+                return (g @ bv if need_a else None, g.T @ av if need_b else None)
 
         else:
             if av.shape[1] != bv.shape[0]:
@@ -114,7 +142,7 @@ def matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
             out = av @ bv
 
             def vjp(g):
-                return (g @ bv.T, av.T @ g)
+                return (g @ bv.T if need_a else None, av.T @ g if need_b else None)
 
     elif av.ndim == 2 and bv.ndim == 1 and not transpose_b:
         if av.shape[1] != bv.shape[0]:
@@ -122,7 +150,7 @@ def matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
         out = av @ bv
 
         def vjp(g):
-            return (np.outer(g, bv), av.T @ g)
+            return (np.outer(g, bv) if need_a else None, av.T @ g if need_b else None)
 
     else:
         raise ShapeError(f"matmul: unsupported operand ranks {av.shape} @ {bv.shape}")
@@ -137,10 +165,15 @@ def affine(x: Node, w: Node, b: Node) -> Node:
     bias_shape = wv.shape[1:] if wv.ndim == 2 else (1,)
     if xv.ndim != 2 or wv.ndim not in (1, 2) or xv.shape[1] != wv.shape[0] or bv.shape != bias_shape:
         raise ShapeError(f"affine: {xv.shape} @ {wv.shape} + {bv.shape}")
+    need_x, need_w, need_b = x.kind != "const", w.kind != "const", b.kind != "const"
 
     def vjp(g):
-        gx = g @ wv.T if wv.ndim == 2 else np.outer(g, wv)
-        return (gx, xv.T @ g, g.sum(axis=0).reshape(bias_shape))
+        gx = (g @ wv.T if wv.ndim == 2 else np.outer(g, wv)) if need_x else None
+        return (
+            gx,
+            xv.T @ g if need_w else None,
+            g.sum(axis=0).reshape(bias_shape) if need_b else None,
+        )
 
     return tape._record("affine", xv @ wv + bv, (x, w, b), vjp)
 
@@ -333,12 +366,16 @@ def scale(a: Node, s: float) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def backward(tape: Tape, loss: Node) -> dict[str, np.ndarray]:
-    """Accumulate d(loss)/d(param) for every parameter node on the tape.
+def backward(
+    tape: Tape, loss: Node, into: FlatTensors | None = None, add: bool = False
+) -> FlatTensors:
+    """d(loss)/d(param) for every parameter node on the tape, written into the
+    view of the parameter's name in `into` (added to it with add=True), or
+    into a new FlatTensors over the tape's parameters when `into` is None.
 
-    Parameters the loss never touches get zero gradients of matching shape.
-    The pass never mutates the tape, so repeated calls are bit-identical.
-    Finiteness is checked once, on the loss and on the parameter gradients.
+    Parameters the loss never touches get zero gradients (add nothing). The
+    pass never mutates the tape, so repeated calls are bit-identical.
+    Finiteness is checked once, on the loss and on `into`'s buffer.
     """
     if loss.tape is not tape:
         raise ValueError("loss node does not belong to this tape")
@@ -359,27 +396,35 @@ def backward(tape: Tape, loss: Node) -> dict[str, np.ndarray]:
         if g is None or node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            grads[parent.nid] = pg if grads[parent.nid] is None else grads[parent.nid] + pg
+            if pg is not None:
+                grads[parent.nid] = pg if grads[parent.nid] is None else grads[parent.nid] + pg
     params = [node for node in tape.nodes if node.kind == "param"]
-    bad = [n for n in params if grads[n.nid] is not None and not np.isfinite(grads[n.nid]).all()]
-    if bad:
+    if into is None:
+        into, add = FlatTensors({n.name: n.value.shape for n in params}), False
+    for n in params:
+        g = grads[n.nid]
+        if not add:
+            into[n.name][...] = 0.0 if g is None else g
+        elif g is not None:
+            into[n.name] += g
+    if not np.isfinite(into.flat).all():
         # Replay on the sweep's gradients: every node up to the first
         # non-finite VJP output saw what a per-VJP check would have given
-        # it, so that node is named; else finite terms overflowed in a sum.
-        culprit = bad[0]
+        # it, so that node is named; else finite terms overflowed in a sum,
+        # and the first parameter whose gradient is not finite is named.
+        culprit = next((n for n in params if not np.isfinite(into[n.name]).all()), loss)
         for node in sweep:
             g = grads[node.nid]
-            if g is not None and node.vjp and not all(np.isfinite(pg).all() for pg in node.vjp(g)):
+            if g is not None and node.vjp and not all(
+                np.isfinite(pg).all() for pg in node.vjp(g) if pg is not None
+            ):
                 culprit = node
                 break
         raise NumericError(
             f"non-finite gradient produced by node {culprit.nid} ({culprit.kind})",
             node_id=culprit.nid,
         )
-    return {
-        n.name: np.zeros_like(n.value) if grads[n.nid] is None else np.asarray(grads[n.nid])
-        for n in params
-    }
+    return into
 
 
 def finite_difference_check(

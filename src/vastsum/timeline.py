@@ -107,6 +107,26 @@ def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> Segmen
     )
 
 
+def _frame_picks(picks: PickSequence, n_frames: int) -> np.ndarray:
+    """The pick whose score each frame takes: the last pick at or before it,
+    and the first pick for frames before it."""
+    return np.maximum(np.searchsorted(picks.picks, np.arange(n_frames), side="right") - 1, 0)
+
+
+def frame_weights(picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:
+    """The [M, T] matrix that pools pick scores into segment values as the
+    decoder does: row k holds, for each pick, the number of segment k's
+    frames that take its score under `expand_scores`, divided once by the
+    segment's length. So `frame_weights(picks, cps) @ s` is the mean of
+    `expand_scores(s, picks, cps.n_frames)` over each segment, up to rounding.
+    """
+    lengths = np.array(cps.lengths())
+    owner = np.repeat(np.arange(cps.n_segments), lengths)
+    cells = owner * len(picks) + _frame_picks(picks, cps.n_frames)
+    counts = np.bincount(cells, minlength=cps.n_segments * len(picks))
+    return counts.reshape(cps.n_segments, len(picks)) / lengths[:, None]
+
+
 def expand_scores(scores, picks: PickSequence, n_frames: int) -> np.ndarray:
     """Expand sampled scores to the original timeline, piecewise constant.
 
@@ -119,5 +139,4 @@ def expand_scores(scores, picks: PickSequence, n_frames: int) -> np.ndarray:
         raise ValueError("scores must be a non-empty 1-D or 2-D sequence")
     if scores.shape[-1] != len(picks):
         raise ValueError(f"got {scores.shape[-1]} scores for {len(picks)} picks")
-    idx = np.searchsorted(picks.picks, np.arange(n_frames), side="right") - 1
-    return scores[..., np.maximum(idx, 0)]
+    return scores[..., _frame_picks(picks, n_frames)]

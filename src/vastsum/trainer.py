@@ -2,7 +2,10 @@
 
 Forward composes scorer -> head -> losses on one tape per video; gradients
 come from the tape, are averaged over an accumulation window, clipped by
-global norm, and applied with AdamW (decoupled weight decay). All randomness
+global norm, and applied with AdamW (decoupled weight decay). Parameters,
+the gradient accumulator and the AdamW moments are each one flat float64
+buffer with named views (`diffcore.FlatTensors`), so accumulation, averaging,
+the clip rescale and AdamW are a few vector ops on whole buffers. All randomness
 (shuffling, latent noise, ranking pairs, stability perturbations) flows from
 one seeded generator in a fixed order, so a (dataset, config, seed) triple
 fully determines the result.
@@ -27,23 +30,20 @@ from .data import Dataset, VideoRecord
 from .decoder import budget
 from .errors import ConfigError, NumericError
 from .evaluation import evaluate
-from .timeline import SegmentIndexMap, assign_segment_ids
+from .timeline import SegmentIndexMap, assign_segment_ids, frame_weights
 
 
 @dataclass
 class OptimizerState:
-    """AdamW first/second moments per parameter plus the shared step count."""
+    """AdamW first/second moments, laid out as the parameters, plus the step count."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: dc.FlatTensors
+    v: dc.FlatTensors
     step: int = 0
 
     @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def zeros_like(cls, params: dc.FlatTensors) -> "OptimizerState":
+        return cls(m=dc.FlatTensors(params.shapes), v=dc.FlatTensors(params.shapes))
 
 
 @dataclass
@@ -66,25 +66,25 @@ class NoiseBundle:
 
 def init_from_shapes(
     shapes: dict[str, tuple[int, ...]], rng: np.random.Generator
-) -> dict[str, np.ndarray]:
+) -> dc.FlatTensors:
     """The one init rule, drawn in the order of `shapes`: zeros for biases
     and the position table, unit layer-norm gains, and U(-1/sqrt(fan_in),
     1/sqrt(fan_in)) for every other tensor, where fan_in is the kernel width
     of a depthwise filter and the first dimension otherwise."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
+    params = dc.FlatTensors(shapes)
+    for name, value in params.items():
         if name == "pos.table" or name.endswith((".b", ".bias", ".b1", ".b2")):
-            params[name] = np.zeros(shape)
-        elif name.endswith(".gain"):
-            params[name] = np.ones(shape)
+            continue
+        if name.endswith(".gain"):
+            value.fill(1.0)
         else:
-            fan_in = shape[1] if name.endswith(".depthwise") else shape[0]
+            fan_in = value.shape[1] if name.endswith(".depthwise") else value.shape[0]
             bound = 1.0 / np.sqrt(fan_in)
-            params[name] = rng.uniform(-bound, bound, shape)
+            value[...] = rng.uniform(-bound, bound, value.shape)
     return params
 
 
-def init_all_params(cfg: RunConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def init_all_params(cfg: RunConfig, rng: np.random.Generator) -> dc.FlatTensors:
     return init_from_shapes(all_param_shapes(cfg), rng)
 
 
@@ -110,36 +110,44 @@ def check_videos_fit(videos: list[VideoRecord], cfg: ScorerConfig) -> None:
             )
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale every gradient by max_norm/norm when the global L2 norm exceeds it."""
+def clip_global_norm(grads: dc.FlatTensors, max_norm: float) -> dc.FlatTensors:
+    """Scale every gradient by max_norm/norm when the global L2 norm exceeds
+    it. Returns `grads` itself when it does not rescale, else new tensors.
+    The norm sums each tensor's squares exactly (`math.fsum`), so its bits
+    do not depend on the order of the tensors."""
     if not max_norm > 0:
         raise ValueError("max_norm must be > 0")
     total = math.fsum(float(np.sum(g * g)) for g in grads.values())
     norm = math.sqrt(total)
     if norm <= max_norm:
         return grads
-    factor = max_norm / norm
-    return {k: g * factor for k, g in grads.items()}
+    return dc.FlatTensors(grads.shapes, grads.flat * (max_norm / norm))
 
 
 def adamw_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: dc.FlatTensors,
+    grads: dc.FlatTensors,
     state: OptimizerState,
     cfg,
 ) -> None:
-    """Bias-corrected AdamW update with decoupled weight decay, in place."""
+    """Bias-corrected AdamW update with decoupled weight decay, in place, as
+    vector ops over the flat buffers. Per element, in this order:
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), and
+    p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps)) - (lr*wd)*p."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name] = p - cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps)) - cfg.lr * cfg.weight_decay * p
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (g * g)
+    decay = (cfg.lr * cfg.weight_decay) * p
+    denom = np.sqrt(v / bc2)
+    denom += cfg.adam_eps
+    p -= cfg.lr * ((m / bc1) / denom)
+    p -= decay
 
 
 def draw_noise(video: VideoRecord, seg: SegmentIndexMap, cfg: RunConfig, rng) -> NoiseBundle:
@@ -173,18 +181,22 @@ def build_video_loss(
     params: dict[str, np.ndarray],
     video: VideoRecord,
     seg: SegmentIndexMap,
+    weights: np.ndarray,
     cfg: RunConfig,
     epoch: int,
     noise: NoiseBundle,
 ) -> tuple[dc.Node, losses.LossBreakdown]:
-    """One tape: scorer, head, and all four loss terms for a single video."""
+    """One tape: scorer, head, and all four loss terms for a single video.
+
+    `weights` is the video's `timeline.frame_weights`: the stability loss
+    pools the signal into segment values as the decoder does."""
     out, signal = model_forward(params, video.features, seg, cfg, noise.latent)
     main, target = losses.likelihood(
         cfg.train.mode, signal, out.log_v, video.annotations, cfg.loss
     )
     rank = losses.ranking_hinge(signal, target, noise.pairs, cfg.loss.rank_margin)
     kl = losses.kl_standard_normal(out.mu_z, out.log_var_z)
-    pooled = dc.mean_over_sets(signal, seg.index_sets)
+    pooled = dc.matmul(signal.tape.constant(weights), signal)
     stab = losses.stability_loss(
         pooled, seg.lengths, budget(cfg.train.rho, video.n_frames), cfg.loss, noise.stab
     )
@@ -251,9 +263,11 @@ def train(
         v.video_id: assign_segment_ids(v.picks, v.change_points)
         for v in dataset.videos + val_videos
     }
+    pools = {v.video_id: frame_weights(v.picks, v.change_points) for v in dataset.videos}
 
     rng = np.random.default_rng(cfg.train.seed)
     params = init_all_params(cfg, rng)
+    acc = dc.FlatTensors(params.shapes)
     state = OptimizerState.zeros_like(params)
     history: list[losses.LossBreakdown] = []
     best_params, best_epoch, best_rho = None, None, None
@@ -261,29 +275,26 @@ def train(
     meta = {"config": dataclasses.asdict(cfg)}
     for epoch in range(cfg.train.epochs):
         order = rng.permutation(len(dataset.videos))
-        acc: dict[str, np.ndarray] | None = None
         acc_count = 0
         parts: list[losses.LossBreakdown] = []
         for pos, vi in enumerate(order):
             video = dataset.videos[int(vi)]
             seg = seg_maps[video.video_id]
             noise = draw_noise(video, seg, cfg, rng)
-            total, breakdown = build_video_loss(params, video, seg, cfg, epoch, noise)
+            total, breakdown = build_video_loss(
+                params, video, seg, pools[video.video_id], cfg, epoch, noise
+            )
             try:
-                grads = dc.backward(total.tape, total)
+                dc.backward(total.tape, total, acc, add=acc_count > 0)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, video {video.video_id!r}: {exc}", exc.node_id) from exc
-            if acc is None:
-                acc = grads
-            else:
-                acc = {k: acc[k] + grads[k] for k in acc}
             acc_count += 1
             parts.append(breakdown)
             if acc_count == cfg.train.accumulate or pos == len(order) - 1:
-                averaged = {k: g / acc_count for k, g in acc.items()}
-                clipped = clip_global_norm(averaged, cfg.train.clip_norm)
+                acc.flat /= acc_count
+                clipped = clip_global_norm(acc, cfg.train.clip_norm)
                 adamw_step(params, clipped, state, cfg.train)
-                acc, acc_count = None, 0
+                acc_count = 0
         lambdas = losses.lambda_schedule(epoch, cfg.loss)
         history.append(
             losses.LossBreakdown.compose(

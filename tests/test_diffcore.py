@@ -242,7 +242,7 @@ class TestBackward:
             dc.backward(tape, loss)
         assert excinfo.value.node_id == x.nid
 
-    def test_finiteness_checked_once_per_parameter(self, monkeypatch):
+    def test_finiteness_checked_once_over_the_gradient_buffer(self, monkeypatch):
         rng = np.random.default_rng(3)
         tape = dc.Tape()
         params = dc.lift_params(tape, {"w": rng.standard_normal((4, 3)), "b": np.zeros(3)})
@@ -250,9 +250,43 @@ class TestBackward:
         loss = dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(3))), [range(5)])
         calls = []
         isfinite = np.isfinite
-        monkeypatch.setattr(dc.np, "isfinite", lambda a: calls.append(1) or isfinite(a))
-        dc.backward(tape, loss)
-        assert len(calls) == 1 + 2  # the loss, then each parameter gradient
+        monkeypatch.setattr(dc.np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
+        grads = dc.backward(tape, loss)
+        assert calls == [(1,), (12 + 3,)]  # the loss, then the flat gradient buffer
+        calls.clear()
+        dc.backward(tape, loss, grads, add=True)
+        assert calls == [(1,), (15,)]
+
+    def test_writes_and_adds_into_the_given_views(self):
+        rng = np.random.default_rng(4)
+        tape = dc.Tape()
+        params = dc.lift_params(tape, {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)})
+        loss = dc.mean_over_sets(
+            dc.matmul(dc.gelu(dc.affine(tape.constant(rng.standard_normal((5, 4))), params["w"], params["b"])),
+                      tape.constant(np.ones(3))),
+            [range(5)],
+        )
+        alone = dc.backward(tape, loss)
+        assert list(alone) == ["w", "b"] and alone.flat.shape == (15,)
+        # the buffer holds "b" before "w"; a name off the tape keeps its values
+        into = dc.FlatTensors({"w": (4, 3), "b": (3,), "other": (2,)})
+        assert np.shares_memory(into["b"], into.flat[:3]) and np.shares_memory(into["other"], into.flat[3:5])
+        into.flat[:] = 7.0
+        assert dc.backward(tape, loss, into) is into
+        assert np.array_equal(into["w"], alone["w"]) and np.array_equal(into["b"], alone["b"])
+        assert np.array_equal(into["other"], [7.0, 7.0])
+        dc.backward(tape, loss, into, add=True)
+        assert np.array_equal(into["w"], alone["w"] + alone["w"])
+        assert np.array_equal(into["b"], alone["b"] + alone["b"])
+
+    def test_overflowing_accumulation_names_the_param(self):
+        tape = dc.Tape()
+        x = tape.param("x", np.array([1e-300]))
+        loss = dc.scale(x, 1.5e308)
+        into = dc.backward(tape, loss)
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as excinfo:
+            dc.backward(tape, loss, into, add=True)
+        assert excinfo.value.node_id == x.nid
 
     def test_backward_twice_bit_identical(self):
         rng = np.random.default_rng(11)
@@ -272,6 +306,57 @@ class TestBackward:
         grads = dc.backward(tape, dc.square(used))
         assert grads["used"][0] == 4.0
         assert np.array_equal(grads["unused"], np.zeros((2, 2)))
+
+
+class TestConstantOperands:
+    """A `const` operand of `affine` or `matmul` gets no gradient product."""
+
+    @pytest.mark.parametrize("w_shape, b_shape", [((4, 3), (3,)), ((4,), (1,))])
+    def test_constant_affine_input_keeps_the_param_grads(self, w_shape, b_shape):
+        rng = np.random.default_rng(41)
+        x, w, b = (rng.standard_normal(s) for s in ((6, 4), w_shape, b_shape))
+        weights = rng.standard_normal((6,) + w_shape[1:])
+
+        def grads(lift_x: bool):
+            tape = dc.Tape()
+            p = dc.lift_params(tape, {"w": w, "b": b, **({"x": x} if lift_x else {})})
+            xn = p["x"] if lift_x else tape.constant(x)
+            out = dc.affine(xn, p["w"], p["b"])
+            return out, dc.backward(tape, _weighted_sum(out, weights))
+
+        out, const_grads = grads(lift_x=False)
+        _, param_grads = grads(lift_x=True)
+        assert out.vjp(np.ones_like(out.value))[0] is None
+        assert list(const_grads) == ["w", "b"]
+        assert np.array_equal(const_grads["w"], param_grads["w"])
+        assert np.array_equal(const_grads["b"], param_grads["b"])
+
+    @pytest.mark.parametrize("transpose_b, b_shape", [(False, (4, 3)), (True, (3, 4)), (False, (4,))])
+    def test_matmul_skips_each_constant_operand(self, transpose_b, b_shape):
+        rng = np.random.default_rng(42)
+        tape = dc.Tape()
+        av, bv = rng.standard_normal((5, 4)), rng.standard_normal(b_shape)
+        const_a = dc.matmul(tape.constant(av), tape.param("b", bv), transpose_b)
+        const_b = dc.matmul(tape.param("a", av), tape.constant(bv), transpose_b)
+        both = dc.matmul(tape.param("a2", av), tape.param("b2", bv), transpose_b)
+        g = rng.standard_normal(both.value.shape)
+        ga, gb = both.vjp(g)
+        assert const_a.vjp(g)[0] is None and np.array_equal(const_a.vjp(g)[1], gb)
+        assert const_b.vjp(g)[1] is None and np.array_equal(const_b.vjp(g)[0], ga)
+
+    def test_replay_skips_constant_operands(self):
+        # the gradient reaching the affine node overflows in a sum of two
+        # finite VJP outputs; its own weight gradient is then the first
+        # non-finite VJP output, next to the None of its constant input
+        tape = dc.Tape()
+        p = dc.lift_params(tape, {"w": np.array([[1.0]]), "b": np.array([0.0])})
+        out = dc.affine(tape.constant(np.array([[1e-300]])), p["w"], p["b"])
+        loss = dc.mean_over_sets(dc.add(dc.scale(out, 1.5e308), dc.scale(out, 1.5e308)), [(0,)])
+        assert np.isfinite(loss.value).all()
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as excinfo:
+            dc.backward(tape, loss)
+        assert excinfo.value.node_id == out.nid
+        assert "(affine)" in str(excinfo.value)
 
 
 def _check(build, params, tol=1e-4, step=1e-4):

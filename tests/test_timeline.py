@@ -8,7 +8,9 @@ from vastsum.timeline import (
     SegmentIndexMap,
     assign_segment_ids,
     expand_scores,
+    frame_weights,
 )
+from vastsum.decoder import segment_values
 
 from oracles import random_partition, random_picks
 
@@ -189,3 +191,44 @@ class TestPoolSegmentScores:
             scores = rng.standard_normal(len(picks))
             expanded = expand_scores(scores, PickSequence(picks), n)
             assert np.array_equal(expanded[list(picks)], scores)
+
+
+class TestFrameWeights:
+    def test_pools_unequal_pick_spans_as_the_decoder(self):
+        picks = PickSequence((0, 10, 20))
+        cps = ChangePointPartition(((0, 4), (5, 9), (10, 24), (25, 29)), 30)
+        scores = np.array([0.9, -0.5, 0.2])
+        weights = frame_weights(picks, cps)
+        assert weights.shape == (4, 3)
+        pooled = weights @ scores
+        np.testing.assert_allclose(pooled, [0.9, 0.9, -4.0 / 15.0, 0.2], rtol=0, atol=1e-15)
+        decoded = segment_values(expand_scores(scores, picks, cps.n_frames), cps).values
+        np.testing.assert_allclose(pooled, decoded, rtol=0, atol=1e-15)
+        # the pick-mean pool sees [0.9, 0, -0.15, 0] here
+        assert weights[2].tolist() == [0.0, 10 / 15, 5 / 15]
+
+    def test_counts_divided_once_by_the_segment_length(self):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            segments, n = random_partition(rng)
+            picks = PickSequence(random_picks(rng, n))
+            cps = ChangePointPartition(segments, n)
+            weights = frame_weights(picks, cps)
+            frame_pick = np.array([max(sum(p <= f for p in picks.picks) - 1, 0) for f in range(n)])
+            for k, (start, end) in enumerate(segments):
+                counts = np.bincount(frame_pick[start : end + 1], minlength=len(picks))
+                assert np.array_equal(weights[k], counts / (end - start + 1))
+            scores = rng.standard_normal((3, len(picks)))
+            decoded = segment_values(expand_scores(scores, picks, n), cps).values
+            np.testing.assert_allclose(scores @ weights.T, decoded, rtol=1e-12, atol=1e-12)
+
+    def test_equal_spans_give_the_pick_mean_pool(self):
+        # one pick every 3 frames and segments of whole spans: count c over
+        # length c * |set| is 1 / |set| exactly, the pick mean's weight
+        picks = PickSequence((0, 3, 6, 9, 12))
+        cps = ChangePointPartition(((0, 5), (6, 8), (9, 14)), 15)
+        seg = assign_segment_ids(picks, cps)
+        expected = np.zeros((3, 5))
+        for k, idx in enumerate(seg.index_sets):
+            expected[k, list(idx)] = 1.0 / len(idx)
+        assert np.array_equal(frame_weights(picks, cps), expected)

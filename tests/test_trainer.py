@@ -6,11 +6,20 @@ import sys
 import numpy as np
 import pytest
 
+import vastsum.diffcore as dc
 import vastsum.trainer as trainer
 from vastsum.checkpoint import load_params, params_to_bytes, save_params, validate_shapes
 from vastsum.config import HeadConfig, LossConfig, RunConfig, ScorerConfig, TrainConfig
-from vastsum.data import Dataset, SyntheticConfig, generate_synthetic, make_folds
+from vastsum.data import Dataset, SyntheticConfig, VideoRecord, generate_synthetic, make_folds
+from vastsum.decoder import segment_values
 from vastsum.errors import ConfigError, NumericError
+from vastsum.timeline import (
+    ChangePointPartition,
+    PickSequence,
+    assign_segment_ids,
+    expand_scores,
+    frame_weights,
+)
 from vastsum.trainer import OptimizerState, adamw_step, clip_global_norm, train
 
 
@@ -52,26 +61,37 @@ class TestInitRule:
                 assert 0 < np.abs(value).max() <= 1.0 / np.sqrt(fan_in), name
 
 
+def flat(**arrays) -> dc.FlatTensors:
+    """FlatTensors holding copies of the given arrays."""
+    out = dc.FlatTensors({name: np.shape(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        out[name][...] = a
+    return out
+
+
 class TestClipGlobalNorm:
     def test_large_norm_scaled_to_max(self):
-        grads = {"a": np.full(4, 3.0), "b": np.full(8, 4.0) * -1}
+        grads = flat(a=np.full(4, 3.0), b=np.full(8, 4.0) * -1)
+        before = grads.flat.copy()
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         clipped = clip_global_norm(grads, max_norm=1.0)
+        assert clipped is not grads and list(clipped) == ["a", "b"]
         new_norm = math.sqrt(sum(float(np.sum(g * g)) for g in clipped.values()))
         assert new_norm == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(clipped["a"], grads["a"] / norm, atol=1e-15)
+        assert np.array_equal(clipped.flat, before * (1.0 / norm)) and np.array_equal(grads.flat, before)
 
     def test_small_norm_unchanged(self):
-        grads = {"a": np.array([0.3, 0.4])}  # norm 0.5
+        grads = flat(a=np.array([0.3, 0.4]))  # norm 0.5
         assert clip_global_norm(grads, max_norm=1.0) is grads
 
     def test_zero_gradients_unchanged(self):
-        grads = {"a": np.zeros(3)}
+        grads = flat(a=np.zeros(3))
         out = clip_global_norm(grads, max_norm=1.0)
         assert np.array_equal(out["a"], np.zeros(3))
 
     def test_exact_ten_to_one(self):
-        grads = {"a": np.array([10.0])}
+        grads = flat(a=np.array([10.0]))
         clipped = clip_global_norm(grads, max_norm=1.0)
         assert clipped["a"][0] == pytest.approx(1.0, abs=1e-12)
 
@@ -83,39 +103,147 @@ class TestAdamW:
         return TrainConfig(**base)
 
     def test_first_step_unit_gradient(self):
-        params = {"w": np.array([0.0])}
+        params = flat(w=np.array([0.0]))
         state = OptimizerState.zeros_like(params)
-        adamw_step(params, {"w": np.array([1.0])}, state, self.cfg())
+        adamw_step(params, flat(w=np.array([1.0])), state, self.cfg())
         # bias-corrected m_hat = v_hat = 1, so the step is lr / (1 + eps)
         assert params["w"][0] == pytest.approx(-0.1 / (1.0 + 1e-8), abs=1e-12)
         assert state.step == 1
 
     def test_zero_gradient_zero_decay_is_identity(self):
-        params = {"w": np.array([2.5])}
+        params = flat(w=np.array([2.5]))
         state = OptimizerState.zeros_like(params)
         for _ in range(3):
-            adamw_step(params, {"w": np.array([0.0])}, state, self.cfg())
+            adamw_step(params, flat(w=np.array([0.0])), state, self.cfg())
         assert params["w"][0] == 2.5
 
     def test_pure_decoupled_decay(self):
-        params = {"w": np.array([1.0])}
+        params = flat(w=np.array([1.0]))
         state = OptimizerState.zeros_like(params)
-        adamw_step(params, {"w": np.array([0.0])}, state, self.cfg(weight_decay=0.01))
+        adamw_step(params, flat(w=np.array([0.0])), state, self.cfg(weight_decay=0.01))
         assert params["w"][0] == pytest.approx(0.999, abs=1e-15)
 
     def test_accumulation_averaging_identity(self):
         # the mean of two identical gradient sets equals the single set, so
         # the resulting update must match bit for bit
         rng = np.random.default_rng(3)
-        g = {"w": rng.standard_normal(5)}
-        avg = {"w": (g["w"] + g["w"]) / 2}
-        p1 = {"w": np.ones(5)}
-        p2 = {"w": np.ones(5)}
+        g = flat(w=rng.standard_normal(5))
+        avg = flat(w=(g["w"] + g["w"]) / 2)
+        p1 = flat(w=np.ones(5))
+        p2 = flat(w=np.ones(5))
         s1 = OptimizerState.zeros_like(p1)
         s2 = OptimizerState.zeros_like(p2)
         adamw_step(p1, g, s1, self.cfg())
         adamw_step(p2, avg, s2, self.cfg())
         assert np.array_equal(p1["w"], p2["w"])
+
+    def test_matches_the_per_tensor_update(self):
+        cfg = self.cfg(weight_decay=0.03)
+        rng = np.random.default_rng(8)
+        shapes = {"w": (3, 2), "b": (2,), "a.gain": (4,)}
+        params = dc.FlatTensors(shapes)
+        params.flat[:] = rng.standard_normal(params.flat.size)
+        state = OptimizerState.zeros_like(params)
+        ref = {k: v.copy() for k, v in params.items()}
+        ref_state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.items()}
+        for step in range(1, 4):
+            grads = dc.FlatTensors(shapes, rng.standard_normal(params.flat.size))
+            adamw_step(params, grads, state, cfg)
+            for name in ref:
+                ref_state[name], ref[name] = _reference_adamw(
+                    ref[name], grads[name], *ref_state[name], step, cfg
+                )
+        assert params_to_bytes(params) == params_to_bytes(ref)
+        assert state.step == 3
+        assert all(np.array_equal(state.m[k], ref_state[k][0]) for k in shapes)
+        assert all(np.array_equal(state.v[k], ref_state[k][1]) for k in shapes)
+
+
+def _reference_adamw(p, g, m, v, t, cfg):
+    """One tensor's AdamW step as the per-tensor loop wrote it: ((m, v), p)."""
+    m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+    v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    return (m, v), p - cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.adam_eps)) - cfg.lr * cfg.weight_decay * p
+
+
+def _reference_clip(grads, max_norm):
+    """The per-tensor global-norm clip: (clipped grads, whether it rescaled)."""
+    norm = math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
+    if norm <= max_norm:
+        return grads, False
+    return {k: g * (max_norm / norm) for k, g in grads.items()}, True
+
+
+def _reference_train(dataset, cfg):
+    """`train` without validation, as per-tensor dict loops: dict accumulate,
+    average, clip and a per-name AdamW. Returns (params, rescaled steps)."""
+    seg_maps = {v.video_id: assign_segment_ids(v.picks, v.change_points) for v in dataset.videos}
+    rng = np.random.default_rng(cfg.train.seed)
+    params = {k: v.copy() for k, v in trainer.init_all_params(cfg, rng).items()}
+    moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
+    step = clipped_steps = 0
+    for epoch in range(cfg.train.epochs):
+        order = rng.permutation(len(dataset.videos))
+        acc, count = None, 0
+        for pos, vi in enumerate(order):
+            video = dataset.videos[int(vi)]
+            seg = seg_maps[video.video_id]
+            noise = trainer.draw_noise(video, seg, cfg, rng)
+            weights = frame_weights(video.picks, video.change_points)
+            total, _ = trainer.build_video_loss(params, video, seg, weights, cfg, epoch, noise)
+            grads = {k: g.copy() for k, g in dc.backward(total.tape, total).items()}
+            acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
+            count += 1
+            if count == cfg.train.accumulate or pos == len(order) - 1:
+                averaged = {k: g / count for k, g in acc.items()}
+                clipped, rescaled = _reference_clip(averaged, cfg.train.clip_norm)
+                clipped_steps += rescaled
+                step += 1
+                for name in params:
+                    moments[name], params[name] = _reference_adamw(
+                        params[name], clipped[name], *moments[name], step, cfg.train
+                    )
+                acc, count = None, 0
+    return params, clipped_steps
+
+
+class TestFlatOptimizer:
+    def test_train_matches_the_per_tensor_loops(self, monkeypatch):
+        # 5 videos, accumulate 2: windows of 2, 2 and 1 a epoch, over 2 epochs
+        dataset = small_dataset(n_videos=5)
+        cfg = small_cfg(epochs=2, accumulate=2, clip_norm=1.1)
+        expected, clipped_steps = _reference_train(dataset, cfg)
+        rescaled = []
+        original = trainer.clip_global_norm
+
+        def spy(grads, max_norm):
+            out = original(grads, max_norm)
+            rescaled.append(out is not grads)
+            return out
+
+        monkeypatch.setattr(trainer, "clip_global_norm", spy)
+        result = train(dataset, cfg)
+        assert len(rescaled) == 6 and 0 < sum(rescaled) < 6
+        assert sum(rescaled) == clipped_steps
+        assert params_to_bytes(result.params) == params_to_bytes(expected)
+
+    def test_best_params_do_not_follow_later_epochs(self, monkeypatch):
+        ds = small_dataset(n_videos=4)
+        rhos = iter([0.1, 0.9, 0.2, 0.3])
+        snapshots = []
+
+        def validation_rho(params, videos, seg_maps, cfg):
+            snapshots.append(params_to_bytes(params))
+            return next(rhos)
+
+        monkeypatch.setattr(trainer, "_validation_rho", validation_rho)
+        result = train(ds, small_cfg(epochs=4), val_videos=ds.videos[-1:])
+        assert result.best_epoch == 1
+        assert params_to_bytes(result.best_params) == snapshots[1]
+        assert params_to_bytes(result.params) == snapshots[3] != snapshots[1]
+        assert not any(np.shares_memory(b, result.params.flat) for b in result.best_params.values())
 
 
 class TestTrainLoop:
@@ -218,6 +346,32 @@ class TestTrainLoop:
         assert message.startswith(f"epoch 0, video {dataset.videos[1].video_id!r}: non-finite forward value")
         assert isinstance(excinfo.value.node_id, int)
         assert f"at node {excinfo.value.node_id} (affine)" in message
+
+
+class TestStabilityPool:
+    def test_stability_loss_sees_the_decoders_segment_values(self, monkeypatch):
+        # picks (0, 10, 20) span 10, 10 and 10 frames across segments of
+        # 5, 5, 15 and 5 frames: the pick mean would give [s0, 0, mean(s1, s2), 0]
+        picks = PickSequence((0, 10, 20))
+        cps = ChangePointPartition(((0, 4), (5, 9), (10, 24), (25, 29)), 30)
+        rng = np.random.default_rng(6)
+        video = VideoRecord("v", 30, rng.standard_normal((3, 8)), picks, cps, rng.uniform(0, 1, (2, 3)))
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                seen[name] = args[0].value.copy()
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(trainer.losses, name, wrapped)
+
+        spy("ranking_hinge", trainer.losses.ranking_hinge)
+        spy("stability_loss", trainer.losses.stability_loss)
+        train(Dataset("tvsum", [video]), small_cfg(epochs=1, accumulate=1))
+        signal, pooled = seen["ranking_hinge"], seen["stability_loss"]
+        assert np.array_equal(pooled, frame_weights(picks, cps) @ signal)
+        decoded = segment_values(expand_scores(signal, picks, 30), cps).values
+        np.testing.assert_allclose(pooled, decoded, rtol=1e-12, atol=1e-15)
+        assert pooled[0] == pooled[1] == signal[0]
 
 
 class TestCheckpointRoundTrip:
