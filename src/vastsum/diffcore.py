@@ -194,26 +194,6 @@ def multiply(a: Node, b: Node) -> Node:
     return tape._record("multiply", av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
-def mean_over_sets(a: Node, sets: Sequence[Sequence[int]]) -> Node:
-    """Mean of the rows (axis 0) selected by each index set; empty sets give zeros.
-
-    A 1-D input yields a 1-D output of len(sets); a 2-D input yields
-    len(sets) x C. This is the pooling for segment tokenization and for full
-    reductions (pass a single set covering every row). It is recorded as
-    matmul(P, a) with the constant len(sets) x T averaging matrix P, whose
-    row k holds 1/|set k| at the set's indices.
-    """
-    if a.value.ndim not in (1, 2):
-        raise ShapeError(f"mean-over-set: rank {a.value.ndim} input unsupported")
-    lengths = np.array([len(idx) for idx in sets], dtype=np.intp)
-    members = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.intp, count=lengths.sum())
-    owner = np.repeat(np.arange(len(sets)), lengths)
-    pool = np.zeros((len(sets), a.value.shape[0]))
-    # an empty set's share is repeated zero times; the max only avoids 1/0
-    np.add.at(pool, (owner, members), np.repeat(1.0 / np.maximum(lengths, 1), lengths))
-    return matmul(a.tape.constant(pool), a)
-
-
 def layer_norm(a: Node, gain: Node, bias: Node) -> Node:
     """Normalize each row of a [T, d] input (population variance plus LN_EPS),
     then scale by the [d] gain and shift by the [d] bias."""

@@ -43,7 +43,10 @@ class LossBreakdown:
 
 
 def _mean_all(x: dc.Node) -> dc.Node:
-    return dc.mean_over_sets(x, [tuple(range(x.value.shape[0]))])
+    """Mean over axis 0: one constant matmul with the [1, n] row of 1/n, so a
+    [n] input gives [1] and a [n, d] input gives [1, d]."""
+    n = x.value.shape[0]
+    return dc.matmul(x.tape.constant(np.full((1, n), 1.0 / n)), x)
 
 
 def _zero(tape: dc.Tape) -> dc.Node:
@@ -149,12 +152,12 @@ def ranking_hinge(q: dc.Node, r, pairs, margin: float) -> dc.Node:
 def kl_standard_normal(mu_z: dc.Node, log_var_z: dc.Node) -> dc.Node:
     """KL(q || N(0, I)) summed over latent dims, averaged over timesteps."""
     tape = mu_z.tape
-    t_len, d_z = mu_z.value.shape
+    d_z = mu_z.value.shape[1]
     elem = dc.subtract(
         dc.add(dc.square(mu_z), dc.exp(log_var_z)),
         dc.add(tape.constant(np.ones_like(mu_z.value)), log_var_z),
     )
-    per_dim = dc.mean_over_sets(elem, [tuple(range(t_len))])  # 1 x d_z
+    per_dim = _mean_all(elem)  # 1 x d_z
     return dc.scale(dc.matmul(per_dim, tape.constant(np.ones(d_z))), 0.5)
 
 

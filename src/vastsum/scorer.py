@@ -68,8 +68,9 @@ def project_and_embed(x: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConf
 
 
 def segment_tokenize(h0: dc.Node, seg: SegmentIndexMap) -> dc.Node:
-    """One token per segment: mean of its projected frame tokens (zeros if empty)."""
-    return dc.mean_over_sets(h0, seg.index_sets)
+    """One token per segment: the mean of its projected frame tokens, zeros if
+    it holds no pick. Recorded as one constant matmul with `seg.token_pool`."""
+    return dc.matmul(h0.tape.constant(seg.token_pool), h0)
 
 
 def _mha(z_norm: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConfig, i: int) -> dc.Node:

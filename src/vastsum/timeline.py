@@ -9,6 +9,7 @@ throughout the code and in file formats (docs elsewhere may count from 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,22 +71,37 @@ class PickSequence:
         return len(self.picks)
 
 
+def _count_pool(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The [M, T] integer count of each (row, col) pair."""
+    m, t = shape
+    return np.bincount(rows * t + cols, minlength=m * t).reshape(m, t)
+
+
 @dataclass(frozen=True)
 class SegmentIndexMap:
-    """Per-timestep segment ids plus the induced per-segment index structure.
+    """Per-timestep segment ids plus the per-segment lengths.
 
-    segment_ids[t] is the (0-based) segment containing pick t. index_sets[k]
-    lists the sampled timesteps inside segment k (possibly empty), and
-    lengths[k] is the segment length in original frames.
+    segment_ids[t] is the (0-based) segment containing pick t, and
+    lengths[k] is the length of segment k in original frames.
     """
 
     segment_ids: tuple[int, ...]
-    index_sets: tuple[tuple[int, ...], ...]
     lengths: tuple[int, ...]
 
     @property
     def n_segments(self) -> int:
-        return len(self.index_sets)
+        return len(self.lengths)
+
+    @cached_property
+    def token_pool(self) -> np.ndarray:
+        """The [M, T] matrix whose row k averages the picks of segment k; a
+        segment with no pick gets a zero row. Built once per map and kept,
+        read-only, in the instance dict, outside equality and the hash."""
+        counts = _count_pool(np.asarray(self.segment_ids), np.arange(len(self.segment_ids)),
+                             (self.n_segments, len(self.segment_ids)))
+        pool = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
+        pool.flags.writeable = False
+        return pool
 
 
 def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> SegmentIndexMap:
@@ -98,13 +114,7 @@ def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> Segmen
     if outside.any():
         t = int(np.argmax(outside))
         raise CoverageError(f"pick {picks.picks[t]} (timestep {t}) lies outside every segment")
-    # picks increase, so ids do too and each segment's timesteps are one run
-    bounds = np.searchsorted(ids, np.arange(cps.n_segments + 1)).tolist()
-    return SegmentIndexMap(
-        segment_ids=tuple(ids.tolist()),
-        index_sets=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])),
-        lengths=tuple(cps.lengths()),
-    )
+    return SegmentIndexMap(segment_ids=tuple(ids.tolist()), lengths=tuple(cps.lengths()))
 
 
 def _frame_picks(picks: PickSequence, n_frames: int) -> np.ndarray:
@@ -122,9 +132,8 @@ def frame_weights(picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:
     """
     lengths = np.array(cps.lengths())
     owner = np.repeat(np.arange(cps.n_segments), lengths)
-    cells = owner * len(picks) + _frame_picks(picks, cps.n_frames)
-    counts = np.bincount(cells, minlength=cps.n_segments * len(picks))
-    return counts.reshape(cps.n_segments, len(picks)) / lengths[:, None]
+    counts = _count_pool(owner, _frame_picks(picks, cps.n_frames), (cps.n_segments, len(picks)))
+    return counts / lengths[:, None]
 
 
 def expand_scores(scores, picks: PickSequence, n_frames: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: plain
 Python loops, exhaustive enumeration, and textbook formulas. Where a final
 formula is shared with the implementation (e.g. the tau-b normalization),
-the combinatorial quantities feeding it are derived independently.
+the combinatorial quantities feeding it are derived independently. The one
+exception is `mean_rows`, a tape reducer the gradient tests build losses with.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+import vastsum.diffcore as dc
 
 
 def brute_force_knapsack(values, weights, capacity):
@@ -86,6 +89,13 @@ def naive_spearman(a, b):
     if var_a == 0 or var_b == 0:
         return float("nan")
     return math.fsum(da * db) / math.sqrt(var_a * var_b)
+
+
+def mean_rows(node):
+    """Mean over axis 0 of a tape node, the tests' reducer to a size-1 loss:
+    one constant [1, n] row of 1/n, recorded as a matmul."""
+    n = node.value.shape[0]
+    return dc.matmul(node.tape.constant(np.full((1, n), 1.0 / n)), node)
 
 
 def random_partition(rng, max_segments=6, max_len=8):

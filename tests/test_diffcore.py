@@ -6,6 +6,8 @@ import pytest
 import vastsum.diffcore as dc
 from vastsum.errors import NumericError, ShapeError
 
+from oracles import mean_rows
+
 
 def fresh(value):
     tape = dc.Tape()
@@ -101,7 +103,7 @@ def _weighted_sum(node: dc.Node, weights: np.ndarray) -> dc.Node:
     rows = dc.multiply(node, tape.constant(weights))
     if rows.value.ndim == 2:
         rows = dc.matmul(rows, tape.constant(np.ones(rows.value.shape[1])))
-    return dc.mean_over_sets(rows, [range(rows.value.shape[0])])
+    return mean_rows(rows)
 
 
 class TestFusedNodes:
@@ -175,7 +177,7 @@ class TestBackward:
         tape = dc.Tape()
         x = tape.param("x", np.array([0.0, 0.0]))
         p = dc.softmax_rows(x)
-        loss = dc.scale(dc.mean_over_sets(p, [(0, 1)]), 2.0)  # sum of the row
+        loss = dc.scale(mean_rows(p), 2.0)  # sum of the row
         grads = dc.backward(tape, loss)
         assert np.all(np.abs(grads["x"]) <= 1e-10)
 
@@ -185,7 +187,7 @@ class TestBackward:
         x = tape.param("x", rng.standard_normal((3, 4)))
         p = dc.softmax_rows(x)
         weights = tape.constant(rng.standard_normal((3, 4)))
-        loss = dc.mean_over_sets(dc.matmul(dc.multiply(p, weights), tape.constant(np.ones(4))), [(0, 1, 2)])
+        loss = mean_rows(dc.matmul(dc.multiply(p, weights), tape.constant(np.ones(4))))
         grads = dc.backward(tape, loss)
         np.testing.assert_allclose(grads["x"].sum(axis=-1), 0.0, atol=1e-10)
 
@@ -213,7 +215,7 @@ class TestBackward:
         x = tape.param("x", np.array([-1.0]))
         with np.errstate(invalid="ignore"):
             bad = dc.log(x)  # forward NaN
-        loss = dc.mean_over_sets(bad, [(0,)])
+        loss = mean_rows(bad)
         with pytest.raises(NumericError) as excinfo:
             dc.backward(tape, loss)
         assert excinfo.value.node_id == bad.nid
@@ -247,7 +249,7 @@ class TestBackward:
         tape = dc.Tape()
         params = dc.lift_params(tape, {"w": rng.standard_normal((4, 3)), "b": np.zeros(3)})
         h = dc.gelu(dc.affine(tape.constant(rng.standard_normal((5, 4))), params["w"], params["b"]))
-        loss = dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(3))), [range(5)])
+        loss = mean_rows(dc.matmul(h, tape.constant(np.ones(3))))
         calls = []
         isfinite = np.isfinite
         monkeypatch.setattr(dc.np, "isfinite", lambda a: calls.append(a.shape) or isfinite(a))
@@ -261,10 +263,9 @@ class TestBackward:
         rng = np.random.default_rng(4)
         tape = dc.Tape()
         params = dc.lift_params(tape, {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)})
-        loss = dc.mean_over_sets(
+        loss = mean_rows(
             dc.matmul(dc.gelu(dc.affine(tape.constant(rng.standard_normal((5, 4))), params["w"], params["b"])),
-                      tape.constant(np.ones(3))),
-            [range(5)],
+                      tape.constant(np.ones(3)))
         )
         alone = dc.backward(tape, loss)
         assert list(alone) == ["w", "b"] and alone.flat.shape == (15,)
@@ -294,7 +295,7 @@ class TestBackward:
         w = tape.param("w", rng.standard_normal((4, 3)))
         x = tape.constant(rng.standard_normal((5, 4)))
         h = dc.gelu(dc.matmul(x, w))
-        loss = dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(3))), [range(5)])
+        loss = mean_rows(dc.matmul(h, tape.constant(np.ones(3))))
         first = dc.backward(tape, loss)
         second = dc.backward(tape, loss)
         assert np.array_equal(first["w"], second["w"])
@@ -351,7 +352,7 @@ class TestConstantOperands:
         tape = dc.Tape()
         p = dc.lift_params(tape, {"w": np.array([[1.0]]), "b": np.array([0.0])})
         out = dc.affine(tape.constant(np.array([[1e-300]])), p["w"], p["b"])
-        loss = dc.mean_over_sets(dc.add(dc.scale(out, 1.5e308), dc.scale(out, 1.5e308)), [(0,)])
+        loss = mean_rows(dc.add(dc.scale(out, 1.5e308), dc.scale(out, 1.5e308)))
         assert np.isfinite(loss.value).all()
         with np.errstate(over="ignore"), pytest.raises(NumericError) as excinfo:
             dc.backward(tape, loss)
@@ -382,7 +383,7 @@ class TestPrimitiveGradients:
             p = dc.lift_params(tape, theta)
             h = dc.gelu(dc.affine(tape.constant(x), p["w1"], p["b1"]))
             h = dc.sigmoid(dc.matmul(h, p["w2"]))
-            return dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(2))), [range(5)])
+            return mean_rows(dc.matmul(h, tape.constant(np.ones(2))))
 
         _check(build, params)
 
@@ -400,7 +401,7 @@ class TestPrimitiveGradients:
             p = dc.lift_params(tape, theta)
             attn = dc.softmax_rows(dc.scale(dc.matmul(p["q"], p["k"], transpose_b=True), 0.5))
             mixed = dc.matmul(attn, dc.layer_norm(p["k"], p["gain"], p["bias"]))
-            return dc.mean_over_sets(dc.matmul(mixed, tape.constant(np.ones(4))), [range(3)])
+            return mean_rows(dc.matmul(mixed, tape.constant(np.ones(4))))
 
         _check(build, params)
 
@@ -413,7 +414,7 @@ class TestPrimitiveGradients:
             p = dc.lift_params(tape, theta)
             y = dc.log(dc.add(dc.square(p["x"]), tape.constant(np.full(6, 0.7))))
             y = dc.exp(dc.scale(y, -0.5))
-            return dc.mean_over_sets(y, [range(6)])
+            return mean_rows(y)
 
         _check(build, params)
 
@@ -423,7 +424,7 @@ class TestPrimitiveGradients:
         def build(theta):
             tape = dc.Tape()
             p = dc.lift_params(tape, theta)
-            return dc.mean_over_sets(dc.square(dc.clip(p["x"], -2.0, 2.0)), [range(3)])
+            return mean_rows(dc.square(dc.clip(p["x"], -2.0, 2.0)))
 
         _check(build, params)
 
@@ -438,7 +439,7 @@ class TestPrimitiveGradients:
             picked = dc.gather_rows(cat, [0, 2, 2, 3])
             diff = dc.subtract(picked, dc.gather_rows(cat, [1, 1, 0, 2]))
             prod = dc.multiply(diff, diff)
-            return dc.mean_over_sets(dc.matmul(prod, tape.constant(np.ones(5))), [range(4)])
+            return mean_rows(dc.matmul(prod, tape.constant(np.ones(5))))
 
         _check(build, params)
 
@@ -456,31 +457,9 @@ class TestPrimitiveGradients:
             p = dc.lift_params(tape, theta)
             h = dc.gelu(dc.depthwise_conv1d(tape.constant(x), p["dw"]))
             h = dc.affine(h, p["pw"], p["pb"])
-            return dc.mean_over_sets(dc.matmul(h, tape.constant(np.ones(3))), [range(7)])
+            return mean_rows(dc.matmul(h, tape.constant(np.ones(3))))
 
         _check(build, params)
-
-    def test_mean_over_sets_partial_and_empty(self):
-        rng = np.random.default_rng(26)
-        params = {"x": rng.standard_normal((6, 2))}
-        sets = [(0, 1, 4), (), (2,), (3, 5, 3), ()]
-
-        def build(theta):
-            tape = dc.Tape()
-            p = dc.lift_params(tape, theta)
-            pooled = dc.mean_over_sets(p["x"], sets)
-            return dc.mean_over_sets(dc.matmul(dc.square(pooled), tape.constant(np.ones(2))), [range(5)])
-
-        _check(build, params)
-        # the pooling matrix is the one a per-set loop builds, bit for bit: a
-        # duplicate index adds its share twice, an empty set leaves a zero row
-        loop = np.zeros((len(sets), 6))
-        for k, idx in enumerate(sets):
-            if idx:
-                np.add.at(loop[k], list(idx), 1.0 / len(idx))
-        pool = dc.mean_over_sets(dc.Tape().constant(params["x"]), sets).parents[0].value
-        assert pool.tobytes() == loop.tobytes()
-        assert pool[3].tolist() == [0.0, 0.0, 0.0, 2 / 3, 0.0, 1 / 3]
 
 
 class TestFiniteDifferenceCheck:

@@ -8,6 +8,8 @@ import vastsum.losses as losses
 from vastsum.config import LossConfig
 from vastsum.decoder import SegmentKnapsackInstance, knapsack_select
 
+from oracles import mean_rows
+
 
 def node(values):
     return dc.Tape().constant(np.asarray(values, dtype=np.float64))
@@ -210,7 +212,7 @@ class TestRankingHinge:
         gap = dc.subtract(dc.gather_rows(q, [i for i, _ in kept]),
                           dc.gather_rows(q, [j for _, j in kept]))
         hinge = dc.clip(dc.subtract(q.tape.constant(np.full(len(kept), 0.3)), gap), 0.0, np.inf)
-        reference = val(dc.mean_over_sets(hinge, [tuple(range(len(kept)))]))
+        reference = val(mean_rows(hinge))
         assert val(losses.ranking_hinge(q, r, pairs, margin=0.3)) == reference
 
     def test_gradient_check_away_from_kinks(self):

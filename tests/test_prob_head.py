@@ -9,6 +9,8 @@ from vastsum.config import HeadConfig, ScorerConfig
 from vastsum.errors import ConfigError
 from vastsum.trainer import init_from_shapes
 
+from oracles import mean_rows
+
 
 def configs(d=4, dz=2, hidden=None, temperature=1.0):
     scorer_cfg = ScorerConfig(input_dim=3, model_dim=d, heads=2, max_timesteps=8)
@@ -203,12 +205,10 @@ class TestForward:
             p = dc.lift_params(tape, theta)
             out = prob_head.forward(tape.constant(h), p, noise)
             total = dc.add(
-                dc.mean_over_sets(dc.square(out.mu), [range(4)]),
-                dc.mean_over_sets(dc.square(out.log_v), [range(4)]),
+                mean_rows(dc.square(out.mu)),
+                mean_rows(dc.square(out.log_v)),
             )
-            kl_ish = dc.mean_over_sets(
-                dc.matmul(dc.square(out.z), out.mu_z.tape.constant(np.ones(2))), [range(4)]
-            )
+            kl_ish = mean_rows(dc.matmul(dc.square(out.z), out.mu_z.tape.constant(np.ones(2))))
             return dc.add(total, kl_ish)
 
         assert dc.finite_difference_check(build, params) < 1e-4

@@ -10,6 +10,8 @@ from vastsum.errors import CapacityError
 from vastsum.timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids
 from vastsum.trainer import init_from_shapes
 
+from oracles import mean_rows
+
 
 def tiny_cfg(**kw):
     base = dict(
@@ -48,14 +50,9 @@ def zero_residual_branches(params, cfg):
 
 
 def simple_seg(ids, n_segments):
-    sets = [[] for _ in range(n_segments)]
-    for t, k in enumerate(ids):
-        sets[k].append(t)
-    return SegmentIndexMap(
-        segment_ids=tuple(ids),
-        index_sets=tuple(tuple(s) for s in sets),
-        lengths=tuple(max(len(s), 1) for s in sets),
-    )
+    """A map whose segment lengths are their pick counts (at least 1)."""
+    counts = np.bincount(ids, minlength=n_segments)
+    return SegmentIndexMap(segment_ids=tuple(ids), lengths=tuple(max(int(c), 1) for c in counts))
 
 
 class TestProjectAndEmbed:
@@ -337,6 +334,6 @@ class TestForward:
             p = dc.lift_params(tape, theta)
             h_hat = scorer.forward(tape.constant(features), seg, p, cfg)
             summed = dc.matmul(h_hat, tape.constant(np.ones(cfg.model_dim)))
-            return dc.mean_over_sets(summed, [range(6)])
+            return mean_rows(summed)
 
         assert dc.finite_difference_check(build, params) < 1e-4

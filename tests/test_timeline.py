@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import vastsum.diffcore as dc
+import vastsum.scorer as scorer
 from vastsum.errors import CoverageError
 from vastsum.timeline import (
     ChangePointPartition,
@@ -12,11 +14,15 @@ from vastsum.timeline import (
 )
 from vastsum.decoder import segment_values
 
-from oracles import random_partition, random_picks
+from oracles import mean_rows, random_partition, random_picks
 
 
 def seg_map(picks, segments, n_frames):
     return assign_segment_ids(PickSequence(picks), ChangePointPartition(segments, n_frames))
+
+
+def pick_counts(seg):
+    return np.bincount(seg.segment_ids, minlength=seg.n_segments).tolist()
 
 
 class TestPartitionValidation:
@@ -50,13 +56,13 @@ class TestAssignSegmentIds:
         seg = seg_map((0, 1, 3, 5), ((0, 2), (3, 5)), 6)
         assert seg.segment_ids == (0, 0, 1, 1)
         assert seg.lengths == (3, 3)
-        assert [len(s) for s in seg.index_sets] == [2, 2]
+        assert pick_counts(seg) == [2, 2]
 
     def test_single_frame_video(self):
         seg = seg_map((0,), ((0, 0),), 1)
         assert seg.segment_ids == (0,)
         assert seg.lengths == (1,)
-        assert [len(s) for s in seg.index_sets] == [1]
+        assert pick_counts(seg) == [1]
 
     def test_three_segments_against_scan_oracle(self):
         picks = (0, 2, 4, 6, 8)
@@ -70,7 +76,7 @@ class TestAssignSegmentIds:
                     expected.append(k)
                     break
         assert list(seg.segment_ids) == expected == [0, 0, 1, 2, 2]
-        assert [len(s) for s in seg.index_sets] == [2, 1, 2]
+        assert pick_counts(seg) == [2, 1, 2]
         assert seg.lengths == (4, 1, 5)
 
     def test_pick_outside_every_segment(self):
@@ -96,10 +102,7 @@ class TestAssignSegmentIds:
                 if k < 0 or p > segments[k][1]:
                     return f"pick {p} (timestep {t}) lies outside every segment"
                 ids.append(k)
-            index_sets = tuple(tuple(t for t, j in enumerate(ids) if j == k)
-                               for k in range(len(segments)))
-            lengths = tuple(e - a + 1 for a, e in segments)
-            return SegmentIndexMap(tuple(ids), index_sets, lengths)
+            return SegmentIndexMap(tuple(ids), tuple(e - a + 1 for a, e in segments))
 
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -113,15 +116,20 @@ class TestAssignSegmentIds:
             else:
                 assert seg_map(picks, segments, n) == expected
 
-    def test_index_sets_partition_timesteps(self):
+    def test_segments_partition_timesteps(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             segments, n = random_partition(rng)
             picks = random_picks(rng, n)
             seg = seg_map(picks, segments, n)
-            flattened = [t for idx in seg.index_sets for t in idx]
-            assert flattened == list(range(len(picks)))
-            assert sum(len(s) for s in seg.index_sets) == len(picks)
+            # ids never decrease: each segment's timesteps are one run, in order
+            assert all(a <= b for a, b in zip(seg.segment_ids, seg.segment_ids[1:]))
+            # every timestep lies in exactly one segment's row of the pool
+            support = seg.token_pool != 0
+            assert support.sum(axis=0).tolist() == [1] * len(picks)
+            assert support.argmax(axis=0).tolist() == list(seg.segment_ids)
+            assert sum(pick_counts(seg)) == len(picks)
+            assert seg.n_segments == len(segments)
             assert sum(seg.lengths) == n
 
 
@@ -229,6 +237,59 @@ class TestFrameWeights:
         cps = ChangePointPartition(((0, 5), (6, 8), (9, 14)), 15)
         seg = assign_segment_ids(picks, cps)
         expected = np.zeros((3, 5))
-        for k, idx in enumerate(seg.index_sets):
-            expected[k, list(idx)] = 1.0 / len(idx)
+        for k in range(3):
+            idx = [t for t, j in enumerate(seg.segment_ids) if j == k]
+            expected[k, idx] = 1.0 / len(idx)
         assert np.array_equal(frame_weights(picks, cps), expected)
+        assert np.array_equal(seg.token_pool, expected)
+
+
+class TestTokenPool:
+    def test_equals_the_per_segment_loop(self):
+        rng = np.random.default_rng(13)
+        empty = 0
+        for _ in range(50):
+            segments, n = random_partition(rng)
+            picks = random_picks(rng, n)
+            seg = seg_map(picks, segments, n)
+            loop = np.zeros((len(segments), len(picks)))
+            for k, (start, end) in enumerate(segments):
+                idx = [t for t, p in enumerate(picks) if start <= p <= end]
+                empty += not idx
+                for t in idx:
+                    loop[k, t] = 1.0 / len(idx)
+            assert seg.token_pool.tobytes() == loop.tobytes()
+        assert empty > 0  # the draws include segments that hold no pick
+
+    def test_empty_segment_gives_a_zero_row(self):
+        seg = seg_map((0, 10, 20), ((0, 4), (5, 9), (10, 24), (25, 29)), 30)
+        with np.errstate(all="raise"):
+            pool = seg.token_pool
+        assert pool.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 0.0]]
+        assert np.isfinite(pool).all()
+
+    def test_built_once_read_only_and_outside_equality(self):
+        seg = seg_map((0, 1, 3, 5), ((0, 2), (3, 5)), 6)
+        pool = seg.token_pool
+        assert seg.token_pool is pool
+        assert not pool.flags.writeable
+        fresh = seg_map((0, 1, 3, 5), ((0, 2), (3, 5)), 6)
+        assert "token_pool" not in vars(fresh)
+        assert seg == fresh and hash(seg) == hash(fresh)
+
+    def test_segment_tokenize_gradcheck_partial_and_empty(self):
+        # segments 1 and 4 hold no pick; the others hold 3, 1 and 2 of the 6
+        seg = seg_map((0, 2, 4, 6, 8, 10), ((0, 4), (5, 5), (6, 7), (8, 13), (14, 15)), 16)
+        assert pick_counts(seg) == [3, 0, 1, 2, 0]
+        x = np.random.default_rng(26).standard_normal((6, 2))
+
+        def build(theta):
+            tape = dc.Tape()
+            p = dc.lift_params(tape, theta)
+            pooled = scorer.segment_tokenize(p["x"], seg)
+            return mean_rows(dc.matmul(dc.square(pooled), tape.constant(np.ones(2))))
+
+        assert dc.finite_difference_check(build, {"x": x}) < 1e-4
+        tokens = scorer.segment_tokenize(dc.Tape().constant(x), seg).value
+        np.testing.assert_allclose(tokens[[0, 2, 3]], [x[:3].mean(0), x[3], x[4:].mean(0)], atol=1e-15)
+        assert not tokens[[1, 4]].any()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import vastsum.diffcore as dc
+import vastsum.scorer as scorer
 import vastsum.trainer as trainer
 from vastsum.checkpoint import load_params, params_to_bytes, save_params, validate_shapes
 from vastsum.config import HeadConfig, LossConfig, RunConfig, ScorerConfig, TrainConfig
@@ -372,6 +373,41 @@ class TestStabilityPool:
         decoded = segment_values(expand_scores(signal, picks, 30), cps).values
         np.testing.assert_allclose(pooled, decoded, rtol=1e-12, atol=1e-15)
         assert pooled[0] == pooled[1] == signal[0]
+
+
+class TestEmptySegment:
+    def test_training_on_a_segment_with_no_pick(self, monkeypatch):
+        # picks fall on even frames; frame p0 + 1 alone is a segment with no pick
+        ds = small_dataset()
+        video = ds.videos[1]
+        p0, p1, n = video.picks.picks[0], video.picks.picks[1], video.n_frames
+        cps = ChangePointPartition(((0, p0), (p0 + 1, p1 - 1), (p1, n - 1)), n)
+        ds.videos[1] = video = dataclasses.replace(video, change_points=cps)
+        seg = assign_segment_ids(video.picks, cps)
+        assert np.bincount(seg.segment_ids, minlength=3)[1] == 0
+
+        steps = []
+        build = trainer.build_video_loss
+
+        def spy(*args):
+            total, breakdown = build(*args)
+            steps.append(breakdown)
+            return total, breakdown
+
+        monkeypatch.setattr(trainer, "build_video_loss", spy)
+        cfg = small_cfg(epochs=2)
+        result = train(ds, cfg)
+        assert len(steps) == 2 * len(ds.videos)
+        for row in steps + result.history:
+            assert all(math.isfinite(x) for x in dataclasses.astuple(row)), row
+
+        tape = dc.Tape()
+        params = dc.lift_params(tape, result.params)
+        h0 = scorer.project_and_embed(tape.constant(video.features), params, cfg.scorer)
+        tokens = scorer.segment_tokenize(h0, seg).value
+        assert not tokens[1].any() and tokens[[0, 2]].all()
+        pred = trainer.predict_scores(result.params, video, seg, cfg)
+        assert all(np.isfinite(a).all() for a in pred.values())
 
 
 class TestCheckpointRoundTrip:
