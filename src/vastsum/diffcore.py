@@ -237,12 +237,12 @@ def gelu(a: Node) -> Node:
 
 
 def sigmoid(a: Node) -> Node:
+    """1/(1+exp(-a)) for a >= 0 and exp(a)/(1+exp(a)) below, from one exp:
+    exp(-|a|) is exp(-a) above zero and exp(a) below, so neither branch
+    overflows."""
     av = a.value
-    s = np.empty_like(av)
-    pos = av >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    ev = np.exp(av[~pos])
-    s[~pos] = ev / (1.0 + ev)
+    e = np.exp(-np.abs(av))
+    s = np.where(av >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return a.tape._record("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -273,15 +273,22 @@ def clip(a: Node, lo: float, hi: float) -> Node:
 
 
 def gather_rows(a: Node, indices: Sequence[int]) -> Node:
+    """Rows `indices` of a. The VJP scatter-adds g with `np.add.at`, which
+    sums repeated rows; an ascending `range` holds no repeat, so its VJP adds
+    g into the slice with the range's bounds, which gives the same bytes."""
     idx = np.asarray(indices, dtype=np.intp)
     av = a.value
     if ((idx < 0) | (idx >= av.shape[0])).any():
         raise ShapeError(f"gather-rows: index out of range for {av.shape[0]} rows")
     out = av[idx]
+    ascending = isinstance(indices, range) and indices.step > 0
 
     def vjp(g):
         da = np.zeros_like(av)
-        np.add.at(da, idx, g)
+        if ascending:
+            da[indices.start : indices.stop : indices.step] += g
+        else:
+            np.add.at(da, idx, g)
         return (da,)
 
     return a.tape._record("gather-rows", out, (a,), vjp)

@@ -5,10 +5,10 @@ come from the tape, are averaged over an accumulation window, clipped by
 global norm, and applied with AdamW (decoupled weight decay). Parameters,
 the gradient accumulator and the AdamW moments are each one flat float64
 buffer with named views (`diffcore.FlatTensors`), so accumulation, averaging,
-the clip rescale and AdamW are a few vector ops on whole buffers. All randomness
-(shuffling, latent noise, ranking pairs, stability perturbations) flows from
-one seeded generator in a fixed order, so a (dataset, config, seed) triple
-fully determines the result.
+the clip rescale and AdamW are a few vector ops on whole buffers (AdamW's
+block by block). All randomness (shuffling, latent noise, ranking pairs,
+stability perturbations) flows from one seeded generator in a fixed order,
+so a (dataset, config, seed) triple fully determines the result.
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ def clip_global_norm(grads: dc.FlatTensors, max_norm: float) -> dc.FlatTensors:
     return dc.FlatTensors(grads.shapes, grads.flat * (max_norm / norm))
 
 
+# Elements per AdamW block: 128 KiB a float64 array, so a block's views and
+# temporaries stay in cache.
+_BLOCK = 1 << 14
+
+
 def adamw_step(
     params: dc.FlatTensors,
     grads: dc.FlatTensors,
@@ -131,23 +136,26 @@ def adamw_step(
     cfg,
 ) -> None:
     """Bias-corrected AdamW update with decoupled weight decay, in place, as
-    vector ops over the flat buffers. Per element, in this order:
+    vector ops over the flat buffers, one block of `_BLOCK` elements at a
+    time, so no temporary is larger than a block. Per element, in this order:
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*(g*g), and
     p = p - lr*((m/bc1) / (sqrt(v/bc2) + eps)) - (lr*wd)*p."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * (g * g)
-    decay = (cfg.lr * cfg.weight_decay) * p
-    denom = np.sqrt(v / bc2)
-    denom += cfg.adam_eps
-    p -= cfg.lr * ((m / bc1) / denom)
-    p -= decay
+    for lo in range(0, params.flat.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        p, g, m, v = params.flat[block], grads.flat[block], state.m.flat[block], state.v.flat[block]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        decay = (cfg.lr * cfg.weight_decay) * p
+        denom = np.sqrt(v / bc2)
+        denom += cfg.adam_eps
+        p -= cfg.lr * ((m / bc1) / denom)
+        p -= decay
 
 
 def draw_noise(video: VideoRecord, seg: SegmentIndexMap, cfg: RunConfig, rng) -> NoiseBundle:

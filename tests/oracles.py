@@ -98,6 +98,18 @@ def mean_rows(node):
     return dc.matmul(node.tape.constant(np.full((1, n), 1.0 / n)), node)
 
 
+def masked_sigmoid(x):
+    """The two-branch logistic through boolean masks: 1/(1+exp(-x)) where
+    x >= 0, exp(x)/(1+exp(x)) elsewhere (NaN included)."""
+    x = np.asarray(x, dtype=np.float64)
+    s = np.empty_like(x)
+    pos = x >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return s
+
+
 def random_partition(rng, max_segments=6, max_len=8):
     """Random contiguous inclusive-bound partition; returns (segments, n_frames)."""
     n_segments = int(rng.integers(1, max_segments + 1))

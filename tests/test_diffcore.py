@@ -6,7 +6,7 @@ import pytest
 import vastsum.diffcore as dc
 from vastsum.errors import NumericError, ShapeError
 
-from oracles import mean_rows
+from oracles import masked_sigmoid, mean_rows
 
 
 def fresh(value):
@@ -458,6 +458,94 @@ class TestPrimitiveGradients:
             h = dc.gelu(dc.depthwise_conv1d(tape.constant(x), p["dw"]))
             h = dc.affine(h, p["pw"], p["pb"])
             return mean_rows(dc.matmul(h, tape.constant(np.ones(3))))
+
+        _check(build, params)
+
+
+class TestSigmoidBytes:
+    """The one-exp sigmoid gives the two-branch masked formula's bytes."""
+
+    GRID = [0.0, 1e-300, 36.8, 709.8, 745.2, 1e308, np.inf]
+
+    def _value_and_grad(self, x, g):
+        tape = dc.Tape()
+        node = tape.param("x", x)
+        out = dc.sigmoid(node)
+        return out.value, out.vjp(g)[0]
+
+    def test_forward_and_vjp_match_the_masked_formula(self):
+        rng = np.random.default_rng(31)
+        grid = np.array(self.GRID)
+        x = np.concatenate([grid, -grid, rng.standard_normal(200) * 4.0])
+        g = rng.standard_normal(x.size)
+        # exp underflows to a subnormal or zero from |x| ~ 708 on, in the
+        # masked formula too; overflow, invalid and divide must not happen
+        with np.errstate(all="raise", under="ignore"):
+            value, grad = self._value_and_grad(x, g)
+            ref = masked_sigmoid(x)
+            ref_grad = g * ref * (1.0 - ref)
+        assert value.tobytes() == ref.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        n = grid.size
+        assert np.signbit(x[n]) and value[n] == 0.5  # -0.0 takes the x >= 0 branch
+        assert value[n - 1] == 1.0 and value[2 * n - 1] == 0.0  # +inf and -inf
+
+    def test_nan_gives_nan(self):
+        value, grad = self._value_and_grad(np.array([np.nan, 1.0]), np.ones(2))
+        assert np.isnan(value[0]) and np.isnan(grad[0])
+        assert value[1] == masked_sigmoid(np.array([1.0]))[0]
+
+
+class TestGatherRowsRange:
+    """An ascending `range` adds g into a slice; every other index sequence
+    scatters with `np.add.at`. Both give the same bytes."""
+
+    def _vjp(self, table, indices, g):
+        tape = dc.Tape()
+        out = dc.gather_rows(tape.param("a", table), indices)
+        assert np.array_equal(out.value, table[list(indices)])
+        return out.vjp(g)[0]
+
+    def _add_at(self, table, indices, g):
+        da = np.zeros_like(table)
+        np.add.at(da, np.asarray(list(indices), dtype=np.intp), g)
+        return da
+
+    @pytest.mark.parametrize("rows", [range(0, 12), range(3, 11, 2), range(0)])
+    def test_range_equals_the_add_at_path(self, rows):
+        rng = np.random.default_rng(32)
+        table = rng.standard_normal((16, 3))
+        g = rng.standard_normal((len(rows), 3))
+        g[::2, 1] = -0.0
+        got = self._vjp(table, rows, g)
+        assert got.tobytes() == self._vjp(table, list(rows), g).tobytes()
+        assert got.tobytes() == self._add_at(table, rows, g).tobytes()
+        zeros = got[list(rows)][::2, 1]
+        assert not np.signbit(zeros).any()  # 0.0 + -0.0 is +0.0 on both paths
+
+    @pytest.mark.parametrize("rows", [range(5, -1, -1), [4, 1, 1, 0, 4], range(6, 0, -2)])
+    def test_descending_ranges_and_lists_add_at(self, rows):
+        rng = np.random.default_rng(33)
+        table = rng.standard_normal((8, 2))
+        g = rng.standard_normal((len(rows), 2))
+        assert self._vjp(table, rows, g).tobytes() == self._add_at(table, rows, g).tobytes()
+
+    def test_range_out_of_bounds_raises(self):
+        tape = dc.Tape()
+        with pytest.raises(ShapeError, match="out of range"):
+            dc.gather_rows(tape.param("a", np.zeros((4, 2))), range(2, 5))
+
+    def test_gradcheck_through_a_range(self):
+        rng = np.random.default_rng(34)
+        params = {"table": rng.standard_normal((9, 3))}
+        weights = rng.standard_normal((3, 4))
+
+        def build(theta):
+            tape = dc.Tape()
+            p = dc.lift_params(tape, theta)
+            rows = dc.gelu(dc.gather_rows(p["table"], range(1, 9, 3)))
+            return mean_rows(dc.matmul(dc.square(dc.matmul(rows, tape.constant(weights))),
+                                       tape.constant(np.ones(4))))
 
         _check(build, params)
 

@@ -138,26 +138,30 @@ class TestAdamW:
         adamw_step(p2, avg, s2, self.cfg())
         assert np.array_equal(p1["w"], p2["w"])
 
-    def test_matches_the_per_tensor_update(self):
+    def test_matches_the_per_tensor_update(self, monkeypatch):
+        # 12 elements in one block, then in blocks of 5: the edges at 5 and
+        # 10 fall inside "b" and "w", and the last block holds 2 elements
         cfg = self.cfg(weight_decay=0.03)
-        rng = np.random.default_rng(8)
         shapes = {"w": (3, 2), "b": (2,), "a.gain": (4,)}
-        params = dc.FlatTensors(shapes)
-        params.flat[:] = rng.standard_normal(params.flat.size)
-        state = OptimizerState.zeros_like(params)
-        ref = {k: v.copy() for k, v in params.items()}
-        ref_state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.items()}
-        for step in range(1, 4):
-            grads = dc.FlatTensors(shapes, rng.standard_normal(params.flat.size))
-            adamw_step(params, grads, state, cfg)
-            for name in ref:
-                ref_state[name], ref[name] = _reference_adamw(
-                    ref[name], grads[name], *ref_state[name], step, cfg
-                )
-        assert params_to_bytes(params) == params_to_bytes(ref)
-        assert state.step == 3
-        assert all(np.array_equal(state.m[k], ref_state[k][0]) for k in shapes)
-        assert all(np.array_equal(state.v[k], ref_state[k][1]) for k in shapes)
+        for block in (trainer._BLOCK, 5):
+            monkeypatch.setattr(trainer, "_BLOCK", block)
+            rng = np.random.default_rng(8)
+            params = dc.FlatTensors(shapes)
+            params.flat[:] = rng.standard_normal(params.flat.size)
+            state = OptimizerState.zeros_like(params)
+            ref = {k: v.copy() for k, v in params.items()}
+            ref_state = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.items()}
+            for step in range(1, 4):
+                grads = dc.FlatTensors(shapes, rng.standard_normal(params.flat.size))
+                adamw_step(params, grads, state, cfg)
+                for name in ref:
+                    ref_state[name], ref[name] = _reference_adamw(
+                        ref[name], grads[name], *ref_state[name], step, cfg
+                    )
+            assert params_to_bytes(params) == params_to_bytes(ref), block
+            assert state.step == 3
+            assert all(np.array_equal(state.m[k], ref_state[k][0]) for k in shapes), block
+            assert all(np.array_equal(state.v[k], ref_state[k][1]) for k in shapes), block
 
 
 def _reference_adamw(p, g, m, v, t, cfg):
@@ -225,10 +229,17 @@ class TestFlatOptimizer:
             return out
 
         monkeypatch.setattr(trainer, "clip_global_norm", spy)
-        result = train(dataset, cfg)
-        assert len(rescaled) == 6 and 0 < sum(rescaled) < 6
-        assert sum(rescaled) == clipped_steps
-        assert params_to_bytes(result.params) == params_to_bytes(expected)
+        # the default block holds every parameter; blocks of 5 put AdamW's
+        # block edges inside tensors and leave a ragged last block
+        size = sum(p.size for p in expected.values())
+        assert size < trainer._BLOCK and size % 5 > 0
+        for block in (trainer._BLOCK, 5):
+            monkeypatch.setattr(trainer, "_BLOCK", block)
+            rescaled.clear()
+            result = train(dataset, cfg)
+            assert len(rescaled) == 6 and 0 < sum(rescaled) < 6
+            assert sum(rescaled) == clipped_steps
+            assert params_to_bytes(result.params) == params_to_bytes(expected), block
 
     def test_best_params_do_not_follow_later_epochs(self, monkeypatch):
         ds = small_dataset(n_videos=4)
