@@ -69,14 +69,15 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.folds < 2:
+        raise ConfigError(f"--folds must be >= 2, got {args.folds} (one fold leaves no train set)")
+    if args.fold is not None and not 0 <= args.fold < args.folds:
+        raise ConfigError(f"--fold must lie in [0, {args.folds - 1}]")
     cfg = _load_config(args)
     dataset = load_dataset(args.data)
     val_videos = None
     if args.fold is not None:
-        folds = make_folds(dataset, k=args.folds, seed=cfg.train.seed)
-        if not 0 <= args.fold < len(folds):
-            raise ConfigError(f"--fold must lie in [0, {len(folds) - 1}]")
-        train_ids, test_ids = folds[args.fold]
+        train_ids, test_ids = make_folds(dataset, k=args.folds, seed=cfg.train.seed)[args.fold]
         by_id = {v.video_id: v for v in dataset.videos}
         val_videos = [by_id[i] for i in test_ids]
         dataset = Dataset(dataset.mode, [by_id[i] for i in train_ids])
@@ -161,6 +162,8 @@ def cmd_stability_report(args) -> int:
     if not 0 < args.rho <= 1:
         raise ConfigError(f"--rho must lie in (0, 1], got {args.rho}")
     _check_finite("--sigma", args.sigma)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     _, predictions = _load_and_predict(args)
     rates = []
     for index, (video, signal) in enumerate(predictions):

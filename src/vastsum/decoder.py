@@ -10,8 +10,8 @@ pure function of its inputs.
 The DP (Kellerer, Pferschy & Pisinger, *Knapsack Problems*, 2004, ch. 2)
 takes items in forward index order and works on whole capacity rows at once.
 Cell c holds the best set of the items seen so far that fits in c; a
-keep[M, K, cap+1] table records whether item i entered cell c, and one
-backtrack from cell cap reads the selection off. Values accumulate as
+keep table records whether item i entered cell c, and one backtrack from
+cell cap reads the selection off. Values accumulate as
 `base + v_i`, i.e. in ascending index order, as
 `tests/oracles.brute_force_knapsack` sums them.
 
@@ -44,6 +44,15 @@ best value; its set is the oracle's whenever the sums are exact.
 capacity; each row is solved on its own and the selection has the shape of
 `values`. The stability loss and the flip rate (through `select_segments`)
 solve their perturbed rows in one call this way.
+
+A batch is solved in blocks of max(1, _BLOCK_CELLS // (cap + 1)) rows, so a
+block's [block, cap+1] value and candidate tables stay in L2 through the
+passes each item makes over them. Each block runs both passes on its own,
+with a keep[fits, block, cap+1] table (fits: the items of weight <= cap),
+and its selection fills its rows of the [K, M] result. Rows never interact,
+so the blocks change no bit. A batch that fits in one block (training's
+K = 9, a single decode, any small capacity) is one block: both passes run on
+the whole batch, as they would unblocked.
 """
 
 from __future__ import annotations
@@ -54,6 +63,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .timeline import ChangePointPartition, PickSequence, expand_scores
+
+# DP cells (rows * (cap + 1)) in one block of rows: 256 KiB per float64 table
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass
@@ -187,6 +199,15 @@ def _keyed_dp(rows: np.ndarray, weights: tuple[int, ...], cap: int, fits: list[i
     return _backtrack(keep, weights, fits, rows.shape[1])
 
 
+def _solve_block(rows: np.ndarray, weights: tuple[int, ...], cap: int, fits: list[int]) -> np.ndarray:
+    """Both passes on one block of rows: the value DP, then the keyed DP on
+    the block's tied rows only."""
+    selection, tied = _value_dp(rows, weights, cap, fits)
+    if tied.any():
+        selection[tied] = _keyed_dp(rows[tied], weights, cap, fits)
+    return selection
+
+
 def knapsack_select(instance: SegmentKnapsackInstance) -> np.ndarray:
     """Exact 0/1 knapsack; returns the boolean selection, shaped like values.
 
@@ -196,9 +217,10 @@ def knapsack_select(instance: SegmentKnapsackInstance) -> np.ndarray:
     weights, cap = instance.weights, instance.capacity
     rows = np.atleast_2d(instance.values)
     fits = [i for i, w in enumerate(weights) if w <= cap]  # the others change no cell
-    selection, tied = _value_dp(rows, weights, cap, fits)
-    if tied.any():
-        selection[tied] = _keyed_dp(rows[tied], weights, cap, fits)
+    block = max(1, _BLOCK_CELLS // (cap + 1))
+    selection = np.empty(rows.shape, dtype=bool)
+    for s in range(0, rows.shape[0], block):
+        selection[s : s + block] = _solve_block(rows[s : s + block], weights, cap, fits)
     return selection.reshape(instance.values.shape)
 
 

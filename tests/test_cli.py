@@ -220,6 +220,31 @@ def test_non_finite_or_out_of_range_flag_exit_2(request, tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize(
+    "command, flags, message",
+    [("stability-report", ["--trials", "0"], "error: --trials must be >= 1, got 0"),
+     ("stability-report", ["--trials", "-3"], "error: --trials must be >= 1, got -3"),
+     ("train", ["--fold", "0", "--folds", "1"], "error: --folds must be >= 2, got 1"),
+     ("train", ["--folds", "0"], "error: --folds must be >= 2, got 0"),
+     ("train", ["--fold", "3", "--folds", "3"], "error: --fold must lie in [0, 2]")],
+)
+def test_count_flag_checked_before_any_work(
+    monkeypatch, request, tmp_path, capsys, command, flags, message
+):
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["--data", request.getfixturevalue("tiny_dataset"), "--out-dir", str(out)]
+    else:
+        args = ["--checkpoint", request.getfixturevalue("trained"),
+                "--data", request.getfixturevalue("tiny_dataset"), "--out", str(out)]
+    called = []
+    monkeypatch.setattr(vastsum.cli, "load_dataset", lambda *a: called.append("load_dataset"))
+    monkeypatch.setattr(vastsum.cli, "predict_scores", lambda *a: called.append("predict_scores"))
+    assert run(command, *args, *flags) == 2
+    assert message in capsys.readouterr().err
+    assert called == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
     "feature_dim, timesteps, message",
     [("9", "16", "video 'v000': feature dim 9 != scorer.input_dim 8"),
      ("8", "40", "video 'v000': T=40 > scorer.max_timesteps 32")],

@@ -246,6 +246,103 @@ class TestKnapsackSelect:
             SegmentKnapsackInstance(np.zeros((2, 3)), (1, 1), 1)
 
 
+def block_rows(monkeypatch, rows, cap):
+    """Make knapsack_select solve `rows`-row blocks at capacity `cap`."""
+    monkeypatch.setattr(decoder, "_BLOCK_CELLS", rows * (cap + 1))
+
+
+@pytest.fixture()
+def block_sizes(monkeypatch):
+    """The row count of each block knapsack_select hands to the value DP."""
+    sizes = []
+    value_dp = decoder._value_dp
+
+    def spy(rows, *args):
+        sizes.append(len(rows))
+        return value_dp(rows, *args)
+
+    monkeypatch.setattr(decoder, "_value_dp", spy)
+    return sizes
+
+
+class TestRowBlocks:
+    def test_small_blocks_equal_single_solves(self, monkeypatch):
+        # 7 rows in blocks of 1, 2 and 3 (the last block ragged), continuous
+        # and tie-heavy rows mixed, so some blocks re-solve rows with the keyed DP
+        rng = np.random.default_rng(36)
+        for _ in range(30):
+            m = int(rng.integers(1, 11))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            cap = int(rng.integers(0, 61))
+            rows = np.vstack([
+                rng.uniform(-2, 10, m),
+                np.full(m, 0.5),
+                rng.choice([0.25, 0.5, 0.75, 1.0, -0.25], m),
+                rng.standard_normal(m),
+                rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, -0.1], m),
+                np.full(m, 2.0),
+                rng.uniform(0, 1, m),
+            ])
+            singles = [knapsack_select(SegmentKnapsackInstance(row, weights, cap)) for row in rows]
+            for size in (1, 2, 3):
+                block_rows(monkeypatch, size, cap)
+                batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+                assert batch.shape == rows.shape and batch.dtype == bool
+                assert np.array_equal(batch, np.array(singles))
+
+    def test_fewer_cells_than_one_row_solve_one_row_a_block(self, monkeypatch, block_sizes):
+        monkeypatch.setattr(decoder, "_BLOCK_CELLS", 10)
+        rows = np.random.default_rng(37).uniform(0, 1, (3, 5))
+        batch = knapsack_select(SegmentKnapsackInstance(rows, (4, 5, 6, 7, 8), 20))
+        assert block_sizes == [1, 1, 1]
+        assert np.array_equal(batch, keyed_dp(rows, (4, 5, 6, 7, 8), 20))
+
+    def test_tied_rows_in_two_blocks_match_the_keyed_dp(self, monkeypatch, keyed_rows):
+        # rows 1 and 4 tie exactly (value columns 0 and 1 are equal and both
+        # fit); in blocks of 3 they fall in different blocks, so each block
+        # sends its own tied row to the keyed DP
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            m = int(rng.integers(2, 11))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            cap = int(rng.integers(20, 61))
+            rows = rng.uniform(0, 1, (6, m))
+            rows[[1, 4], 1] = rows[[1, 4], 0]
+            block_rows(monkeypatch, 3, cap)
+            batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+            assert len(keyed_rows) == 2
+            assert np.array_equal(keyed_rows[0], rows[[1]]) and np.array_equal(keyed_rows[1], rows[[4]])
+            for row, selection in zip(rows, batch):
+                assert np.array_equal(selection, keyed_dp(row[None], weights, cap)[0])
+            keyed_rows.clear()
+
+    def test_empty_batch_and_zero_capacity(self, monkeypatch):
+        monkeypatch.setattr(decoder, "_BLOCK_CELLS", 2)
+        empty = knapsack_select(SegmentKnapsackInstance(np.zeros((0, 4)), (1, 2, 3, 4), 10))
+        assert empty.shape == (0, 4) and empty.dtype == bool
+        # capacity 0: blocks of 2 rows, and nothing fits
+        rows = np.random.default_rng(39).uniform(0, 1, (5, 4))
+        none = knapsack_select(SegmentKnapsackInstance(rows, (1, 2, 3, 4), 0))
+        assert none.shape == (5, 4) and not none.any()
+
+    def test_paper_size_batch_equals_one_block(self, monkeypatch, block_sizes):
+        # the flip rate's batch at paper scale: 101 rows, 80 segments, budget
+        # 1536 of 10,240 frames, cut at frame level (weights not all multiples
+        # of 32, as real change points fall on any frame)
+        rng = np.random.default_rng(40)
+        cuts = np.sort(rng.choice(np.arange(1, 10240), 79, replace=False))
+        weights = tuple(int(w) for w in np.diff(np.concatenate([[0], cuts, [10240]])))
+        assert any(w % 32 for w in weights)
+        rows = rng.uniform(0, 1, 80) + rng.normal(0, 0.05, (101, 80))
+        inst = SegmentKnapsackInstance(rows, weights, 1536)
+        blocked = knapsack_select(inst)
+        block = decoder._BLOCK_CELLS // 1537
+        assert 1 < len(block_sizes) and sum(block_sizes) == 101 and max(block_sizes) == block
+        block_rows(monkeypatch, 101, 1536)
+        assert np.array_equal(blocked, knapsack_select(inst))
+        assert block_sizes[-1] == 101
+
+
 class TestDecodeSummary:
     def test_single_oversized_segment_gives_empty_summary(self):
         mask = decode_summary(
