@@ -49,6 +49,18 @@ def _check_finite(flag: str, value: float, positive: bool = False) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    counts = {
+        "--videos": args.videos,
+        "--timesteps": args.timesteps,
+        "--feature-dim": args.feature_dim,
+        "--annotators": args.annotators,
+        "--segments": args.segments,
+    }
+    for flag, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.segments > args.timesteps:
+        raise ConfigError(f"--segments must be <= --timesteps {args.timesteps}, got {args.segments}")
     _check_finite("--feature-noise", args.feature_noise)
     _check_finite("--annotator-noise", args.annotator_noise)
     cfg = SyntheticConfig(
@@ -77,6 +89,10 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     val_videos = None
     if args.fold is not None:
+        if args.folds > len(dataset.videos):
+            raise ConfigError(
+                f"--folds must be <= the {len(dataset.videos)} videos in {args.data}, got {args.folds}"
+            )
         train_ids, test_ids = make_folds(dataset, k=args.folds, seed=cfg.train.seed)[args.fold]
         by_id = {v.video_id: v for v in dataset.videos}
         val_videos = [by_id[i] for i in test_ids]

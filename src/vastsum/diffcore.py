@@ -14,6 +14,14 @@ to every row.
 
 A constant carries no gradient: `matmul` and `affine` return None for a
 `const` operand instead of computing its product, and `backward` skips None.
+
+Every node points at its tape and the tape's node list points back, so a
+tape is a reference cycle, which only CPython's cyclic collector would free.
+Whoever makes tapes over and over calls `Tape.release` once it is done with
+one: `trainer.train` after each video's `backward`, `trainer.predict_scores`
+after its forward pass, and `finite_difference_check` after each loss. Release drops the node list, so reference counting frees the values,
+the VJP closures and the arrays they capture as soon as the caller's last
+node goes. A released tape refuses to record or to run `backward`.
 """
 
 from __future__ import annotations
@@ -52,15 +60,27 @@ class Node:
 
 
 class Tape:
-    """Append-only record of a computation; node inputs always precede outputs."""
+    """Append-only record of a computation; node inputs always precede outputs.
+    `nodes` is None once the tape is released."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[Node] | None = []
 
     def _record(self, kind, value, parents, vjp, name=None) -> Node:
-        node = Node(self, len(self.nodes), kind, value, parents, vjp, name)
-        self.nodes.append(node)
+        nodes = self._live_nodes()
+        node = Node(self, len(nodes), kind, value, parents, vjp, name)
+        nodes.append(node)
         return node
+
+    def _live_nodes(self) -> list[Node]:
+        if self.nodes is None:
+            raise ValueError("tape was released; record on a new tape")
+        return self.nodes
+
+    def release(self) -> None:
+        """Drop the node list, which breaks the node-tape cycle (see the
+        module docstring). Nodes the caller holds keep their values."""
+        self.nodes = None
 
     def constant(self, value) -> Node:
         return self._record("const", np.asarray(value, dtype=np.float64), (), None)
@@ -364,20 +384,21 @@ def backward(
     pass never mutates the tape, so repeated calls are bit-identical.
     Finiteness is checked once, on the loss and on `into`'s buffer.
     """
+    nodes = tape._live_nodes()
     if loss.tape is not tape:
         raise ValueError("loss node does not belong to this tape")
     if loss.value.size != 1:
         raise ValueError("loss must be a scalar (size-1) node")
     if not np.isfinite(loss.value).all():
-        for node in tape.nodes[: loss.nid + 1]:
+        for node in nodes[: loss.nid + 1]:
             if not np.isfinite(node.value).all():
                 raise NumericError(
                     f"non-finite forward value at node {node.nid} ({node.kind})",
                     node_id=node.nid,
                 )
-    grads: list[np.ndarray | None] = [None] * len(tape.nodes)
+    grads: list[np.ndarray | None] = [None] * len(nodes)
     grads[loss.nid] = np.ones_like(loss.value)
-    sweep = tape.nodes[loss.nid :: -1]
+    sweep = nodes[loss.nid :: -1]
     for node in sweep:
         g = grads[node.nid]
         if g is None or node.vjp is None:
@@ -385,7 +406,7 @@ def backward(
         for parent, pg in zip(node.parents, node.vjp(g)):
             if pg is not None:
                 grads[parent.nid] = pg if grads[parent.nid] is None else grads[parent.nid] + pg
-    params = [node for node in tape.nodes if node.kind == "param"]
+    params = [node for node in nodes if node.kind == "param"]
     if into is None:
         into, add = FlatTensors({n.name: n.value.shape for n in params}), False
     for n in params:
@@ -422,13 +443,22 @@ def finite_difference_check(
     """Compare backward() against central differences over every parameter entry.
 
     `f` builds a fresh tape from the parameter dict and returns the scalar
-    loss node. Returns the worst relative error
-    max_i |g_i - ghat_i| / max(1e-8, |g_i| + |ghat_i|), or NaN as soon as
-    one comparison is NaN, so no tolerance accepts it. The caller keeps f
-    smooth at the evaluation point (no active clamps or hinge kinks).
+    loss node; each tape is released once it is read. Returns the worst
+    relative error max_i |g_i - ghat_i| / max(1e-8, |g_i| + |ghat_i|), or
+    NaN as soon as one comparison is NaN, so no tolerance accepts it. The
+    caller keeps f smooth at the evaluation point (no active clamps or hinge
+    kinks).
     """
     loss = f(params)
     analytic = backward(loss.tape, loss)
+    loss.tape.release()
+
+    def probe() -> float:
+        loss = f(params)
+        value = scalar_value(loss)
+        loss.tape.release()
+        return value
+
     worst = 0.0
     for name, theta in params.items():
         flat = theta.reshape(-1)
@@ -436,9 +466,9 @@ def finite_difference_check(
         for i in range(flat.size):
             saved = flat[i]
             flat[i] = saved + step
-            hi = scalar_value(f(params))
+            hi = probe()
             flat[i] = saved - step
-            lo = scalar_value(f(params))
+            lo = probe()
             flat[i] = saved
             numeric = (hi - lo) / (2.0 * step)
             err = abs(ga[i] - numeric) / max(1e-8, abs(ga[i]) + abs(numeric))

@@ -1,8 +1,9 @@
 """End-to-end optimization loop.
 
-Forward composes scorer -> head -> losses on one tape per video; gradients
-come from the tape, are averaged over an accumulation window, clipped by
-global norm, and applied with AdamW (decoupled weight decay). Parameters,
+Forward composes scorer -> head -> losses on one tape per video, released
+once `backward` has read it (see `diffcore`); gradients are averaged over an
+accumulation window, clipped by global norm, and applied with AdamW
+(decoupled weight decay). Parameters,
 the gradient accumulator and the AdamW moments are each one flat float64
 buffer with named views (`diffcore.FlatTensors`), so accumulation, averaging,
 the clip rescale and AdamW are a few vector ops on whole buffers (AdamW's
@@ -228,9 +229,11 @@ def predict_scores(
     Returns the logits mu and the decode signal (mu for tvsum, calibrated
     probabilities for summe). A signal that is not finite (finite weights or
     features can still overflow the forward pass) raises ValueError naming
-    the video."""
+    the video. The tape is released at once: the nodes kept here keep their
+    values."""
     latent = np.zeros((video.n_timesteps, cfg.head.latent_dim))
     out, signal = model_forward(params, video.features, seg, cfg, latent)
+    signal.tape.release()
     bad = int(np.count_nonzero(~np.isfinite(signal.value)))
     if bad:
         raise ValueError(
@@ -296,6 +299,7 @@ def train(
                 dc.backward(total.tape, total, acc, add=acc_count > 0)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, video {video.video_id!r}: {exc}", exc.node_id) from exc
+            total.tape.release()
             acc_count += 1
             parts.append(breakdown)
             if acc_count == cfg.train.accumulate or pos == len(order) - 1:

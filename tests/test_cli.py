@@ -225,13 +225,22 @@ def test_non_finite_or_out_of_range_flag_exit_2(request, tmp_path, capsys, comma
      ("stability-report", ["--trials", "-3"], "error: --trials must be >= 1, got -3"),
      ("train", ["--fold", "0", "--folds", "1"], "error: --folds must be >= 2, got 1"),
      ("train", ["--folds", "0"], "error: --folds must be >= 2, got 0"),
-     ("train", ["--fold", "3", "--folds", "3"], "error: --fold must lie in [0, 2]")],
+     ("train", ["--fold", "3", "--folds", "3"], "error: --fold must lie in [0, 2]"),
+     ("gen-data", ["--videos", "0"], "error: --videos must be >= 1, got 0"),
+     ("gen-data", ["--timesteps", "0"], "error: --timesteps must be >= 1, got 0"),
+     ("gen-data", ["--feature-dim", "-2"], "error: --feature-dim must be >= 1, got -2"),
+     ("gen-data", ["--annotators", "0"], "error: --annotators must be >= 1, got 0"),
+     ("gen-data", ["--segments", "0"], "error: --segments must be >= 1, got 0"),
+     ("gen-data", ["--timesteps", "4", "--segments", "5"],
+      "error: --segments must be <= --timesteps 4, got 5")],
 )
 def test_count_flag_checked_before_any_work(
     monkeypatch, request, tmp_path, capsys, command, flags, message
 ):
     out = tmp_path / "out"
-    if command == "train":
+    if command == "gen-data":
+        args = ["--out", str(out)]
+    elif command == "train":
         args = ["--data", request.getfixturevalue("tiny_dataset"), "--out-dir", str(out)]
     else:
         args = ["--checkpoint", request.getfixturevalue("trained"),
@@ -239,8 +248,24 @@ def test_count_flag_checked_before_any_work(
     called = []
     monkeypatch.setattr(vastsum.cli, "load_dataset", lambda *a: called.append("load_dataset"))
     monkeypatch.setattr(vastsum.cli, "predict_scores", lambda *a: called.append("predict_scores"))
+    monkeypatch.setattr(vastsum.cli, "generate_synthetic", lambda *a: called.append("generate_synthetic"))
     assert run(command, *args, *flags) == 2
     assert message in capsys.readouterr().err
+    assert called == [] and not out.exists()
+
+
+def test_more_folds_than_videos_names_the_flag_and_file(
+    monkeypatch, tmp_path, tiny_config_file, tiny_dataset, capsys
+):
+    called = []
+    monkeypatch.setattr(vastsum.cli, "train", lambda *a, **k: called.append("train"))
+    out = tmp_path / "out"
+    code = run(
+        "train", "--data", tiny_dataset, "--out-dir", str(out),
+        "--config", tiny_config_file, "--fold", "0", "--folds", "4",
+    )
+    assert code == 2
+    assert f"error: --folds must be <= the 3 videos in {tiny_dataset}, got 4" in capsys.readouterr().err
     assert called == [] and not out.exists()
 
 

@@ -309,6 +309,23 @@ class TestBackward:
         assert np.array_equal(grads["unused"], np.zeros((2, 2)))
 
 
+class TestRelease:
+    def test_released_tape_refuses_backward_and_recording(self):
+        tape = dc.Tape()
+        w = tape.param("w", np.array([2.0]))
+        loss = dc.square(w)
+        assert dc.backward(tape, loss)["w"][0] == 4.0
+        tape.release()
+        with pytest.raises(ValueError, match="tape was released"):
+            dc.backward(tape, loss)
+        with pytest.raises(ValueError, match="tape was released"):
+            dc.square(w)
+        with pytest.raises(ValueError, match="tape was released"):
+            tape.constant(1.0)
+        # the nodes the caller holds keep their values
+        assert loss.value[0] == 4.0 and dc.scalar_value(loss) == 4.0
+
+
 class TestConstantOperands:
     """A `const` operand of `affine` or `matmul` gets no gradient product."""
 

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -358,6 +360,61 @@ class TestTrainLoop:
         assert message.startswith(f"epoch 0, video {dataset.videos[1].video_id!r}: non-finite forward value")
         assert isinstance(excinfo.value.node_id, int)
         assert f"at node {excinfo.value.node_id} (affine)" in message
+
+
+@pytest.fixture()
+def tape_refs(monkeypatch):
+    """Weak references to every tape made while the test runs, with the
+    cyclic collector off, so a tape is dead only if reference counting
+    freed it."""
+    refs = []
+    make = dc.Tape.__init__
+
+    def init(tape):
+        make(tape)
+        refs.append(weakref.ref(tape))
+
+    monkeypatch.setattr(dc.Tape, "__init__", init)
+    enabled = gc.isenabled()
+    gc.disable()
+    yield refs
+    if enabled:
+        gc.enable()
+
+
+class TestTapeRelease:
+    """Each tape `train` and `predict_scores` make is freed when the call
+    returns, without waiting for the cyclic collector."""
+
+    def desk(self):
+        # the acceptance overfit model and corpus (the benchmark's desk scale)
+        dataset = generate_synthetic(
+            SyntheticConfig(n_videos=8, timesteps=64, feature_dim=16, annotators=3, segments=6, seed=7)
+        )
+        cfg = RunConfig(
+            scorer=ScorerConfig(
+                input_dim=16, model_dim=32, heads=2, layers=1, refine_blocks=1,
+                kernel=3, ffn_mult=2, max_timesteps=64,
+            ),
+            head=HeadConfig(latent_dim=8),
+            loss=LossConfig(),
+            train=TrainConfig(lr=5e-3, epochs=1, accumulate=4, seed=3, mode="tvsum"),
+        )
+        return dataset, cfg
+
+    def test_train_epoch_frees_its_tapes(self, tape_refs):
+        dataset, cfg = self.desk()
+        train(dataset, cfg)
+        assert len(tape_refs) == len(dataset.videos)
+        assert [r for r in tape_refs if r() is not None] == []
+
+    def test_predict_scores_frees_its_tape(self, tape_refs):
+        dataset, cfg = self.desk()
+        video = dataset.videos[0]
+        params = trainer.init_all_params(cfg, np.random.default_rng(0))
+        scores = trainer.predict_scores(params, video, assign_segment_ids(video.picks, video.change_points), cfg)
+        assert len(tape_refs) == 1 and tape_refs[0]() is None
+        assert np.isfinite(scores["signal"]).all()
 
 
 class TestStabilityPool:
