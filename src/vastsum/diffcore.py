@@ -17,11 +17,18 @@ A constant carries no gradient: `matmul` and `affine` return None for a
 
 Every node points at its tape and the tape's node list points back, so a
 tape is a reference cycle, which only CPython's cyclic collector would free.
-Whoever makes tapes over and over calls `Tape.release` once it is done with
-one: `trainer.train` after each video's `backward`, `trainer.predict_scores`
-after its forward pass, and `finite_difference_check` after each loss. Release drops the node list, so reference counting frees the values,
-the VJP closures and the arrays they capture as soon as the caller's last
-node goes. A released tape refuses to record or to run `backward`.
+Whoever makes gradient tapes over and over calls `Tape.release` once it is
+done with one: `trainer.train` after each video's `backward`, and
+`finite_difference_check` after each loss. Release drops the node list, so
+reference counting frees the values, the VJP closures and the arrays they
+capture as soon as the caller's last node goes. A released tape refuses to
+record or to run `backward`.
+
+`Tape(grad=False)` records no graph, as for inference (`trainer.predict_scores`):
+its nodes have no parents and no VJP, and the tape keeps no node list, so an
+activation is freed as soon as its last consumer returns and `backward`
+refuses the tape. Node ids still count up. The primitives do not branch on
+the flag; work that only the backward pass needs is done in the VJP.
 """
 
 from __future__ import annotations
@@ -61,14 +68,20 @@ class Node:
 
 class Tape:
     """Append-only record of a computation; node inputs always precede outputs.
-    `nodes` is None once the tape is released."""
+    `nodes` is None once the tape is released, and stays empty on a tape
+    made with grad=False, which records no graph (see the module docstring)."""
 
-    def __init__(self):
+    def __init__(self, grad: bool = True):
+        self.grad = grad
         self.nodes: list[Node] | None = []
+        self._count = 0
 
     def _record(self, kind, value, parents, vjp, name=None) -> Node:
         nodes = self._live_nodes()
-        node = Node(self, len(nodes), kind, value, parents, vjp, name)
+        nid, self._count = self._count, self._count + 1
+        if not self.grad:
+            return Node(self, nid, kind, value, (), None, name)
+        node = Node(self, nid, kind, value, parents, vjp, name)
         nodes.append(node)
         return node
 
@@ -252,8 +265,12 @@ def gelu(a: Node) -> Node:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     av = a.value
     cdf = 0.5 * (1.0 + erf(av * _INV_SQRT2))
-    pdf = _INV_SQRT2PI * np.exp(-0.5 * av * av)
-    return a.tape._record("gelu", av * cdf, (a,), lambda g: (g * (cdf + av * pdf),))
+
+    def vjp(g):
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * av * av)
+        return (g * (cdf + av * pdf),)
+
+    return a.tape._record("gelu", av * cdf, (a,), vjp)
 
 
 def sigmoid(a: Node) -> Node:
@@ -286,9 +303,8 @@ def clip(a: Node, lo: float, hi: float) -> Node:
     if lo > hi:
         raise ValueError(f"clip: lower bound {lo} exceeds upper bound {hi}")
     av = a.value
-    inside = (av >= lo) & (av <= hi)
     return a.tape._record(
-        "clip", np.clip(av, lo, hi), (a,), lambda g: (np.where(inside, g, 0.0),)
+        "clip", np.clip(av, lo, hi), (a,), lambda g: (np.where((av >= lo) & (av <= hi), g, 0.0),)
     )
 
 
@@ -382,9 +398,12 @@ def backward(
 
     Parameters the loss never touches get zero gradients (add nothing). The
     pass never mutates the tape, so repeated calls are bit-identical.
-    Finiteness is checked once, on the loss and on `into`'s buffer.
+    Finiteness is checked once, on the loss and on `into`'s buffer. A tape
+    made with grad=False raises ValueError: it recorded no graph.
     """
     nodes = tape._live_nodes()
+    if not tape.grad:
+        raise ValueError("tape records no gradients (made with grad=False); nothing to backpropagate")
     if loss.tape is not tape:
         raise ValueError("loss node does not belong to this tape")
     if loss.value.size != 1:

@@ -5,8 +5,10 @@ correlation of tie-averaged ranks. Both take a [T] vector or [K, T] rows on
 either side, so a video's prediction meets all of its target rows in one call,
 and both raise ValueError on non-finite input. Constant vectors make both
 undefined: the functions return NaN and the protocols flag the video as
-degenerate and exclude it from the reported means. Reductions go through
-math.fsum, which is exactly rounded and therefore order-independent.
+degenerate and exclude it from the reported means. Every reduction is exact
+before its one rounding, so no result depends on summation order: rank
+statistics are integer sums, and means over rows and videos go through
+math.fsum.
 
 Tau counts pairs in O(T log T) time and O(T) memory per row, after Knight
 ("A Computer Method for Calculating Kendall's Tau with Ungrouped Data", JASA
@@ -40,9 +42,15 @@ def _constant_rows(x: np.ndarray) -> np.ndarray:
     return np.all(x == x[..., :1], axis=-1)
 
 
+# Rows must be shorter than this: spearman_rho's int64 rank sums are exact
+# only while T**3 < 2**63.
+_MAX_T = 1 << 21
+
+
 def _pair(name: str, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """`a` and `b` as float64 [T] or [K, T] arrays of one length T >= 2 (a
-    [T] side is paired with every row of a [K, T] side); both finite."""
+    """`a` and `b` as float64 [T] or [K, T] arrays of one length
+    2 <= T < `_MAX_T` (a [T] side is paired with every row of a [K, T]
+    side); both finite."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if not (
@@ -50,6 +58,10 @@ def _pair(name: str, a, b) -> tuple[np.ndarray, np.ndarray]:
         and (a.ndim == 1 or b.ndim == 1 or a.shape[0] == b.shape[0])
     ):
         raise ValueError(f"{name} needs [T] or [K, T] inputs of one length T >= 2")
+    if a.shape[-1] >= _MAX_T:
+        raise ValueError(
+            f"{name} needs T < 2**21 = {_MAX_T} (exact int64 rank sums), got T={a.shape[-1]}"
+        )
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError(f"{name} needs finite inputs")
     return a, b
@@ -149,28 +161,32 @@ def average_ranks(x) -> np.ndarray:
     return ranks
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    # fsum reads a list of Python floats faster than an array's scalars
-    n = a.size
-    am = math.fsum(a.tolist()) / n
-    bm = math.fsum(b.tolist()) / n
-    da = a - am
-    db = b - bm
-    cov = math.fsum((da * db).tolist())
-    var_a = math.fsum((da * da).tolist())
-    var_b = math.fsum((db * db).tolist())
-    return cov / math.sqrt(var_a * var_b)
+def _centered_ranks(x: np.ndarray) -> np.ndarray:
+    """2r - (n + 1) for the average ranks r of each row of `x`: twice each
+    rank's deviation from the mean rank (n + 1)/2, an exact int64 in
+    [-(n - 1), n - 1]."""
+    return (2.0 * average_ranks(x) - (x.shape[-1] + 1)).astype(np.int64)
 
 
 def spearman_rho(a, b):
     """Spearman's rho over tie-averaged ranks; NaN when either side is
-    constant. Shapes as for `kendall_tau`."""
+    constant. Shapes as for `kendall_tau`.
+
+    Rho is the Pearson correlation of the ranks. With centered ranks ca and
+    cb, the rank deviations' products sum to sum(ca * cb) / 4 and their
+    squares to sum(ca * ca) / 4 and sum(cb * cb) / 4. Those int64 sums are
+    exact while n^3 < 2^63 (`_pair` refuses longer rows), and rounding one
+    to float and dividing by 4 gives the correctly rounded sum of the
+    deviations' products, as `math.fsum` would."""
     a, b = _pair("spearman_rho", a, b)
-    n = a.shape[-1]
-    ra, rb = (r.reshape(-1, n) for r in np.broadcast_arrays(average_ranks(a), average_ranks(b)))
-    constant = np.broadcast_to(_constant_rows(a) | _constant_rows(b), len(ra))
-    rhos = [float("nan") if c else _pearson(x, y) for x, y, c in zip(ra, rb, constant)]
-    return rhos[0] if a.ndim == b.ndim == 1 else np.array(rhos)
+    ca, cb = _centered_ranks(a), _centered_ranks(b)
+    cov = (ca * cb).sum(axis=-1) / 4.0
+    var_a = (ca * ca).sum(axis=-1) / 4.0
+    var_b = (cb * cb).sum(axis=-1) / 4.0
+    # a constant row has all-zero centered ranks and no variance
+    den = np.sqrt(var_a * var_b)
+    rhos = np.divide(cov, den, out=np.full(np.shape(cov), np.nan), where=den > 0)
+    return float(rhos) if a.ndim == b.ndim == 1 else rhos
 
 
 @dataclass

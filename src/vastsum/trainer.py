@@ -1,15 +1,16 @@
 """End-to-end optimization loop.
 
 Forward composes scorer -> head -> losses on one tape per video, released
-once `backward` has read it (see `diffcore`); gradients are averaged over an
-accumulation window, clipped by global norm, and applied with AdamW
-(decoupled weight decay). Parameters,
-the gradient accumulator and the AdamW moments are each one flat float64
-buffer with named views (`diffcore.FlatTensors`), so accumulation, averaging,
-the clip rescale and AdamW are a few vector ops on whole buffers (AdamW's
-block by block). All randomness (shuffling, latent noise, ranking pairs,
-stability perturbations) flows from one seeded generator in a fixed order,
-so a (dataset, config, seed) triple fully determines the result.
+once `backward` has read it (see `diffcore`); inference (`predict_scores`)
+runs on a gradient-free tape, which keeps no graph. Gradients are averaged
+over an accumulation window, clipped by global norm, and applied with AdamW
+(decoupled weight decay). Parameters, the gradient accumulator and the AdamW
+moments are each one flat float64 buffer with named views
+(`diffcore.FlatTensors`), so accumulation, averaging, the clip rescale and
+AdamW are a few vector ops on whole buffers (AdamW's block by block). All
+randomness (shuffling, latent noise, ranking pairs, stability perturbations)
+flows from one seeded generator in a fixed order, so a (dataset, config,
+seed) triple fully determines the result.
 """
 
 from __future__ import annotations
@@ -173,11 +174,15 @@ def model_forward(
     seg: SegmentIndexMap,
     cfg: RunConfig,
     latent_noise: np.ndarray,
+    grad: bool = True,
 ) -> tuple[prob_head.ImportanceOutput, dc.Node]:
     """The model on a fresh tape: lifted parameters, scorer, head, and the
     decode signal (mu in tvsum mode, calibrated probabilities in summe mode).
-    Zero latent noise gives the posterior-mean prediction."""
-    tape = dc.Tape()
+    Zero latent noise gives the posterior-mean prediction. With grad=False
+    the tape records no graph (`dc.Tape(grad=False)`): the values are the
+    same bits, each activation is freed once its consumers are done, and
+    `dc.backward` refuses the tape."""
+    tape = dc.Tape(grad=grad)
     pnodes = dc.lift_params(tape, params)
     h_hat = scorer.forward(tape.constant(features), seg, pnodes, cfg.scorer)
     out = prob_head.forward(h_hat, pnodes, latent_noise)
@@ -229,11 +234,10 @@ def predict_scores(
     Returns the logits mu and the decode signal (mu for tvsum, calibrated
     probabilities for summe). A signal that is not finite (finite weights or
     features can still overflow the forward pass) raises ValueError naming
-    the video. The tape is released at once: the nodes kept here keep their
-    values."""
+    the video. The forward pass runs on a gradient-free tape, which keeps no
+    graph, so nothing is left to release and no activation outlives its use."""
     latent = np.zeros((video.n_timesteps, cfg.head.latent_dim))
-    out, signal = model_forward(params, video.features, seg, cfg, latent)
-    signal.tape.release()
+    out, signal = model_forward(params, video.features, seg, cfg, latent, grad=False)
     bad = int(np.count_nonzero(~np.isfinite(signal.value)))
     if bad:
         raise ValueError(

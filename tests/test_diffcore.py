@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -324,6 +325,55 @@ class TestRelease:
             tape.constant(1.0)
         # the nodes the caller holds keep their values
         assert loss.value[0] == 4.0 and dc.scalar_value(loss) == 4.0
+
+
+class TestNoGradTape:
+    """A tape made with grad=False records values only: no parents, no VJP,
+    no node list."""
+
+    @staticmethod
+    def every_primitive(tape):
+        rng = np.random.default_rng(17)
+        x = tape.param("x", rng.standard_normal((5, 4)))
+        w = tape.param("w", rng.standard_normal((4, 3)))
+        b = tape.param("b", rng.standard_normal(3))
+        k = tape.param("k", rng.standard_normal((4, 3)))
+        gain, bias = tape.param("gain", rng.standard_normal(4)), tape.param("bias", rng.standard_normal(4))
+        h = dc.layer_norm(dc.add(x, dc.multiply(x, x)), gain, bias)
+        h = dc.subtract(dc.gelu(h), dc.sigmoid(dc.depthwise_conv1d(h, k)))
+        y = dc.affine(dc.softmax_rows(dc.scale(h, 2.0)), w, b)
+        y = dc.concat_last([dc.clip(y, -0.5, 0.5), dc.matmul(h, w), dc.gather_rows(y, [4, 0, 0, 2, 1])])
+        return dc.log(dc.exp(dc.square(y)))
+
+    def test_values_equal_the_graph_tapes(self):
+        graph, free = dc.Tape(), dc.Tape(grad=False)
+        out, free_out = self.every_primitive(graph), self.every_primitive(free)
+        assert np.array_equal(out.value, free_out.value)
+        assert free_out.nid == out.nid and free_out.kind == out.kind
+        assert free_out.parents == () and free_out.vjp is None
+        assert free.nodes == [] and len(graph.nodes) == out.nid + 1
+
+    def test_backward_refuses_the_tape(self):
+        tape = dc.Tape(grad=False)
+        loss = dc.square(tape.param("w", np.array([2.0])))
+        assert loss.value[0] == 4.0
+        with pytest.raises(ValueError, match="tape records no gradients"):
+            dc.backward(tape, loss)
+
+    def test_an_intermediate_is_freed_once_no_caller_holds_it(self):
+        def chain(tape):
+            h = dc.gelu(tape.constant(np.linspace(-2.0, 2.0, 12).reshape(3, 4)))
+            ref = weakref.ref(h.value)
+            out = dc.exp(h)
+            del h
+            return out, ref
+
+        free_out, free_ref = chain(dc.Tape(grad=False))
+        assert free_ref() is None
+        # a graph tape keeps it alive through the consumer's parents
+        graph_out, graph_ref = chain(dc.Tape())
+        assert graph_ref() is not None
+        assert np.array_equal(free_out.value, graph_out.value)
 
 
 class TestConstantOperands:

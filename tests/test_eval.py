@@ -180,6 +180,14 @@ class TestBatchedRows:
             with pytest.raises(ValueError):
                 fn(a, b)
 
+    @pytest.mark.parametrize("fn", [kendall_tau, spearman_rho])
+    def test_rows_of_2_to_the_21_rejected(self, fn):
+        # spearman_rho's int64 rank sums are exact only while T**3 < 2**63;
+        # a zero-stride view costs no memory
+        long = np.broadcast_to(0.5, 1 << 21)
+        with pytest.raises(ValueError, match=r"T < 2\*\*21 = 2097152.*got T=2097152"):
+            fn(long, long)
+
     def test_tau_memory_is_linear_in_length(self):
         # three T x T float arrays at T = 4,000 would take ~380 MB
         rng = np.random.default_rng(43)

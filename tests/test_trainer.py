@@ -370,8 +370,8 @@ def tape_refs(monkeypatch):
     refs = []
     make = dc.Tape.__init__
 
-    def init(tape):
-        make(tape)
+    def init(tape, *args, **kwargs):
+        make(tape, *args, **kwargs)
         refs.append(weakref.ref(tape))
 
     monkeypatch.setattr(dc.Tape, "__init__", init)
@@ -386,7 +386,8 @@ class TestTapeRelease:
     """Each tape `train` and `predict_scores` make is freed when the call
     returns, without waiting for the cyclic collector."""
 
-    def desk(self):
+    @staticmethod
+    def desk():
         # the acceptance overfit model and corpus (the benchmark's desk scale)
         dataset = generate_synthetic(
             SyntheticConfig(n_videos=8, timesteps=64, feature_dim=16, annotators=3, segments=6, seed=7)
@@ -415,6 +416,59 @@ class TestTapeRelease:
         scores = trainer.predict_scores(params, video, assign_segment_ids(video.picks, video.change_points), cfg)
         assert len(tape_refs) == 1 and tape_refs[0]() is None
         assert np.isfinite(scores["signal"]).all()
+
+
+class TestNoGradForward:
+    """`predict_scores` runs the model on a gradient-free tape, which gives
+    the graph forward's values bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shape, mode",
+        [
+            ((64, 16, 6), "tvsum"),  # desk dims
+            ((64, 16, 6), "summe"),
+            ((320, 1024, 80), "tvsum"),  # paper dims: T, D, M (default RunConfig)
+        ],
+        ids=["desk", "desk-summe", "paper"],
+    )
+    def test_no_grad_forward_equals_the_graph_forward(self, shape, mode):
+        t_len, feature_dim, segments = shape
+        video = generate_synthetic(
+            SyntheticConfig(n_videos=1, timesteps=t_len, feature_dim=feature_dim, segments=segments,
+                            mode=mode, seed=11)
+        ).videos[0]
+        cfg = RunConfig() if feature_dim == 1024 else TestTapeRelease.desk()[1]
+        cfg.train = dataclasses.replace(cfg.train, mode=mode)
+        params = trainer.init_all_params(cfg, np.random.default_rng(2))
+        seg = assign_segment_ids(video.picks, video.change_points)
+        latent = np.zeros((t_len, cfg.head.latent_dim))
+        graph_out, graph_signal = trainer.model_forward(params, video.features, seg, cfg, latent)
+        free_out, free_signal = trainer.model_forward(params, video.features, seg, cfg, latent, grad=False)
+        assert graph_signal.tape.grad and free_signal.tape.grad is False
+        assert free_signal.tape.nodes == [] and free_signal.parents == ()
+        for graph, free in ((graph_signal, free_signal), (graph_out.mu, free_out.mu),
+                            (graph_out.log_v, free_out.log_v)):
+            assert np.array_equal(graph.value, free.value)
+        scores = trainer.predict_scores(params, video, seg, cfg)
+        assert np.array_equal(scores["signal"], graph_signal.value)
+        assert np.array_equal(scores["mu"], graph_out.mu.value)
+        assert np.array_equal(scores["log_v"], graph_out.log_v.value)
+
+    def test_predict_scores_records_no_graph(self, monkeypatch):
+        dataset, cfg = TestTapeRelease.desk()
+        video = dataset.videos[0]
+        tapes = []
+        forward = trainer.model_forward
+
+        def spy(*args, **kwargs):
+            out, signal = forward(*args, **kwargs)
+            tapes.append(signal.tape)
+            return out, signal
+
+        monkeypatch.setattr(trainer, "model_forward", spy)
+        params = trainer.init_all_params(cfg, np.random.default_rng(0))
+        trainer.predict_scores(params, video, assign_segment_ids(video.picks, video.change_points), cfg)
+        assert len(tapes) == 1 and tapes[0].grad is False and tapes[0].nodes == []
 
 
 class TestStabilityPool:
