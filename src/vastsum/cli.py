@@ -25,7 +25,6 @@ from .data import Dataset, SyntheticConfig, generate_synthetic, load_dataset, ma
 from .decoder import budget, decode_summary
 from .errors import ConfigError, NumericError
 from .evaluation import evaluate, flip_rate, oracle_report, write_report_csv
-from .timeline import assign_segment_ids
 from .trainer import all_param_shapes, check_videos_fit, predict_scores, train
 
 
@@ -41,28 +40,38 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _check_finite(flag: str, value: float, positive: bool = False) -> None:
-    """A numeric flag must be finite and >= 0 (> 0 when `positive`)."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        bound = "> 0" if positive else ">= 0"
-        raise ConfigError(f"{flag} must be a finite number {bound}, got {value}")
+def _checked(convert, rule: str, accept):
+    """An argparse type: `convert` the text, then refuse a value `accept`
+    rejects, so argparse exits 2 naming the flag, the rule and the value
+    before any command runs."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+def _count(low: int = 1):
+    """An integer >= low."""
+    return _checked(int, f"be >= {low}", lambda v: v >= low)
+
+
+def _finite(positive: bool = False):
+    """A finite float >= 0, or > 0 when `positive`."""
+    rule = f"be a finite number {'> 0' if positive else '>= 0'}"
+    return _checked(float, rule, lambda v: math.isfinite(v) and (v > 0 if positive else v >= 0))
+
+
+_fraction = _checked(float, "lie in (0, 1]", lambda v: 0 < v <= 1)
 
 
 def cmd_gen_data(args) -> int:
-    counts = {
-        "--videos": args.videos,
-        "--timesteps": args.timesteps,
-        "--feature-dim": args.feature_dim,
-        "--annotators": args.annotators,
-        "--segments": args.segments,
-    }
-    for flag, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
     if args.segments > args.timesteps:
         raise ConfigError(f"--segments must be <= --timesteps {args.timesteps}, got {args.segments}")
-    _check_finite("--feature-noise", args.feature_noise)
-    _check_finite("--annotator-noise", args.annotator_noise)
     cfg = SyntheticConfig(
         n_videos=args.videos,
         timesteps=args.timesteps,
@@ -81,8 +90,6 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.folds < 2:
-        raise ConfigError(f"--folds must be >= 2, got {args.folds} (one fold leaves no train set)")
     if args.fold is not None and not 0 <= args.fold < args.folds:
         raise ConfigError(f"--fold must lie in [0, {args.folds - 1}]")
     cfg = _load_config(args)
@@ -123,10 +130,7 @@ def _load_and_predict(args, protocol=None):
     cfg.train.mode = dataset.mode
     cfg.validate()
     check_videos_fit(dataset.videos, cfg.scorer)
-    predictions = (
-        (v, predict_scores(params, v, assign_segment_ids(v.picks, v.change_points), cfg)["signal"])
-        for v in dataset.videos
-    )
+    predictions = ((v, predict_scores(params, v, v.segment_map, cfg)["signal"]) for v in dataset.videos)
     return dataset, predictions
 
 
@@ -147,8 +151,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if not 0 < args.rho <= 1:
-        raise ConfigError(f"--rho must lie in (0, 1], got {args.rho}")
     _, predictions = _load_and_predict(args)
     entries = []
     for video, signal in predictions:
@@ -175,11 +177,6 @@ def cmd_decode(args) -> int:
 
 
 def cmd_stability_report(args) -> int:
-    if not 0 < args.rho <= 1:
-        raise ConfigError(f"--rho must lie in (0, 1], got {args.rho}")
-    _check_finite("--sigma", args.sigma)
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     _, predictions = _load_and_predict(args)
     rates = []
     for index, (video, signal) in enumerate(predictions):
@@ -206,8 +203,6 @@ def cmd_stability_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    _check_finite("--step", args.step, positive=True)
-    _check_finite("--tolerance", args.tolerance, positive=True)
     error = gradcheck_mod.run(seed=args.seed, step=args.step)
     status = "PASS" if error < args.tolerance else "FAIL"
     print(f"gradcheck max relative error {error:.3e} (tolerance {args.tolerance:.1e}): {status}")
@@ -224,25 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=MODES, default="tvsum")
-    p.add_argument("--videos", type=int, default=8)
-    p.add_argument("--timesteps", type=int, default=64)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--annotators", type=int, default=3)
-    p.add_argument("--segments", type=int, default=6)
-    p.add_argument("--feature-noise", type=float, default=0.05)
-    p.add_argument("--annotator-noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--videos", type=_count(), default=8)
+    p.add_argument("--timesteps", type=_count(), default=64)
+    p.add_argument("--feature-dim", type=_count(), default=16)
+    p.add_argument("--annotators", type=_count(), default=3)
+    p.add_argument("--segments", type=_count(), default=6)
+    p.add_argument("--feature-noise", type=_finite(), default=0.05)
+    p.add_argument("--annotator-noise", type=_finite(), default=0.05)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train on a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="run-config JSON file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_count(0))
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=_count())
     p.add_argument("--fold", type=int, help="train one cross-validation fold")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=_count(2), default=5)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="rank-correlation report for a checkpoint")
@@ -260,24 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="emit budgeted summary masks as JSON")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rho", type=float, default=0.15)
+    p.add_argument("--rho", type=_fraction, default=0.15)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stability-report", help="decode flip rates under score noise")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rho", type=float, default=0.15)
-    p.add_argument("--sigma", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rho", type=_fraction, default=0.15)
+    p.add_argument("--sigma", type=_finite(), default=0.05)
+    p.add_argument("--trials", type=_count(), default=100)
+    p.add_argument("--seed", type=_count(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stability_report)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=gradcheck_mod.TOLERANCE)
+    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--step", type=_finite(positive=True), default=1e-4)
+    p.add_argument("--tolerance", type=_finite(positive=True), default=gradcheck_mod.TOLERANCE)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 
@@ -286,8 +281,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # a non-finite result is reported by name, so numpy's warnings add nothing
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)

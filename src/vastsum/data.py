@@ -10,7 +10,9 @@ A dataset is one JSON document:
                  | "summaries": [[0/1, ...], ...]}]}       # summe, U x T
 
 Loading is the single validation gate: every invariant is checked and a
-violation aborts with the offending video id. The synthetic generator embeds
+violation aborts with the offending video id. A `VideoRecord` keeps what
+the model reads of its metadata, each built once: `segment_map` (built by
+the load's partition check) and `frame_weights`. The synthetic generator embeds
 a per-segment latent importance linearly into the features so that a trained
 model (or even a linear probe) can recover it.
 """
@@ -20,13 +22,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .checkpoint import atomic_write
 from .config import MODES, is_integral
 from .errors import ConfigError
-from .timeline import ChangePointPartition, PickSequence, assign_segment_ids
+from .timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids, frame_weights
 
 
 @dataclass
@@ -44,6 +47,19 @@ class VideoRecord:
     @property
     def n_timesteps(self) -> int:
         return self.features.shape[0]
+
+    @cached_property
+    def segment_map(self) -> SegmentIndexMap:
+        """`assign_segment_ids(picks, change_points)`, built once and kept."""
+        return assign_segment_ids(self.picks, self.change_points)
+
+    @cached_property
+    def frame_weights(self) -> np.ndarray:
+        """`timeline.frame_weights(picks, change_points)`, built once and kept
+        read-only."""
+        weights = frame_weights(self.picks, self.change_points)
+        weights.flags.writeable = False
+        return weights
 
 
 @dataclass
@@ -129,7 +145,6 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoReco
         _fail(vid, str(exc))
     if picks.picks[-1] >= n_frames:
         _fail(vid, f"pick {picks.picks[-1]} outside [0, {n_frames - 1}]")
-    assign_segment_ids(picks, cps)  # raises CoverageError on a malformed partition
 
     features = _float_array(vid, raw, "features")
     if features.ndim != 2 or features.shape[0] != len(picks):
@@ -150,7 +165,7 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoReco
     else:
         if not np.all(np.isin(annotations, (0.0, 1.0))):
             _fail(vid, "summe summaries must be binary")
-    return VideoRecord(
+    record = VideoRecord(
         video_id=vid,
         n_frames=n_frames,
         features=features,
@@ -158,6 +173,8 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoReco
         change_points=cps,
         annotations=annotations,
     )
+    record.segment_map  # built here and kept; raises CoverageError on a malformed partition
+    return record
 
 
 def load_dataset(path) -> Dataset:

@@ -9,10 +9,6 @@ class ShapeError(ValueError):
     """Tensor operands have incompatible shapes."""
 
 
-class CapacityError(ValueError):
-    """A sequence exceeds a configured capacity (e.g. the positional table)."""
-
-
 class ConfigError(ValueError):
     """A configuration value is invalid or inconsistent with the data."""
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import diffcore as dc
 from .config import ScorerConfig
-from .errors import CapacityError
 from .timeline import SegmentIndexMap
 
 
@@ -54,16 +53,12 @@ def param_shapes(cfg: ScorerConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def project_and_embed(x: dc.Node, params: Mapping[str, dc.Node], cfg: ScorerConfig) -> dc.Node:
-    """LN(W x + b) + positional row, per timestep."""
-    t_len = x.value.shape[0]
-    if t_len > cfg.max_timesteps:
-        raise CapacityError(
-            f"sequence length {t_len} exceeds positional table size {cfg.max_timesteps}"
-        )
+def project_and_embed(x: dc.Node, params: Mapping[str, dc.Node]) -> dc.Node:
+    """LN(W x + b) + positional row, per timestep. A sequence longer than the
+    position table raises ShapeError from `gather_rows`."""
     h = dc.affine(x, params["input.proj.w"], params["input.proj.b"])
     h = dc.layer_norm(h, params["input.norm.gain"], params["input.norm.bias"])
-    pos = dc.gather_rows(params["pos.table"], range(t_len))
+    pos = dc.gather_rows(params["pos.table"], range(x.value.shape[0]))
     return dc.add(h, pos)
 
 
@@ -127,7 +122,7 @@ def forward(
     x: dc.Node, seg: SegmentIndexMap, params: Mapping[str, dc.Node], cfg: ScorerConfig
 ) -> dc.Node:
     """Full scorer: T x D features to T x d refined frame tokens."""
-    h0 = project_and_embed(x, params, cfg)
+    h0 = project_and_embed(x, params)
     context = segment_transformer(segment_tokenize(h0, seg), params, cfg)
     fused = gated_fusion(h0, context, seg, params)
     return temporal_refine(fused, params, cfg)

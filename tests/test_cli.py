@@ -1,7 +1,9 @@
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -11,14 +13,24 @@ import pytest
 
 import vastsum
 import vastsum.diffcore as dc
+from vastsum import timeline
 from vastsum.checkpoint import load_params, save_params
 from vastsum.cli import main
-from vastsum.data import load_dataset, make_folds
+from vastsum.config import load_run_config
+from vastsum.data import Dataset, load_dataset, make_folds
 from vastsum.decoder import budget
+from vastsum.trainer import train
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def refused_by_argparse(*argv):
+    """The code argparse exits with when it refuses a flag of `argv`."""
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    return exc.value.code
 
 
 def with_length(header: bytes) -> bytes:
@@ -213,26 +225,41 @@ def test_non_finite_or_out_of_range_flag_exit_2(request, tmp_path, capsys, comma
     elif args is None:
         args = ["--checkpoint", request.getfixturevalue("trained"),
                 "--data", request.getfixturevalue("tiny_dataset"), "--out", str(out)]
-    assert run(command, *args, flag, value) == 2
-    rule = "must be >= 0, got -1" if flag == "--seed" else "must be a finite number"
-    assert f"error: {flag} {rule}" in capsys.readouterr().err
+    assert refused_by_argparse(command, *args, flag, value) == 2
+    if flag == "--seed":
+        rule = f"must be >= 0, got {value}"
+    else:
+        bound = "> 0" if flag in ("--step", "--tolerance") else ">= 0"
+        rule = f"must be a finite number {bound}, got {float(value)}"
+    assert f"error: argument {flag}: {rule}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _message_id(value):
+    """A case's message without argparse's `argument FLAG:` framing, so every
+    case is named by its flag and rule alike; other values keep pytest's id."""
+    if isinstance(value, str) and value.startswith("error: "):
+        return value.replace("argument ", "").replace(": must", " must")
+    return None
 
 
 @pytest.mark.parametrize(
     "command, flags, message",
-    [("stability-report", ["--trials", "0"], "error: --trials must be >= 1, got 0"),
-     ("stability-report", ["--trials", "-3"], "error: --trials must be >= 1, got -3"),
-     ("train", ["--fold", "0", "--folds", "1"], "error: --folds must be >= 2, got 1"),
-     ("train", ["--folds", "0"], "error: --folds must be >= 2, got 0"),
+    [("stability-report", ["--trials", "0"], "error: argument --trials: must be >= 1, got 0"),
+     ("stability-report", ["--trials", "-3"], "error: argument --trials: must be >= 1, got -3"),
+     ("train", ["--fold", "0", "--folds", "1"], "error: argument --folds: must be >= 2, got 1"),
+     ("train", ["--folds", "0"], "error: argument --folds: must be >= 2, got 0"),
      ("train", ["--fold", "3", "--folds", "3"], "error: --fold must lie in [0, 2]"),
-     ("gen-data", ["--videos", "0"], "error: --videos must be >= 1, got 0"),
-     ("gen-data", ["--timesteps", "0"], "error: --timesteps must be >= 1, got 0"),
-     ("gen-data", ["--feature-dim", "-2"], "error: --feature-dim must be >= 1, got -2"),
-     ("gen-data", ["--annotators", "0"], "error: --annotators must be >= 1, got 0"),
-     ("gen-data", ["--segments", "0"], "error: --segments must be >= 1, got 0"),
+     ("gen-data", ["--videos", "0"], "error: argument --videos: must be >= 1, got 0"),
+     ("gen-data", ["--timesteps", "0"], "error: argument --timesteps: must be >= 1, got 0"),
+     ("gen-data", ["--feature-dim", "-2"], "error: argument --feature-dim: must be >= 1, got -2"),
+     ("gen-data", ["--annotators", "0"], "error: argument --annotators: must be >= 1, got 0"),
+     ("gen-data", ["--segments", "0"], "error: argument --segments: must be >= 1, got 0"),
      ("gen-data", ["--timesteps", "4", "--segments", "5"],
-      "error: --segments must be <= --timesteps 4, got 5")],
+      "error: --segments must be <= --timesteps 4, got 5"),
+     ("train", ["--epochs", "0"], "error: argument --epochs: must be >= 1, got 0"),
+     ("train", ["--epochs", "-1"], "error: argument --epochs: must be >= 1, got -1")],
+    ids=_message_id,
 )
 def test_count_flag_checked_before_any_work(
     monkeypatch, request, tmp_path, capsys, command, flags, message
@@ -241,15 +268,18 @@ def test_count_flag_checked_before_any_work(
     if command == "gen-data":
         args = ["--out", str(out)]
     elif command == "train":
-        args = ["--data", request.getfixturevalue("tiny_dataset"), "--out-dir", str(out)]
+        args = ["--data", request.getfixturevalue("tiny_dataset"), "--out-dir", str(out),
+                "--config", request.getfixturevalue("tiny_config_file")]
     else:
         args = ["--checkpoint", request.getfixturevalue("trained"),
                 "--data", request.getfixturevalue("tiny_dataset"), "--out", str(out)]
     called = []
-    monkeypatch.setattr(vastsum.cli, "load_dataset", lambda *a: called.append("load_dataset"))
-    monkeypatch.setattr(vastsum.cli, "predict_scores", lambda *a: called.append("predict_scores"))
-    monkeypatch.setattr(vastsum.cli, "generate_synthetic", lambda *a: called.append("generate_synthetic"))
-    assert run(command, *args, *flags) == 2
+    for name in ("load_dataset", "load_run_config", "predict_scores", "generate_synthetic"):
+        monkeypatch.setattr(vastsum.cli, name, lambda *a, name=name: called.append(name))
+    if "error: argument " in message:  # a single flag: argparse refuses it
+        assert refused_by_argparse(command, *args, *flags) == 2
+    else:  # a relation between flags: the command refuses it
+        assert run(command, *args, *flags) == 2
     assert message in capsys.readouterr().err
     assert called == [] and not out.exists()
 
@@ -346,6 +376,42 @@ def test_non_finite_validation_prediction_names_the_video(tmp_path, tiny_config_
     assert f"error: video {held_out!r}: prediction is not finite" in capsys.readouterr().err
 
 
+def count_calls(monkeypatch, fn):
+    """Rebind `fn` in every vastsum module to a spy; returns its call list."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for info in pkgutil.iter_modules(vastsum.__path__):
+        module = importlib.import_module(f"vastsum.{info.name}")
+        for key, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, key, spy)
+    return calls
+
+
+class TestOneSegmentMapPerVideo:
+    def test_load_then_train_with_validation(self, monkeypatch, tiny_config_file, tiny_dataset):
+        maps = count_calls(monkeypatch, timeline.assign_segment_ids)
+        weights = count_calls(monkeypatch, timeline.frame_weights)
+        dataset = load_dataset(tiny_dataset)
+        cfg = load_run_config(tiny_config_file)
+        train_set = Dataset(dataset.mode, dataset.videos[:2])
+        for _ in range(2):
+            train(train_set, cfg, val_videos=dataset.videos[2:])
+        assert [args[0] for args in maps] == [v.picks for v in dataset.videos]
+        assert len(weights) == len(train_set.videos)
+
+    def test_decode_command(self, monkeypatch, tmp_path, trained, tiny_dataset):
+        videos = load_dataset(tiny_dataset).videos
+        maps = count_calls(monkeypatch, timeline.assign_segment_ids)
+        assert run("decode", "--checkpoint", trained, "--data", tiny_dataset,
+                   "--out", str(tmp_path / "m.json")) == 0
+        assert [args[0] for args in maps] == [v.picks for v in videos]
+
+
 class TestEval:
     def test_oracle_mode_perfect_scores(self, tmp_path, trained, tiny_dataset):
         out = tmp_path / "report.csv"
@@ -398,12 +464,17 @@ class TestDecode:
             assert sum(entry["mask"]) <= cap
             assert entry["summary_frames"] == sum(entry["mask"])
 
-    def test_rho_zero_rejected(self, tmp_path, trained, tiny_dataset, capsys):
-        code = run(
-            "decode", "--checkpoint", trained, "--data", tiny_dataset,
-            "--rho", "0", "--out", str(tmp_path / "m.json"),
+    def test_rho_zero_rejected(self, monkeypatch, tmp_path, trained, tiny_dataset, capsys):
+        called = []
+        for name in ("load_params", "load_dataset"):
+            monkeypatch.setattr(vastsum.cli, name, lambda *a, name=name: called.append(name))
+        out = tmp_path / "m.json"
+        code = refused_by_argparse(
+            "decode", "--checkpoint", trained, "--data", tiny_dataset, "--rho", "0", "--out", str(out),
         )
         assert code == 2
+        assert "error: argument --rho: must lie in (0, 1], got 0.0" in capsys.readouterr().err
+        assert called == [] and not out.exists()
 
     def test_unwritable_out_names_the_requested_path(self, tmp_path, trained, tiny_dataset, capsys):
         out = tmp_path / "missing" / "m.json"

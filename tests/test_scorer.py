@@ -5,10 +5,11 @@ import pytest
 
 import vastsum.diffcore as dc
 import vastsum.scorer as scorer
-from vastsum.config import ScorerConfig
-from vastsum.errors import CapacityError
+from vastsum.config import RunConfig, ScorerConfig
+from vastsum.data import VideoRecord
+from vastsum.errors import ShapeError
 from vastsum.timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids
-from vastsum.trainer import init_from_shapes
+from vastsum.trainer import init_all_params, init_from_shapes, predict_scores
 
 from oracles import mean_rows
 
@@ -63,7 +64,7 @@ class TestProjectAndEmbed:
         params["pos.table"][:] = 0.0
         tape, p = lifted(params)
         x = tape.constant(np.zeros((5, cfg.input_dim)))
-        out = scorer.project_and_embed(x, p, cfg)
+        out = scorer.project_and_embed(x, p)
         assert np.array_equal(out.value, np.zeros((5, cfg.model_dim)))
 
     def test_hand_layer_norm_plus_position(self):
@@ -74,7 +75,7 @@ class TestProjectAndEmbed:
         params["pos.table"][:] = 0.0
         params["pos.table"][0] = [0.1, 0.2]
         tape, p = lifted(params)
-        out = scorer.project_and_embed(tape.constant([[1.0, -1.0]]), p, cfg)
+        out = scorer.project_and_embed(tape.constant([[1.0, -1.0]]), p)
         # LN([1,-1]) has mean 0, var 1; the eps shrinks it slightly below [1,-1]
         np.testing.assert_allclose(out.value, [[1.1, -0.8]], atol=1e-4)
 
@@ -83,10 +84,17 @@ class TestProjectAndEmbed:
         params = init(cfg)
         tape, p = lifted(params)
         ok = tape.constant(np.zeros((6, cfg.input_dim)))
-        scorer.project_and_embed(ok, p, cfg)
+        scorer.project_and_embed(ok, p)
         too_long = tape.constant(np.zeros((7, cfg.input_dim)))
-        with pytest.raises(CapacityError):
-            scorer.project_and_embed(too_long, p, cfg)
+        with pytest.raises(ShapeError, match="gather-rows: index out of range"):
+            scorer.project_and_embed(too_long, p)
+        # a library caller that skips `check_videos_fit` still gets an error
+        run_cfg = RunConfig(scorer=cfg)
+        video = VideoRecord("long", 7, np.zeros((7, cfg.input_dim)), PickSequence(tuple(range(7))),
+                            ChangePointPartition(((0, 6),), 7), np.zeros((1, 7)))
+        params = init_all_params(run_cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            predict_scores(params, video, video.segment_map, run_cfg)
 
 
 class TestSegmentTokenize:

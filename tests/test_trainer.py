@@ -186,7 +186,6 @@ def _reference_clip(grads, max_norm):
 def _reference_train(dataset, cfg):
     """`train` without validation, as per-tensor dict loops: dict accumulate,
     average, clip and a per-name AdamW. Returns (params, rescaled steps)."""
-    seg_maps = {v.video_id: assign_segment_ids(v.picks, v.change_points) for v in dataset.videos}
     rng = np.random.default_rng(cfg.train.seed)
     params = {k: v.copy() for k, v in trainer.init_all_params(cfg, rng).items()}
     moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in params.items()}
@@ -196,10 +195,8 @@ def _reference_train(dataset, cfg):
         acc, count = None, 0
         for pos, vi in enumerate(order):
             video = dataset.videos[int(vi)]
-            seg = seg_maps[video.video_id]
-            noise = trainer.draw_noise(video, seg, cfg, rng)
-            weights = frame_weights(video.picks, video.change_points)
-            total, _ = trainer.build_video_loss(params, video, seg, weights, cfg, epoch, noise)
+            noise = trainer.draw_noise(video, cfg, rng)
+            total, _ = trainer.build_video_loss(params, video, cfg, epoch, noise)
             grads = {k: g.copy() for k, g in dc.backward(total.tape, total).items()}
             acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
             count += 1
@@ -248,7 +245,7 @@ class TestFlatOptimizer:
         rhos = iter([0.1, 0.9, 0.2, 0.3])
         snapshots = []
 
-        def validation_rho(params, videos, seg_maps, cfg):
+        def validation_rho(params, videos, cfg):
             snapshots.append(params_to_bytes(params))
             return next(rhos)
 
@@ -525,7 +522,7 @@ class TestEmptySegment:
 
         tape = dc.Tape()
         params = dc.lift_params(tape, result.params)
-        h0 = scorer.project_and_embed(tape.constant(video.features), params, cfg.scorer)
+        h0 = scorer.project_and_embed(tape.constant(video.features), params)
         tokens = scorer.segment_tokenize(h0, seg).value
         assert not tokens[1].any() and tokens[[0, 2]].all()
         pred = trainer.predict_scores(result.params, video, seg, cfg)
