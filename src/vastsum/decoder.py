@@ -8,12 +8,17 @@ selection, then the lexicographically smallest index set), so decoding is a
 pure function of its inputs.
 
 The DP (Kellerer, Pferschy & Pisinger, *Knapsack Problems*, 2004, ch. 2)
-takes items in forward index order and works on whole capacity rows at once.
+takes items in forward index order and works on all capacity cells at once.
 Cell c holds the best set of the items seen so far that fits in c; a
 keep table records whether item i entered cell c, and one backtrack from
 cell cap reads the selection off. Values accumulate as
 `base + v_i`, i.e. in ascending index order, as
 `tests/oracles.brute_force_knapsack` sums them.
+
+Every table is cell-major, [cap+1, K]: cells on axis 0, the batch's rows on
+axis 1. An item of weight w reads the cells value[:cap+1-w] and writes
+value[w:] and its keep[j, w:], and each of these is one contiguous run, so
+each pass over an item is one flat sweep rather than K strided ones.
 
 It runs in two passes. The first keeps values only: item i enters a cell
 when `base + v_i` is strictly greater than the cell's value, and a row is
@@ -25,6 +30,18 @@ keyed DP's bit for bit. The second pass re-solves only the tied rows with
 the keyed DP (`_keyed_dp`); rows with continuous values rarely tie, so it
 seldom runs at all. NaN and infinite values take the same path: a NaN cell
 never compares equal, and equal infinities tie.
+
+The first pass checks an item for ties with one flat `any` over its cells,
+and reduces per row only when that finds one: in this layout a per-row
+reduction costs over ten times as much, and exact ties are rare. Both
+passes update the cell values with `np.fmax(old, cand)`, which is bit for
+bit the masked copy of cand where the pass takes it. A value cell starts at
+0.0 and never takes a NaN candidate, so it is never NaN; fmax then returns
+cand where it is greater, and old where cand is smaller or NaN (such as
+`inf + -inf`). Where the two are equal it returns an equal value, which can
+differ only in the sign of a zero, and no later comparison sees that; a
+keyed take on a tie keeps an equal value too, so only the keys need a masked
+copy. (`np.maximum` would propagate a NaN candidate.)
 
 The keyed DP holds each cell's set as its value and one int64 key, and
 exact value ties go to the smaller key. The key is weight * 2**shift +
@@ -46,9 +63,9 @@ capacity; each row is solved on its own and the selection has the shape of
 solve their perturbed rows in one call this way.
 
 A batch is solved in blocks of max(1, _BLOCK_CELLS // (cap + 1)) rows, so a
-block's [block, cap+1] value and candidate tables stay in L2 through the
+block's [cap+1, block] value and candidate tables stay in L2 through the
 passes each item makes over them. Each block runs both passes on its own,
-with a keep[fits, block, cap+1] table (fits: the items of weight <= cap),
+with a keep[fits, cap+1, block] table (fits: the items of weight <= cap),
 and its selection fills its rows of the [K, M] result. Rows never interact,
 so the blocks change no bit. A batch that fits in one block (training's
 K = 9, a single decode, any small capacity) is one block: both passes run on
@@ -58,6 +75,7 @@ the whole batch, as they would unblocked.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +84,14 @@ from .timeline import ChangePointPartition, PickSequence, expand_scores
 
 # DP cells (rows * (cap + 1)) in one block of rows: 256 KiB per float64 table
 _BLOCK_CELLS = 1 << 15
+
+
+def _integer(name: str, x) -> int:
+    """x as a Python int; a float is refused, never truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 @dataclass
@@ -81,7 +107,8 @@ class SegmentKnapsackInstance:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.weights = tuple(int(w) for w in self.weights)
+        self.weights = tuple(_integer(f"weights[{k}]", w) for k, w in enumerate(self.weights))
+        self.capacity = _integer("capacity", self.capacity)
         if self.values.ndim not in (1, 2) or self.values.shape[-1] != len(self.weights):
             raise ValueError("values and weights must have equal length")
         if any(w < 1 for w in self.weights):
@@ -121,30 +148,31 @@ def segment_values(
 
 
 def _rerank(key: np.ndarray, shift: int, item_bits: int, cap: int) -> np.ndarray:
-    """Re-encode each row's set ranks densely, in the same order, and clear
-    the low item_bits bits for the next items; weights are kept."""
+    """Re-encode each row's set ranks (a column of key) densely, in the same
+    order, and clear the low item_bits bits for the next items; weights are
+    kept."""
     weight = -(-key // (1 << shift))
     rank = key - weight * (1 << shift)
-    order = np.argsort(rank, axis=1, kind="stable")
-    ranked = np.take_along_axis(rank, order, axis=1)
+    order = np.argsort(rank, axis=0, kind="stable")
+    ranked = np.take_along_axis(rank, order, axis=0)
     dense = np.zeros_like(rank)
-    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=dense[:, 1:])
-    np.put_along_axis(rank, order, dense, axis=1)
+    np.cumsum(ranked[1:] != ranked[:-1], axis=0, out=dense[1:])
+    np.put_along_axis(rank, order, dense, axis=0)
     return weight * (1 << shift) + (rank - cap) * (1 << item_bits)
 
 
 def _backtrack(keep: np.ndarray, weights: tuple[int, ...], fits: list[int], m: int) -> np.ndarray:
-    """The [K, M] selection read off a keep[len(fits), K, cap+1] table,
+    """The [K, M] selection read off a keep[len(fits), cap+1, K] table,
     from cell cap of every row at once, through keep flattened: cell holds
-    each row's flat offset within one item's [K, cap+1] table."""
-    _, k, width = keep.shape
+    each row's flat offset within one item's [cap+1, K] table."""
+    _, width, k = keep.shape
     selection = np.zeros((k, m), dtype=bool)
     flat = keep.reshape(-1)
-    cell = np.arange(k) * width + width - 1
+    cell = np.arange(k) + (width - 1) * k
     for j in range(len(fits) - 1, -1, -1):
-        taken = flat[cell + j * k * width]
+        taken = flat[cell + j * width * k]
         selection[:, fits[j]] = taken
-        np.subtract(cell, weights[fits[j]], out=cell, where=taken)
+        np.subtract(cell, weights[fits[j]] * k, out=cell, where=taken)
     return selection
 
 
@@ -154,17 +182,20 @@ def _value_dp(
     """First pass: the selection with strict improvements only, and which
     rows met an exact value tie (their selection is re-solved)."""
     k = rows.shape[0]
-    value = np.zeros((k, cap + 1))
-    keep = np.zeros((len(fits), k, cap + 1), dtype=bool)
-    cand_value, eq = np.empty_like(value), np.empty((k, cap + 1), dtype=bool)
+    items = np.ascontiguousarray(rows.T)
+    value = np.zeros((cap + 1, k))
+    keep = np.zeros((len(fits), cap + 1, k), dtype=bool)
+    cand_value, eq = np.empty_like(value), np.empty((cap + 1, k), dtype=bool)
     tied = np.zeros(k, dtype=bool)
     for j, i in enumerate(fits):
         w = weights[i]
         n = cap + 1 - w
-        cv = np.add(value[:, :n], rows[:, i : i + 1], out=cand_value[:, :n])
-        take = np.greater(cv, value[:, w:], out=keep[j, :, w:])
-        tied |= np.equal(cv, value[:, w:], out=eq[:, :n]).any(axis=1)
-        np.copyto(value[:, w:], cv, where=take)
+        cv = np.add(value[:n], items[i], out=cand_value[:n])
+        np.greater(cv, value[w:], out=keep[j, w:])
+        tie = np.equal(cv, value[w:], out=eq[:n])
+        if tie.any():
+            tied |= tie.any(axis=0)
+        np.fmax(value[w:], cv, out=value[w:])
     return _backtrack(keep, weights, fits, rows.shape[1]), tied
 
 
@@ -176,11 +207,12 @@ def _keyed_dp(rows: np.ndarray, weights: tuple[int, ...], cap: int, fits: list[i
     # every key stays below 2**62 in magnitude.
     item_bits = 62 - cap.bit_length() - (cap + 1).bit_length()
     shift = item_bits + (cap + 1).bit_length()
-    value = np.zeros((k, cap + 1))
-    key = np.zeros((k, cap + 1), dtype=np.int64)
-    keep = np.zeros((len(fits), k, cap + 1), dtype=bool)
+    items = np.ascontiguousarray(rows.T)
+    value = np.zeros((cap + 1, k))
+    key = np.zeros((cap + 1, k), dtype=np.int64)
+    keep = np.zeros((len(fits), cap + 1, k), dtype=bool)
     cand_value, cand_key = np.empty_like(value), np.empty_like(key)
-    tie, lower = np.empty((k, cap + 1), dtype=bool), np.empty((k, cap + 1), dtype=bool)
+    tie, lower = np.empty((cap + 1, k), dtype=bool), np.empty((cap + 1, k), dtype=bool)
     bit = item_bits
     for j, i in enumerate(fits):
         if bit == 0:
@@ -188,14 +220,14 @@ def _keyed_dp(rows: np.ndarray, weights: tuple[int, ...], cap: int, fits: list[i
         bit -= 1
         w = weights[i]
         n = cap + 1 - w
-        cv = np.add(value[:, :n], rows[:, i : i + 1], out=cand_value[:, :n])
-        ck = np.add(key[:, :n], (w << shift) - (1 << bit), out=cand_key[:, :n])
-        take = np.greater(cv, value[:, w:], out=keep[j, :, w:])
-        tied = np.equal(cv, value[:, w:], out=tie[:, :n])
-        tied &= np.less(ck, key[:, w:], out=lower[:, :n])
+        cv = np.add(value[:n], items[i], out=cand_value[:n])
+        ck = np.add(key[:n], (w << shift) - (1 << bit), out=cand_key[:n])
+        take = np.greater(cv, value[w:], out=keep[j, w:])
+        tied = np.equal(cv, value[w:], out=tie[:n])
+        tied &= np.less(ck, key[w:], out=lower[:n])
         take |= tied
-        np.copyto(value[:, w:], cv, where=take)
-        np.copyto(key[:, w:], ck, where=take)
+        np.fmax(value[w:], cv, out=value[w:])
+        np.copyto(key[w:], ck, where=take)
     return _backtrack(keep, weights, fits, rows.shape[1])
 
 

@@ -40,6 +40,33 @@ def brute_force_knapsack(values, weights, capacity):
     return best[0], best[2]
 
 
+def reference_value_dp(rows, weights, cap, fits):
+    """The row-major value DP `decoder._value_dp` replaced, kept as its
+    reference: [K, cap+1] tables, a masked copy for each item's update and a
+    per-row tie check on every item. Returns the [K, M] selection read off
+    cell cap, and which rows met an exact value tie."""
+    k = rows.shape[0]
+    value = np.zeros((k, cap + 1))
+    keep = np.zeros((len(fits), k, cap + 1), dtype=bool)
+    cand_value, eq = np.empty_like(value), np.empty((k, cap + 1), dtype=bool)
+    tied = np.zeros(k, dtype=bool)
+    for j, i in enumerate(fits):
+        w = weights[i]
+        n = cap + 1 - w
+        cv = np.add(value[:, :n], rows[:, i : i + 1], out=cand_value[:, :n])
+        take = np.greater(cv, value[:, w:], out=keep[j, :, w:])
+        tied |= np.equal(cv, value[:, w:], out=eq[:, :n]).any(axis=1)
+        np.copyto(value[:, w:], cv, where=take)
+    selection = np.zeros((k, rows.shape[1]), dtype=bool)
+    flat = keep.reshape(-1)
+    cell = np.arange(k) * (cap + 1) + cap
+    for j in range(len(fits) - 1, -1, -1):
+        taken = flat[cell + j * k * (cap + 1)]
+        selection[:, fits[j]] = taken
+        np.subtract(cell, weights[fits[j]], out=cell, where=taken)
+    return selection, tied
+
+
 def naive_kendall_tau(a, b):
     """Pairwise O(n^2) tau-b with loop-counted concordances and ties."""
     n = len(a)

@@ -13,7 +13,7 @@ from vastsum.decoder import (
 )
 from vastsum.timeline import ChangePointPartition, PickSequence, expand_scores
 
-from oracles import brute_force_knapsack, random_partition, random_picks
+from oracles import brute_force_knapsack, random_partition, random_picks, reference_value_dp
 
 
 def total_value(values, selection):
@@ -24,6 +24,7 @@ def total_value(values, selection):
 
 
 _KEYED_DP = decoder._keyed_dp
+_BLOCK_CELLS = decoder._BLOCK_CELLS
 
 
 def keyed_dp(rows, weights, cap):
@@ -187,6 +188,33 @@ class TestKnapsackSelect:
         # the tie-heavy rows went through the keyed DP, and it re-ranked them
         assert keyed_solves >= 10 and reranks
 
+    def test_rerank_keeps_each_rows_tie_order(self, keyed_rows, monkeypatch):
+        # Five tie-heavy rows in one call, each with its fillers (value -1)
+        # in its own places: the keyed DP re-ranks the five rows' keys at
+        # once, and each row must still get its own brute-force set.
+        rng = np.random.default_rng(43)
+        widths = []
+        rerank = decoder._rerank
+        monkeypatch.setattr(
+            decoder, "_rerank", lambda key, *args: widths.append(key.shape[1]) or rerank(key, *args)
+        )
+        for _ in range(10):
+            real, k = 9, 5
+            cap = int(rng.integers(8, 40))
+            spacing = int(rng.integers(8, 16))
+            weights = tuple(int(w) for w in rng.integers(1, 8, real * spacing))
+            real_at = np.arange(real) * spacing + rng.choice(spacing, (k, 1), replace=False)
+            rows = np.full((k, real * spacing), -1.0)
+            for row, at in zip(rows, real_at):
+                row[at] = rng.choice([0.25, 0.5, 0.75, 1.0], real)
+            batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+            for row, at, selection in zip(rows, real_at, batch):
+                _, best_subset = brute_force_knapsack(row[at], [weights[i] for i in at], cap)
+                assert tuple(np.flatnonzero(selection)) == tuple(at[list(best_subset)])
+            keyed_rows.clear()
+        # every re-rank saw a batch of rows, and some saw all five
+        assert widths and min(widths) > 1 and max(widths) == 5
+
     def test_only_tied_rows_enter_the_keyed_dp(self, keyed_rows):
         # Constant and dyadic rows whose first two items are equal and fit
         # always meet an exact tie (both make a one-item set in the larger
@@ -244,6 +272,23 @@ class TestKnapsackSelect:
     def test_rejects_rows_of_the_wrong_width(self):
         with pytest.raises(ValueError, match="equal length"):
             SegmentKnapsackInstance(np.zeros((2, 3)), (1, 1), 1)
+
+    def test_rejects_fractional_weights_and_capacity(self):
+        # int() used to truncate (2.7, 1.5) to (2, 1), 4.2 true frames that
+        # both fit in a budget of 3
+        with pytest.raises(ValueError, match=r"weights\[0\] must be an integer, got 2\.7"):
+            SegmentKnapsackInstance([1.0, 1.0], (2.7, 1.5), 3)
+        with pytest.raises(ValueError, match=r"weights\[1\] must be an integer, got 1\.5"):
+            SegmentKnapsackInstance([1.0, 1.0], (2, 1.5), 3)
+        for cap in (2.5, float("nan")):
+            with pytest.raises(ValueError, match="capacity must be an integer"):
+                SegmentKnapsackInstance([1.0, 1.0], (2, 1), cap)
+
+    def test_accepts_integral_numpy_scalars(self):
+        inst = SegmentKnapsackInstance([1.0, 1.0], tuple(np.array([2, 1])), np.int64(3))
+        assert inst.weights == (2, 1) and inst.capacity == 3
+        assert all(type(x) is int for x in (*inst.weights, inst.capacity))
+        assert knapsack_select(inst).tolist() == [True, True]
 
 
 def block_rows(monkeypatch, rows, cap):
@@ -341,6 +386,71 @@ class TestRowBlocks:
         block_rows(monkeypatch, 101, 1536)
         assert np.array_equal(blocked, knapsack_select(inst))
         assert block_sizes[-1] == 101
+
+
+@pytest.fixture()
+def checked_value_dp(monkeypatch):
+    """Checks every block the value DP solves against the row-major
+    reference, bit for bit in selection and tie flags; returns each block's
+    tie flags."""
+    blocks = []
+    value_dp = decoder._value_dp
+
+    def check(rows, weights, cap, fits):
+        selection, tied = value_dp(rows, weights, cap, fits)
+        reference, reference_tied = reference_value_dp(rows, weights, cap, fits)
+        assert np.array_equal(selection, reference) and np.array_equal(tied, reference_tied)
+        blocks.append(tied)
+        return selection, tied
+
+    monkeypatch.setattr(decoder, "_value_dp", check)
+    return blocks
+
+
+class TestValueDpReference:
+    def test_mixed_batches_in_blocks_of_every_size(self, monkeypatch, checked_value_dp):
+        rng = np.random.default_rng(41)
+        opposed_fit = 0
+        for _ in range(40):
+            m = int(rng.integers(2, 11))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            cap = int(rng.integers(0, 61))
+            opposed = rng.uniform(-1, 1, m)
+            opposed[[0, -1]] = np.inf, -np.inf  # where both fit: an inf + -inf candidate
+            opposed_fit += weights[0] + weights[-1] <= cap
+            rows = np.vstack([
+                rng.uniform(-2, 10, m),
+                rng.choice([0.25, 0.5, 0.75, 1.0, -0.25], m),
+                np.full(m, 0.5),
+                rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, -0.1], m),
+                rng.choice([np.nan, np.inf, -np.inf, 0.5, 1.0], m),
+                opposed,
+                rng.standard_normal(m),
+            ])
+            inst = SegmentKnapsackInstance(rows, weights, cap)
+            with np.errstate(invalid="ignore"):
+                for size in (1, 2, 3):
+                    block_rows(monkeypatch, size, cap)
+                    knapsack_select(inst)
+                monkeypatch.setattr(decoder, "_BLOCK_CELLS", _BLOCK_CELLS)
+                knapsack_select(inst)
+        tied = np.concatenate(checked_value_dp)
+        assert len(tied) == 40 * 4 * 7 and tied.any() and not tied.all() and opposed_fit
+
+    def test_paper_size_batch_with_frame_level_weights(self, checked_value_dp):
+        # the flip rate's 101 rows at budget 1536, cut at frame level; five
+        # dyadic rows tie, the noisy ones do not
+        rng = np.random.default_rng(42)
+        cuts = np.sort(rng.choice(np.arange(1, 10240), 79, replace=False))
+        weights = tuple(int(w) for w in np.diff(np.concatenate([[0], cuts, [10240]])))
+        assert sum(w % 32 != 0 for w in weights) > 70
+        rows = rng.uniform(0, 1, 80) + rng.normal(0, 0.05, (101, 80))
+        rows[:5] = np.round(rows[:5] * 4) / 4
+        knapsack_select(SegmentKnapsackInstance(rows, weights, 1536))
+        fits = [i for i, w in enumerate(weights) if w <= 1536]
+        decoder._value_dp(rows, weights, 1536, fits)  # one block of 101
+        assert len(checked_value_dp) > 2 and len(checked_value_dp[-1]) == 101
+        assert checked_value_dp[-1][:5].all() and not checked_value_dp[-1][5:].any()
 
 
 class TestDecodeSummary:
