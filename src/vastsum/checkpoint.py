@@ -9,13 +9,15 @@ tensor's row-major `<f8` bytes, in header order. The header is canonical
 so identical parameters produce identical bytes.
 
 `atomic_write` is the package's one file-write path: checkpoints, datasets,
-decode masks and the CSV reports all go through it. This module imports
-only `config` from vastsum, so every module but `config` can use it without
-a cycle.
+decode masks and, through `write_csv`, the CSV reports all go through it.
+This module imports only `config` from vastsum, so every module but
+`config` can use it without a cycle.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -67,6 +69,16 @@ def atomic_write(path, payload: bytes) -> None:
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write `header` and then each of `rows` as one CSV file, in the csv
+    module's default dialect (CRLF line ends), through `atomic_write`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def save_params(params: dict[str, np.ndarray], path, meta: dict | None = None) -> None:

@@ -9,8 +9,6 @@ errors (a non-finite result included).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -19,8 +17,11 @@ import sys
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
-from .checkpoint import atomic_write, load_params, validate_shapes
-from .config import MODES, RunConfig, load_run_config, run_config_from_dict
+from .checkpoint import atomic_write, load_params, validate_shapes, write_csv
+from .config import (
+    MODES, NON_NEGATIVE, POSITIVE, Rule, RunConfig, TrainConfig, at_least, load_run_config,
+    run_config_from_dict,
+)
 from .data import Dataset, SyntheticConfig, generate_synthetic, load_dataset, make_folds, save_dataset
 from .decoder import budget, decode_summary
 from .errors import ConfigError, NumericError
@@ -40,33 +41,26 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _checked(convert, rule: str, accept):
-    """An argparse type: `convert` the text, then refuse a value `accept`
+def _flag(convert, rule: Rule):
+    """An argparse type: `convert` the text, then refuse a value `rule`
     rejects, so argparse exits 2 naming the flag, the rule and the value
     before any command runs."""
 
     def parse(text: str):
         value = convert(text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must {rule}, got {value}")
+        if not rule.accept(value):
+            raise argparse.ArgumentTypeError(rule.refusal(value))
         return value
 
     parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
     return parse
 
 
-def _count(low: int = 1):
-    """An integer >= low."""
-    return _checked(int, f"be >= {low}", lambda v: v >= low)
-
-
-def _finite(positive: bool = False):
-    """A finite float >= 0, or > 0 when `positive`."""
-    rule = f"be a finite number {'> 0' if positive else '>= 0'}"
-    return _checked(float, rule, lambda v: math.isfinite(v) and (v > 0 if positive else v >= 0))
-
-
-_fraction = _checked(float, "lie in (0, 1]", lambda v: 0 < v <= 1)
+def _field(cls, name: str):
+    """The argparse type of a flag that sets the config field `cls.name`:
+    the field's declared type, then its rule."""
+    spec = cls.__dataclass_fields__[name]
+    return _flag({"int": int, "float": float}[spec.type], spec.metadata["rule"])
 
 
 def cmd_gen_data(args) -> int:
@@ -191,13 +185,8 @@ def cmd_stability_report(args) -> int:
         )
         rates.append((video.video_id, rate))
     mean = math.fsum(r for _, r in rates) / len(rates)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["video_id", "flip_rate"])
-    for vid, rate in rates:
-        writer.writerow([vid, repr(rate)])
-    writer.writerow(["mean", repr(mean)])
-    atomic_write(args.out, buf.getvalue().encode("utf-8"))
+    write_csv(args.out, ["video_id", "flip_rate"],
+              [[vid, repr(rate)] for vid, rate in rates] + [["mean", repr(mean)]])
     print(f"mean flip rate {mean:.4f} over {len(rates)} videos -> {args.out}")
     return 0
 
@@ -219,25 +208,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=MODES, default="tvsum")
-    p.add_argument("--videos", type=_count(), default=8)
-    p.add_argument("--timesteps", type=_count(), default=64)
-    p.add_argument("--feature-dim", type=_count(), default=16)
-    p.add_argument("--annotators", type=_count(), default=3)
-    p.add_argument("--segments", type=_count(), default=6)
-    p.add_argument("--feature-noise", type=_finite(), default=0.05)
-    p.add_argument("--annotator-noise", type=_finite(), default=0.05)
-    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--videos", type=_field(SyntheticConfig, "n_videos"), default=8)
+    p.add_argument("--timesteps", type=_field(SyntheticConfig, "timesteps"), default=64)
+    p.add_argument("--feature-dim", type=_field(SyntheticConfig, "feature_dim"), default=16)
+    p.add_argument("--annotators", type=_field(SyntheticConfig, "annotators"), default=3)
+    p.add_argument("--segments", type=_field(SyntheticConfig, "segments"), default=6)
+    p.add_argument("--feature-noise", type=_field(SyntheticConfig, "feature_noise"), default=0.05)
+    p.add_argument("--annotator-noise", type=_field(SyntheticConfig, "annotator_noise"), default=0.05)
+    p.add_argument("--seed", type=_field(SyntheticConfig, "seed"), default=0)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train on a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="run-config JSON file")
-    p.add_argument("--seed", type=_count(0))
+    p.add_argument("--seed", type=_field(TrainConfig, "seed"))
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--epochs", type=_count())
+    p.add_argument("--epochs", type=_field(TrainConfig, "epochs"))
     p.add_argument("--fold", type=int, help="train one cross-validation fold")
-    p.add_argument("--folds", type=_count(2), default=5)
+    p.add_argument("--folds", type=_flag(int, at_least(2)), default=5)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="rank-correlation report for a checkpoint")
@@ -255,24 +244,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="emit budgeted summary masks as JSON")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rho", type=_fraction, default=0.15)
+    p.add_argument("--rho", type=_field(TrainConfig, "rho"), default=0.15)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stability-report", help="decode flip rates under score noise")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rho", type=_fraction, default=0.15)
-    p.add_argument("--sigma", type=_finite(), default=0.05)
-    p.add_argument("--trials", type=_count(), default=100)
-    p.add_argument("--seed", type=_count(0), default=0)
+    p.add_argument("--rho", type=_field(TrainConfig, "rho"), default=0.15)
+    p.add_argument("--sigma", type=_flag(float, NON_NEGATIVE), default=0.05)
+    p.add_argument("--trials", type=_flag(int, at_least(1)), default=100)
+    p.add_argument("--seed", type=_flag(int, at_least(0)), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stability_report)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
-    p.add_argument("--seed", type=_count(0), default=0)
-    p.add_argument("--step", type=_finite(positive=True), default=1e-4)
-    p.add_argument("--tolerance", type=_finite(positive=True), default=gradcheck_mod.TOLERANCE)
+    p.add_argument("--seed", type=_flag(int, at_least(0)), default=0)
+    p.add_argument("--step", type=_flag(float, POSITIVE), default=1e-4)
+    p.add_argument("--tolerance", type=_flag(float, POSITIVE), default=gradcheck_mod.TOLERANCE)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

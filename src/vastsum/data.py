@@ -20,14 +20,13 @@ model (or even a linear probe) can recover it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .checkpoint import atomic_write
-from .config import MODES, is_integral
+from .config import MODE, MODES, NON_NEGATIVE, at_least, check_fields, is_integral, read_json, setting
 from .errors import ConfigError
 from .timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids, frame_weights
 
@@ -73,30 +72,20 @@ class Dataset:
 
 @dataclass
 class SyntheticConfig:
-    n_videos: int = 8
-    timesteps: int = 64
-    feature_dim: int = 16
-    annotators: int = 3
-    segments: int = 6
-    feature_noise: float = 0.05
-    annotator_noise: float = 0.05
-    mode: str = "tvsum"
-    seed: int = 0
+    n_videos: int = setting(8, at_least(1))
+    timesteps: int = setting(64, at_least(1))
+    feature_dim: int = setting(16, at_least(1))
+    annotators: int = setting(3, at_least(1))
+    segments: int = setting(6, at_least(1))
+    feature_noise: float = setting(0.05, NON_NEGATIVE)
+    annotator_noise: float = setting(0.05, NON_NEGATIVE)
+    mode: str = setting("tvsum", MODE)
+    seed: int = setting(0, at_least(0))
 
     def validate(self):
-        for name in ("n_videos", "timesteps", "feature_dim", "annotators", "segments"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"synthetic.{name} must be >= 1")
+        check_fields("synthetic", self)
         if self.segments > self.timesteps:
             raise ConfigError("synthetic.segments cannot exceed timesteps")
-        if self.mode not in MODES:
-            raise ConfigError(f"synthetic.mode must be one of {MODES}")
-        for name in ("feature_noise", "annotator_noise"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"synthetic.{name} must be a finite number >= 0, got {value}")
-        if self.seed < 0:
-            raise ConfigError(f"synthetic.seed must be >= 0, got {self.seed}")
 
 
 ANNOTATION_KEY = {"tvsum": "scores", "summe": "summaries"}
@@ -179,11 +168,7 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoReco
 
 def load_dataset(path) -> Dataset:
     """Parse and fully validate a dataset file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"cannot parse dataset {path}: {exc}") from exc
+    raw = read_json(path, "dataset", ValueError)
     if not isinstance(raw, dict) or "mode" not in raw or "videos" not in raw:
         raise ValueError("dataset must be an object with 'mode' and 'videos'")
     mode = raw["mode"]

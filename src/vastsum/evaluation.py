@@ -22,14 +22,12 @@ unchanged, so each tau equals the pairwise count's bit for bit.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_write
+from .checkpoint import write_csv
 # decode_summary is not called here; perfbench's tracer and tests reach it as
 # evaluation.decode_summary, so the name stays bound.
 from .decoder import decode_summary, select_segments  # noqa: F401
@@ -297,10 +295,7 @@ def flip_rate(
 
 def write_report_csv(report: CorrelationReport, path) -> None:
     """One row per video plus a footer with the means and degenerate count."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["video_id", "tau", "rho", "degenerate"])
-    for row in report.per_video:
-        writer.writerow([row.video_id, repr(row.tau), repr(row.rho), str(row.degenerate).lower()])
-    writer.writerow(["mean", repr(report.mean_tau), repr(report.mean_rho), report.degenerate_count])
-    atomic_write(path, buf.getvalue().encode("utf-8"))
+    rows = [[row.video_id, repr(row.tau), repr(row.rho), str(row.degenerate).lower()]
+            for row in report.per_video]
+    rows.append(["mean", repr(report.mean_tau), repr(report.mean_rho), report.degenerate_count])
+    write_csv(path, ["video_id", "tau", "rho", "degenerate"], rows)

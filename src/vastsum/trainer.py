@@ -15,9 +15,7 @@ seed) triple fully determines the result.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -26,7 +24,7 @@ import numpy as np
 
 from . import diffcore as dc
 from . import losses, prob_head, scorer
-from .checkpoint import atomic_write, save_params
+from .checkpoint import save_params, write_csv
 from .config import RunConfig, ScorerConfig
 from .data import Dataset, VideoRecord
 from .decoder import budget
@@ -339,23 +337,6 @@ def train(
 
 
 def write_loss_log(history: list[losses.LossBreakdown], path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["epoch", "main", "rank", "stab", "kl", "total", "lambda_rank", "lambda_stab", "lambda_kl"]
-    )
-    for row in history:
-        writer.writerow(
-            [
-                row.epoch,
-                repr(row.main),
-                repr(row.rank),
-                repr(row.stab),
-                repr(row.kl),
-                repr(row.total),
-                repr(row.lambda_rank),
-                repr(row.lambda_stab),
-                repr(row.lambda_kl),
-            ]
-        )
-    atomic_write(path, buf.getvalue().encode("utf-8"))
+    columns = ("main", "rank", "stab", "kl", "total", "lambda_rank", "lambda_stab", "lambda_kl")
+    write_csv(path, ["epoch", *columns],
+              ([row.epoch] + [repr(getattr(row, name)) for name in columns] for row in history))

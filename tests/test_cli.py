@@ -187,6 +187,16 @@ class TestTrain:
         assert code == 2
         assert f"error: {named} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, what", [("--data", "dataset"), ("--config", "config")])
+    def test_file_not_utf8_exit_2_names_it(self, tmp_path, tiny_config_file, tiny_dataset, capsys,
+                                           flag, what):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        files = {"--data": tiny_dataset, "--config": tiny_config_file, flag: str(bad)}
+        argv = [text for pair in files.items() for text in pair]
+        assert run("train", "--out-dir", str(tmp_path / "o"), *argv) == 2
+        assert f"error: cannot parse {what} {bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_fold_training(self, tmp_path, tiny_config_file):
         data = tmp_path / "ten.json"
         assert run(
