@@ -56,11 +56,13 @@ def _flag(convert, rule: Rule):
     return parse
 
 
-def _field(cls, name: str):
-    """The argparse type of a flag that sets the config field `cls.name`:
-    the field's declared type, then its rule."""
+def _field(cls, name: str, **overrides) -> dict:
+    """The add_argument keywords of a flag that sets the config field
+    `cls.name`: its type is the field's declared type, then its rule, and
+    its default is the field's default."""
     spec = cls.__dataclass_fields__[name]
-    return _flag({"int": int, "float": float}[spec.type], spec.metadata["rule"])
+    kind = _flag({"int": int, "float": float}[spec.type], spec.metadata["rule"])
+    return {"type": kind, "default": spec.default, **overrides}
 
 
 def cmd_gen_data(args) -> int:
@@ -207,24 +209,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=MODES, default="tvsum")
-    p.add_argument("--videos", type=_field(SyntheticConfig, "n_videos"), default=8)
-    p.add_argument("--timesteps", type=_field(SyntheticConfig, "timesteps"), default=64)
-    p.add_argument("--feature-dim", type=_field(SyntheticConfig, "feature_dim"), default=16)
-    p.add_argument("--annotators", type=_field(SyntheticConfig, "annotators"), default=3)
-    p.add_argument("--segments", type=_field(SyntheticConfig, "segments"), default=6)
-    p.add_argument("--feature-noise", type=_field(SyntheticConfig, "feature_noise"), default=0.05)
-    p.add_argument("--annotator-noise", type=_field(SyntheticConfig, "annotator_noise"), default=0.05)
-    p.add_argument("--seed", type=_field(SyntheticConfig, "seed"), default=0)
+    p.add_argument("--mode", choices=MODES, default=SyntheticConfig.mode)
+    p.add_argument("--videos", **_field(SyntheticConfig, "n_videos"))
+    p.add_argument("--timesteps", **_field(SyntheticConfig, "timesteps"))
+    p.add_argument("--feature-dim", **_field(SyntheticConfig, "feature_dim"))
+    p.add_argument("--annotators", **_field(SyntheticConfig, "annotators"))
+    p.add_argument("--segments", **_field(SyntheticConfig, "segments"))
+    p.add_argument("--feature-noise", **_field(SyntheticConfig, "feature_noise"))
+    p.add_argument("--annotator-noise", **_field(SyntheticConfig, "annotator_noise"))
+    p.add_argument("--seed", **_field(SyntheticConfig, "seed"))
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train on a dataset file")
     p.add_argument("--data", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="run-config JSON file")
-    p.add_argument("--seed", type=_field(TrainConfig, "seed"))
+    # None: the run config (a --config file or the defaults) keeps its value
+    p.add_argument("--seed", **_field(TrainConfig, "seed", default=None))
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("--epochs", type=_field(TrainConfig, "epochs"))
+    p.add_argument("--epochs", **_field(TrainConfig, "epochs", default=None))
     p.add_argument("--fold", type=int, help="train one cross-validation fold")
     p.add_argument("--folds", type=_flag(int, at_least(2)), default=5)
     p.set_defaults(func=cmd_train)
@@ -244,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="emit budgeted summary masks as JSON")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rho", type=_field(TrainConfig, "rho"), default=0.15)
+    p.add_argument("--rho", **_field(TrainConfig, "rho"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("stability-report", help="decode flip rates under score noise")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--rho", type=_field(TrainConfig, "rho"), default=0.15)
+    p.add_argument("--rho", **_field(TrainConfig, "rho"))
     p.add_argument("--sigma", type=_flag(float, NON_NEGATIVE), default=0.05)
     p.add_argument("--trials", type=_flag(int, at_least(1)), default=100)
     p.add_argument("--seed", type=_flag(int, at_least(0)), default=0)

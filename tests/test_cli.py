@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -15,9 +16,9 @@ import vastsum
 import vastsum.diffcore as dc
 from vastsum import timeline
 from vastsum.checkpoint import load_params, save_params
-from vastsum.cli import main
-from vastsum.config import load_run_config
-from vastsum.data import Dataset, load_dataset, make_folds
+from vastsum.cli import build_parser, main
+from vastsum.config import TrainConfig, load_run_config
+from vastsum.data import Dataset, SyntheticConfig, load_dataset, make_folds
 from vastsum.decoder import budget
 from vastsum.trainer import train
 
@@ -105,6 +106,41 @@ class TestGenData:
         assert code == 0
         assert (out_dir / "checkpoint.json").exists()
         assert (out_dir / "train_log.csv").exists()
+
+
+# gen-data's flag for each SyntheticConfig field, where the names differ
+GEN_DATA_FLAGS = {"n_videos": "videos"}
+
+
+def parse_defaults(command, *required):
+    return vars(build_parser().parse_args([command, *required]))
+
+
+class TestFlagDefaults:
+    """A flag that sets a config field defaults to that field's default."""
+
+    def test_gen_data_flags_default_to_synthetic_config(self):
+        args = parse_defaults("gen-data", "--out", "x.json")
+        for field in dataclasses.fields(SyntheticConfig):
+            assert args[GEN_DATA_FLAGS.get(field.name, field.name)] == getattr(SyntheticConfig(), field.name)
+
+    def test_rho_defaults_to_train_rho(self):
+        for command in ("decode", "stability-report"):
+            args = parse_defaults(command, "--checkpoint", "c", "--data", "d", "--out", "o")
+            assert args["rho"] == TrainConfig().rho
+
+    def test_a_changed_default_reaches_the_flag(self, monkeypatch):
+        # the parser reads each default from the field, so none is restated
+        monkeypatch.setattr(SyntheticConfig.__dataclass_fields__["n_videos"], "default", 5)
+        monkeypatch.setattr(SyntheticConfig.__dataclass_fields__["feature_noise"], "default", 0.25)
+        monkeypatch.setattr(TrainConfig.__dataclass_fields__["rho"], "default", 0.3)
+        args = parse_defaults("gen-data", "--out", "x.json")
+        assert (args["videos"], args["feature_noise"]) == (5, 0.25)
+        assert parse_defaults("decode", "--checkpoint", "c", "--data", "d", "--out", "o")["rho"] == 0.3
+
+    def test_train_seed_and_epochs_leave_the_run_config_alone(self):
+        args = parse_defaults("train", "--data", "d", "--out-dir", "o")
+        assert args["seed"] is None and args["epochs"] is None
 
 
 class TestTrain:

@@ -25,6 +25,7 @@ def total_value(values, selection):
 
 _KEYED_DP = decoder._keyed_dp
 _BLOCK_CELLS = decoder._BLOCK_CELLS
+_TILE_CELLS = decoder._TILE_CELLS
 
 
 def keyed_dp(rows, weights, cap):
@@ -218,13 +219,15 @@ class TestKnapsackSelect:
     def test_only_tied_rows_enter_the_keyed_dp(self, keyed_rows):
         # Constant and dyadic rows whose first two items are equal and fit
         # always meet an exact tie (both make a one-item set in the larger
-        # item's cell); continuous rows do not. One batch interleaves them.
+        # item's cell); continuous rows do not. A last item as heavy as the
+        # budget keeps every cell of the first two items live (W_after >= cap),
+        # so the tie lies on a cell that reaches cap. One batch interleaves them.
         rng = np.random.default_rng(33)
         tie_heavy = np.array([False, True, False, True, True, False])
         for _ in range(60):
-            m = int(rng.integers(2, 11))
-            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            m = int(rng.integers(3, 12))
             cap = int(rng.integers(20, 61))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m - 1)) + (cap,)
             dyadic = rng.choice([0.25, 0.5, 0.75, 1.0, -0.25], m)
             dyadic[1] = dyadic[0] = 0.75
             rows = np.vstack([
@@ -344,13 +347,14 @@ class TestRowBlocks:
 
     def test_tied_rows_in_two_blocks_match_the_keyed_dp(self, monkeypatch, keyed_rows):
         # rows 1 and 4 tie exactly (value columns 0 and 1 are equal and both
-        # fit); in blocks of 3 they fall in different blocks, so each block
-        # sends its own tied row to the keyed DP
+        # fit, and a last item as heavy as the budget keeps the tie on a
+        # cell that reaches cap); in blocks of 3 they fall in different
+        # blocks, so each block sends its own tied row to the keyed DP
         rng = np.random.default_rng(38)
         for _ in range(20):
-            m = int(rng.integers(2, 11))
-            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            m = int(rng.integers(3, 12))
             cap = int(rng.integers(20, 61))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m - 1)) + (cap,)
             rows = rng.uniform(0, 1, (6, m))
             rows[[1, 4], 1] = rows[[1, 4], 0]
             block_rows(monkeypatch, 3, cap)
@@ -388,19 +392,33 @@ class TestRowBlocks:
         assert block_sizes[-1] == 101
 
 
+def check_against_reference(value_dp, rows, weights, cap, fits):
+    """`value_dp`'s selection and tie flags on one block, checked against the
+    row-major reference, which compares every cell: the selection bit for
+    bit; the flags a subset of the reference's (the value pass drops ties on
+    cells that cannot reach cap); and each row flagged only by the reference
+    solved by the keyed DP to the same selection."""
+    selection, tied = value_dp(rows, weights, cap, fits)
+    reference, reference_tied = reference_value_dp(rows, weights, cap, fits)
+    assert np.array_equal(selection, reference)
+    assert not (tied & ~reference_tied).any()
+    dropped = reference_tied & ~tied
+    if dropped.any():
+        assert np.array_equal(_KEYED_DP(rows[dropped], weights, cap, fits), selection[dropped])
+    return selection, tied, reference_tied
+
+
 @pytest.fixture()
 def checked_value_dp(monkeypatch):
-    """Checks every block the value DP solves against the row-major
-    reference, bit for bit in selection and tie flags; returns each block's
-    tie flags."""
+    """Checks every block the value DP solves against the reference (see
+    `check_against_reference`); returns each block's tie flags and the
+    reference's."""
     blocks = []
     value_dp = decoder._value_dp
 
     def check(rows, weights, cap, fits):
-        selection, tied = value_dp(rows, weights, cap, fits)
-        reference, reference_tied = reference_value_dp(rows, weights, cap, fits)
-        assert np.array_equal(selection, reference) and np.array_equal(tied, reference_tied)
-        blocks.append(tied)
+        selection, tied, reference_tied = check_against_reference(value_dp, rows, weights, cap, fits)
+        blocks.append((tied, reference_tied))
         return selection, tied
 
     monkeypatch.setattr(decoder, "_value_dp", check)
@@ -434,8 +452,11 @@ class TestValueDpReference:
                     knapsack_select(inst)
                 monkeypatch.setattr(decoder, "_BLOCK_CELLS", _BLOCK_CELLS)
                 knapsack_select(inst)
-        tied = np.concatenate(checked_value_dp)
+        tied = np.concatenate([flags for flags, _ in checked_value_dp])
         assert len(tied) == 40 * 4 * 7 and tied.any() and not tied.all() and opposed_fit
+        # some rows tie only on cells that cannot reach cap, and the keyed DP
+        # was checked on them
+        assert any((reference & ~flags).any() for flags, reference in checked_value_dp)
 
     def test_paper_size_batch_with_frame_level_weights(self, checked_value_dp):
         # the flip rate's 101 rows at budget 1536, cut at frame level; five
@@ -449,8 +470,116 @@ class TestValueDpReference:
         knapsack_select(SegmentKnapsackInstance(rows, weights, 1536))
         fits = [i for i, w in enumerate(weights) if w <= 1536]
         decoder._value_dp(rows, weights, 1536, fits)  # one block of 101
-        assert len(checked_value_dp) > 2 and len(checked_value_dp[-1]) == 101
-        assert checked_value_dp[-1][:5].all() and not checked_value_dp[-1][5:].any()
+        tied, reference_tied = checked_value_dp[-1]
+        assert len(checked_value_dp) > 2 and len(tied) == 101
+        assert tied[:5].all() and not tied[5:].any() and np.array_equal(tied, reference_tied)
+
+
+def mixed_rows(rng, m):
+    """Continuous, dyadic, constant, 0.1-step, integer and non-finite rows."""
+    return np.vstack([
+        rng.uniform(-2, 10, m),
+        rng.choice([0.25, 0.5, 0.75, 1.0, -0.25], m),
+        np.full(m, 0.5),
+        rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, -0.1], m),
+        rng.integers(-1, 4, m).astype(float),
+        rng.choice([np.nan, np.inf, -np.inf, 0.5, 1.0], m),
+        rng.standard_normal(m),
+    ])
+
+
+def check_live_cells(rows, weights, cap):
+    """The value pass against the reference (every cell) on one block, and
+    knapsack_select against brute force, row by row."""
+    fits = [i for i, w in enumerate(weights) if w <= cap]
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        check_against_reference(decoder._value_dp, rows, weights, cap, fits)
+        batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+    for r, (row, selection) in enumerate(zip(rows, batch)):
+        assert sum(w for w, s in zip(weights, selection) if s) <= cap
+        if np.isfinite(row).all():
+            best_value, best_subset = brute_force_knapsack(row, weights, cap)
+            assert total_value(row, selection) == best_value
+            if r in (1, 2, 4):  # exact sums: the brute-force set too
+                assert tuple(np.flatnonzero(selection)) == best_subset
+
+
+class TestLiveCells:
+    """Each item's pass covers only its live cells [lo, hi] (module docstring)."""
+
+    def test_ranges_by_hand(self):
+        # weight 50 > cap 10 is no fitting item; W_upto 3, 7, 9, 14 gives hi
+        # 3, 7, 9, 10 and cap - W_after -1, 3, 5, 10 gives lo 3, 4, 5, 10
+        weights = (3, 50, 4, 2, 5)
+        assert decoder._ranges(weights, 10, [0, 2, 3, 4]) == [(3, 3), (4, 7), (5, 9), (10, 10)]
+        # everything fits (total 14 < cap 20): cap - W_after (9, 13, 15, 20)
+        # lies above hi, and the clamp keeps the one cell hi
+        assert decoder._ranges(weights, 20, [0, 2, 3, 4]) == [(3, 3), (7, 7), (9, 9), (14, 14)]
+        assert decoder._ranges(weights, 0, []) == []
+
+    @pytest.mark.parametrize(
+        "weights, cap",
+        [
+            ((2, 3, 1, 4, 6, 5, 7), 12),  # the first four items: W_upto < cap
+            ((9, 7, 8, 6, 9, 5), 20),  # the last items: lo above w
+            ((3, 40, 5, 2, 50, 4, 6), 10),  # items heavier than cap between the others
+            ((3, 4, 2, 1), 30),  # total weight < cap: unclamped, lo > hi
+            ((3, 4, 2, 1), 10),  # total weight == cap
+            ((3, 4, 2, 1), 0),
+            ((5,), 5),
+            ((5,), 9),
+            ((5,), 4),
+        ],
+    )
+    def test_bounds_against_reference_and_brute_force(self, weights, cap):
+        rng = np.random.default_rng(sum(weights) * 101 + cap)
+        for _ in range(20):
+            check_live_cells(mixed_rows(rng, len(weights)), weights, cap)
+
+    def test_random_instances_against_reference_and_brute_force(self):
+        rng = np.random.default_rng(44)
+        for _ in range(150):
+            m = int(rng.integers(1, 10))
+            weights = tuple(int(w) for w in rng.integers(1, 25, m))
+            cap = int(rng.integers(0, sum(weights) + 5))
+            check_live_cells(mixed_rows(rng, m), weights, cap)
+
+    def test_tile_changes_no_selection_or_flag(self, monkeypatch, block_sizes):
+        # every block tiled (no least capacity), at the default tile and at
+        # one cell a tile (the broadcast add), in blocks of 1, 2 and 3 rows
+        solved = []
+        value_dp = decoder._value_dp
+
+        def spy(*args):
+            solved.append(value_dp(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(decoder, "_value_dp", spy)
+        monkeypatch.setattr(decoder, "_TILED_CAP", 0)
+        rng = np.random.default_rng(45)
+        for _ in range(40):
+            m = int(rng.integers(1, 10))
+            weights = tuple(int(w) for w in rng.integers(1, 25, m))
+            cap = int(rng.integers(0, 70))
+            rows = mixed_rows(rng, m)
+            results = []
+            for tile in (_TILE_CELLS, 1):
+                monkeypatch.setattr(decoder, "_TILE_CELLS", tile)
+                for size in (1, 2, 3):
+                    block_rows(monkeypatch, size, cap)
+                    solved.clear()
+                    with np.errstate(invalid="ignore"):
+                        batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+                    tied = np.concatenate([flags for _, flags in solved])
+                    results.append((batch, tied))
+            for batch, tied in results[1:]:
+                assert np.array_equal(batch, results[0][0]) and np.array_equal(tied, results[0][1])
+
+    def test_candidate_table_starts_on_a_cache_line(self):
+        assert _TILE_CELLS * 8 % 64 == 0  # so every tile row of it does too
+        for n in (1, 7, 16 * 21, 1537 * 42):
+            table = decoder._aligned(n)
+            assert table.shape == (n,) and table.ctypes.data % 64 == 0
 
 
 class TestDecodeSummary:
