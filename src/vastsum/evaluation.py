@@ -10,14 +10,22 @@ before its one rounding, so no result depends on summation order: rank
 statistics are integer sums, and means over rows and videos go through
 math.fsum.
 
+Each side is ranked by one argsort (`_ranks`), and both statistics read that
+one ranking. The sort is numpy's default unstable one: every rank it yields
+is a function of a run of equal values (the run's start, its end, its
+length), never of the order inside the run, so any order of tied entries
+gives the same ranks bit for bit and stability buys nothing.
+
 Tau counts pairs in O(T log T) time and O(T) memory per row, after Knight
 ("A Computer Method for Calculating Kendall's Tau with Ungrouped Data", JASA
 1966). Tied pairs in a, in b and jointly in (a, b) come from the run starts of
 the sorted rows. Sorting by (a, b) leaves b ascending within each tie of a, so
 the discordant pairs D are exactly the inversions of b in that order, which a
-bottom-up merge sort counts (`_inversions`). Then C - D = n0 - ties_a - ties_b
-+ ties_ab - 2D. All of these are exact integers that feed the tau-b formula
-unchanged, so each tau equals the pairwise count's bit for bit.
+bottom-up merge sort counts (`_inversions`). Its blocks are powers of two, so
+a block's index and an element's half are bit operations on its position
+rather than int64 divisions. Then C - D = n0 - ties_a - ties_b + ties_ab - 2D.
+All of these are exact integers that feed the tau-b formula unchanged, so
+each tau equals the pairwise count's bit for bit.
 """
 
 from __future__ import annotations
@@ -32,12 +40,6 @@ from .checkpoint import write_csv
 # evaluation.decode_summary, so the name stays bound.
 from .decoder import decode_summary, select_segments  # noqa: F401
 from .timeline import ChangePointPartition, PickSequence
-
-
-def _constant_rows(x: np.ndarray) -> np.ndarray:
-    """True for each row of `x` (a [T] or [K, T] array) whose entries all
-    equal its first."""
-    return np.all(x == x[..., :1], axis=-1)
 
 
 # Rows must be shorter than this: spearman_rho's int64 rank sums are exact
@@ -73,14 +75,22 @@ def _run_starts(xs: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.where(new, np.arange(xs.shape[-1]), 0), axis=-1)
 
 
-def _min_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0-based ranks with ties sharing the lowest rank of their run, and the
-    number of tied pairs in each row."""
-    order = np.argsort(x, axis=-1, kind="stable")
-    starts = _run_starts(np.take_along_axis(x, order, axis=-1))
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, starts, axis=-1)
-    return ranks, _tied_pairs(starts)
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From one argsort of each row of `x`: the 0-based min ranks (ties share
+    the lowest rank of their run), the centered average ranks 2r - (n + 1)
+    (twice each average rank's deviation from the mean rank, an exact int64
+    in [-(n - 1), n - 1]) and the number of tied pairs in each row."""
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1)
+    xs = np.take_along_axis(x, order, axis=-1)
+    starts = _run_starts(xs)
+    # a run's last position, found as its start in the reversed rows
+    ends = n - _run_starts(xs[..., ::-1])[..., ::-1]
+    min_ranks, centered = np.empty_like(order), np.empty_like(order)
+    np.put_along_axis(min_ranks, order, starts, axis=-1)
+    # a run at sorted positions [start, end) holds ranks start+1 .. end
+    np.put_along_axis(centered, order, starts + ends - n, axis=-1)
+    return min_ranks, centered, _tied_pairs(starts)
 
 
 def _tied_pairs(starts: np.ndarray) -> np.ndarray:
@@ -98,32 +108,32 @@ def _inversions(seq: np.ndarray, bound: int) -> np.ndarray:
     right-half element then moves left by the number of left-half elements
     greater than it, so the sum of those moves is the block's cross
     inversions. Rows are padded to a power of two with `bound`, which adds
-    no inversion."""
+    no inversion.
+
+    With w = 2**(shift - 1), a block's index is pos >> shift, and
+    `order & w` is w for a right-half element and 0 for a left-half one, so
+    the weighted moves sum to w times the cross inversions; the shift back
+    is exact (the sum stays below 2**61 while T < `_MAX_T`)."""
     k, t = seq.shape
     width = 1 << (t - 1).bit_length()
     vals = np.full(k * width, bound, dtype=np.int64)
     vals.reshape(k, width)[:, :t] = seq
     pos = np.arange(k * width)
     counts = np.zeros(k, dtype=np.int64)
-    w = 1
-    while w < width:
-        order = np.argsort(vals + pos // (2 * w) * (bound + 1), kind="stable")
-        moved = np.where(order % (2 * w) >= w, order - pos, 0)
-        counts += moved.reshape(k, width).sum(axis=1)
+    shift = 1
+    while 1 << shift <= width:
+        w = 1 << (shift - 1)
+        order = np.argsort(vals + (pos >> shift) * (bound + 1), kind="stable")
+        counts += ((order & w) * (order - pos)).reshape(k, width).sum(axis=1) >> (shift - 1)
         vals = vals[order]
-        w *= 2
+        shift += 1
     return counts
 
 
-def kendall_tau(a, b):
-    """Kendall's tau-b; NaN when either side is constant.
-
-    `a` and `b` are [T] or [K, T]; two [T] vectors give a float, otherwise
-    one tau per row comes back as a [K] array."""
-    a, b = _pair("kendall_tau", a, b)
-    n = a.shape[-1]
-    ra, ties_a = _min_ranks(a)
-    rb, ties_b = _min_ranks(b)
+def _tau(ra, ties_a, rb, ties_b) -> np.ndarray:
+    """Tau-b per row from each side's min ranks and tied-pair counts; NaN
+    where either side is constant."""
+    n = ra.shape[-1]
     # sorting (a, b) rank keys leaves b's ranks in (a, b) order: b ascends
     # within each tie of a, so its inversions are exactly the discordant pairs
     keys = np.sort((ra * n + rb).reshape(-1, n), axis=1)
@@ -141,34 +151,12 @@ def kendall_tau(a, b):
         else:
             # concordant + discordant = n0 - ties_a - ties_b + ties_ab
             taus.append((n0 - ta - tb + tab - 2 * d) / math.sqrt(float((n0 - ta) * (n0 - tb))))
-    return taus[0] if a.ndim == b.ndim == 1 else np.array(taus)
+    return np.array(taus)
 
 
-def average_ranks(x) -> np.ndarray:
-    """1-based ranks with ties sharing the mean rank of their run; [T] or
-    [K, T], ranked along the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, axis=-1, kind="stable")
-    xs = np.take_along_axis(x, order, axis=-1)
-    starts = _run_starts(xs)
-    # a run's last position, found as its start in the reversed rows
-    ends = x.shape[-1] - _run_starts(xs[..., ::-1])[..., ::-1]
-    ranks = np.empty(x.shape, dtype=np.float64)
-    # a run at sorted positions [start, end) holds ranks start+1 .. end
-    np.put_along_axis(ranks, order, (starts + ends + 1) / 2.0, axis=-1)
-    return ranks
-
-
-def _centered_ranks(x: np.ndarray) -> np.ndarray:
-    """2r - (n + 1) for the average ranks r of each row of `x`: twice each
-    rank's deviation from the mean rank (n + 1)/2, an exact int64 in
-    [-(n - 1), n - 1]."""
-    return (2.0 * average_ranks(x) - (x.shape[-1] + 1)).astype(np.int64)
-
-
-def spearman_rho(a, b):
-    """Spearman's rho over tie-averaged ranks; NaN when either side is
-    constant. Shapes as for `kendall_tau`.
+def _rho(ca, cb) -> np.ndarray:
+    """Spearman's rho per row from each side's centered ranks; NaN where
+    either side is constant.
 
     Rho is the Pearson correlation of the ranks. With centered ranks ca and
     cb, the rank deviations' products sum to sum(ca * cb) / 4 and their
@@ -176,15 +164,39 @@ def spearman_rho(a, b):
     exact while n^3 < 2^63 (`_pair` refuses longer rows), and rounding one
     to float and dividing by 4 gives the correctly rounded sum of the
     deviations' products, as `math.fsum` would."""
-    a, b = _pair("spearman_rho", a, b)
-    ca, cb = _centered_ranks(a), _centered_ranks(b)
     cov = (ca * cb).sum(axis=-1) / 4.0
     var_a = (ca * ca).sum(axis=-1) / 4.0
     var_b = (cb * cb).sum(axis=-1) / 4.0
     # a constant row has all-zero centered ranks and no variance
     den = np.sqrt(var_a * var_b)
-    rhos = np.divide(cov, den, out=np.full(np.shape(cov), np.nan), where=den > 0)
+    return np.divide(cov, den, out=np.full(np.shape(cov), np.nan), where=den > 0)
+
+
+def kendall_tau(a, b):
+    """Kendall's tau-b; NaN when either side is constant.
+
+    `a` and `b` are [T] or [K, T]; two [T] vectors give a float, otherwise
+    one tau per row comes back as a [K] array."""
+    a, b = _pair("kendall_tau", a, b)
+    ra, _, ties_a = _ranks(a)
+    rb, _, ties_b = _ranks(b)
+    taus = _tau(ra, ties_a, rb, ties_b)
+    return float(taus[0]) if a.ndim == b.ndim == 1 else taus
+
+
+def spearman_rho(a, b):
+    """Spearman's rho over tie-averaged ranks; NaN when either side is
+    constant. Shapes as for `kendall_tau`."""
+    a, b = _pair("spearman_rho", a, b)
+    rhos = _rho(_ranks(a)[1], _ranks(b)[1])
     return float(rhos) if a.ndim == b.ndim == 1 else rhos
+
+
+def average_ranks(x) -> np.ndarray:
+    """1-based ranks with ties sharing the mean rank of their run; [T] or
+    [K, T], ranked along the last axis."""
+    x = np.asarray(x, dtype=np.float64)
+    return (_ranks(x)[1] + (x.shape[-1] + 1)) / 2.0
 
 
 @dataclass
@@ -228,17 +240,31 @@ def protocol_targets(protocol: str, annotations) -> np.ndarray:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def _correlate(video_id: str, preds: np.ndarray, targets: np.ndarray) -> VideoCorrelation:
+def _correlate(video_id: str, preds, targets: np.ndarray) -> VideoCorrelation:
     """Mean tau and rho over the (prediction, target) rows where neither side
-    is constant, all rows in one call of each; degenerate when no row is
-    left. `preds` is one [T] prediction for every target row, or [K, T]."""
-    keep = ~(_constant_rows(preds) | _constant_rows(targets))
+    is constant; degenerate when no row is left. `preds` is one [T]
+    prediction for every target row, or [K, T]. Each side is ranked once,
+    and both statistics read those ranks."""
+    preds, targets = _pair(f"video {video_id!r}: evaluate", preds, targets)
+    rp, cp, ties_p = _ranks(preds)
+    rt, ct, ties_t = _ranks(targets)
+    # a constant row on either side makes both statistics NaN
+    taus = _tau(rp, ties_p, rt, ties_t)
+    keep = ~np.isnan(taus)
     if not keep.any():
         return VideoCorrelation(video_id, float("nan"), float("nan"), True)
-    preds, targets = (preds[keep] if preds.ndim == 2 else preds), targets[keep]
-    taus = kendall_tau(preds, targets)
-    rhos = spearman_rho(preds, targets)
+    taus, rhos = taus[keep], _rho(cp, ct)[keep]
     return VideoCorrelation(video_id, math.fsum(taus) / len(taus), math.fsum(rhos) / len(rhos), False)
+
+
+def _per_video(video_ids, **columns) -> zip:
+    """The video ids zipped with one entry of each column per video; lists of
+    different lengths are refused rather than truncated."""
+    lengths = [len(video_ids)] + [len(column) for column in columns.values()]
+    if len(set(lengths)) > 1:
+        counts = ", ".join(f"{n} {name}" for n, name in zip(lengths, ["video ids", *columns]))
+        raise ValueError(f"one entry per video needed, got {counts}")
+    return zip(video_ids, *columns.values())
 
 
 def evaluate(protocol: str, video_ids, predictions, annotations) -> CorrelationReport:
@@ -246,8 +272,8 @@ def evaluate(protocol: str, video_ids, predictions, annotations) -> CorrelationR
     then across videos. Constant predictions or all-constant targets are
     flagged degenerate."""
     rows = []
-    for vid, pred, ann in zip(video_ids, predictions, annotations):
-        rows.append(_correlate(vid, np.asarray(pred, dtype=np.float64), protocol_targets(protocol, ann)))
+    for vid, pred, ann in _per_video(video_ids, predictions=predictions, annotations=annotations):
+        rows.append(_correlate(vid, pred, protocol_targets(protocol, ann)))
     return _finish_report(rows, protocol)
 
 
@@ -263,7 +289,7 @@ def oracle_report(protocol: str, video_ids, annotations) -> CorrelationReport:
     means must come out at exactly 1; useful as a CI smoke check of the
     metric plumbing."""
     rows = []
-    for vid, ann in zip(video_ids, annotations):
+    for vid, ann in _per_video(video_ids, annotations=annotations):
         targets = protocol_targets(protocol, ann)
         rows.append(_correlate(vid, targets, targets))
     return _finish_report(rows, protocol)

@@ -91,6 +91,15 @@ def naive_kendall_tau(a, b):
     return (concordant - discordant) / math.sqrt(float((n0 - ties_a) * (n0 - ties_b)))
 
 
+def naive_inversions(seq):
+    """Per row of `seq`, the pairs i < j with seq[i] > seq[j], counted pair by
+    pair: each entry against every later entry of its row."""
+    counts = []
+    for row in np.asarray(seq).tolist():
+        counts.append(sum(int(np.count_nonzero(np.asarray(row[i + 1:]) < v)) for i, v in enumerate(row)))
+    return counts
+
+
 def counting_ranks(x):
     """Tie-averaged ranks via the counting formula 1 + #less + (#equal - 1)/2."""
     n = len(x)

@@ -16,10 +16,18 @@ from vastsum.evaluation import (
     write_report_csv,
 )
 import vastsum.decoder as decoder
+import vastsum.evaluation as evaluation
 from vastsum.decoder import decode_summary, knapsack_select
 from vastsum.timeline import ChangePointPartition, PickSequence
 
-from oracles import counting_ranks, naive_kendall_tau, naive_spearman, random_partition, random_picks
+from oracles import (
+    counting_ranks,
+    naive_inversions,
+    naive_kendall_tau,
+    naive_spearman,
+    random_partition,
+    random_picks,
+)
 
 
 def tied_corpus(count=100, max_n=50, seed=2024):
@@ -159,6 +167,27 @@ class TestBatchedRows:
                 assert repr(spearman_rho(a, b).tolist()) == repr([r for _, r in singles])
             assert np.array_equal(average_ranks(targets), [average_ranks(t) for t in targets])
 
+    def test_correlate_means_equal_the_public_calls(self):
+        # one [T] prediction for every target row, and one [K, T] prediction a row
+        checked = 0
+        for pred, targets in self.cases(seed=44):
+            rng = np.random.default_rng(len(pred))
+            for preds in (pred, targets[rng.permutation(len(targets))]):
+                taus = kendall_tau(preds, targets)
+                rhos = spearman_rho(preds, targets)
+                keep = ~np.isnan(taus)
+                assert np.array_equal(keep, ~np.isnan(rhos))
+                row = evaluation._correlate("v", preds, targets)
+                if not keep.any():
+                    assert row.degenerate and math.isnan(row.tau) and math.isnan(row.rho)
+                    continue
+                assert not row.degenerate
+                kept = int(keep.sum())
+                assert repr(row.tau) == repr(math.fsum(taus[keep]) / kept)
+                assert repr(row.rho) == repr(math.fsum(rhos[keep]) / kept)
+                checked += 1
+        assert checked > 50
+
     def test_two_vectors_give_a_float(self):
         assert type(kendall_tau([1.0, 2.0], [2.0, 1.0])) is float
         assert type(spearman_rho([1.0, 2.0], [2.0, 1.0])) is float
@@ -201,6 +230,57 @@ class TestBatchedRows:
             tracemalloc.stop()
         assert -1.0 < tau < 1.0
         assert peak < 4 * 2**20
+
+
+def inversion_rows(kind, rng, k, n):
+    if kind == "all-equal":
+        return np.full((k, n), int(rng.integers(n)), dtype=np.int64)
+    if kind == "tied":
+        return rng.integers(0, min(3, n), (k, n))
+    return np.array([rng.permutation(n) for _ in range(k)])
+
+
+class TestRankCore:
+    """The private pieces both statistics are built from."""
+
+    LENGTHS = [2, 3] + [n for e in range(2, 11) for n in ((1 << e) - 1, 1 << e, (1 << e) + 1)] + [1100]
+
+    @pytest.mark.parametrize("kind", ["all-equal", "tied", "permutation"])
+    def test_inversions_match_the_pairwise_count(self, kind):
+        # row counts cycle through 1..25 across the lengths
+        rng = np.random.default_rng(51)
+        for i, n in enumerate(self.LENGTHS):
+            seq = inversion_rows(kind, rng, 1 + i % 25, n)
+            assert evaluation._inversions(seq, n).tolist() == naive_inversions(seq)
+        # every row count on one odd length
+        for k in range(1, 26):
+            seq = inversion_rows(kind, rng, k, 37)
+            assert evaluation._inversions(seq, 37).tolist() == naive_inversions(seq)
+
+    @pytest.mark.parametrize("tie_break", ["random", "reversed"])
+    def test_ranks_do_not_depend_on_the_order_inside_a_tie(self, monkeypatch, tie_break):
+        # the argsort is unstable: replay _ranks with the tied entries of each
+        # row visited in another order, and every output must be the same
+        rng = np.random.default_rng(52)
+        argsort = np.argsort
+
+        def reordered(x, axis=-1, **kwargs):
+            rows = np.atleast_2d(x)
+            n = rows.shape[-1]
+            tie_keys = rng.random(n) if tie_break == "random" else -np.arange(n)
+            return np.array([np.lexsort((tie_keys, row)) for row in rows]).reshape(x.shape)
+
+        for n in (2, 3, 7, 16, 33, 200):
+            for x in (rng.integers(0, 3, n).astype(float), rng.integers(0, 2, (4, n)).astype(float),
+                      np.array([all_tied_but_one(rng, n) for _ in range(3)]), np.full(n, 0.5),
+                      np.where(rng.random(n) < 0.5, -0.0, 0.0)):
+                want = evaluation._ranks(x)
+                monkeypatch.setattr(np, "argsort", reordered)
+                got = evaluation._ranks(x)
+                monkeypatch.setattr(np, "argsort", argsort)
+                for w, g in zip(want, got):
+                    assert w.dtype == g.dtype == np.int64
+                    assert np.array_equal(w, g)
 
 
 class TestProtocols:
@@ -266,6 +346,31 @@ class TestProtocols:
         summaries = [rng.integers(0, 2, (3, 10)).astype(float) for _ in range(4)]
         report = oracle_report("summe", [f"v{i}" for i in range(4)], summaries)
         assert report.mean_tau == 1.0 and report.mean_rho == 1.0
+
+    def test_lists_of_different_lengths_are_refused(self):
+        # zip would keep one row of the two and report a mean tau of 1.0
+        with pytest.raises(ValueError, match="got 2 video ids, 1 predictions, 2 annotations"):
+            evaluate("tvsum", ["a", "b"], [[1.0, 2.0, 3.0]], [[[1.0, 2.0, 3.0]], [[3.0, 2.0, 1.0]]])
+        with pytest.raises(ValueError, match="got 1 video ids, 2 predictions, 2 annotations"):
+            evaluate("tvsum", ["a"], [[1.0, 2.0]] * 2, [[[1.0, 2.0]]] * 2)
+        with pytest.raises(ValueError, match="got 2 video ids, 1 annotations"):
+            oracle_report("tvsum", ["a", "b"], [[[1.0, 2.0, 3.0]]])
+
+    def test_a_length_mismatch_names_the_video(self):
+        with pytest.raises(ValueError, match=r"^video 'a': .*one length T >= 2"):
+            evaluate("tvsum", ["a"], [[1.0, 2.0, 3.0, 4.0]], [[[1.0, 2.0, 3.0]]])
+        with pytest.raises(ValueError, match=r"^video 'b': "):
+            evaluate("summe", ["a", "b"], [[1.0, 2.0], [1.0, 2.0, 3.0]], [[[0.0, 1.0]], [[0.0, 1.0]]])
+
+    def test_a_non_finite_input_names_the_video(self):
+        good, bad = [0.1, 0.2, 0.3], [0.1, float("nan"), 0.3]
+        for pred, ann in ((bad, [good, good]), (good, [good, bad])):
+            with pytest.raises(ValueError, match=r"^video 'v1': .*finite"):
+                evaluate("tvsum", ["v0", "v1"], [good, pred], [[good], ann])
+        # a non-finite prediction against all-constant targets is refused too,
+        # not flagged degenerate
+        with pytest.raises(ValueError, match=r"^video 'v0': .*finite"):
+            evaluate("tvsum", ["v0"], [bad], [[[1.0, 1.0, 1.0]]])
 
 
 class TestFlipRate:
