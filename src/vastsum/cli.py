@@ -25,20 +25,8 @@ from .config import (
 from .data import Dataset, SyntheticConfig, generate_synthetic, load_dataset, make_folds, save_dataset
 from .decoder import budget, decode_summary
 from .errors import ConfigError, NumericError
-from .evaluation import evaluate, flip_rate, oracle_report, write_report_csv
+from .evaluation import evaluate, flip_rate, protocol_targets, write_report_csv
 from .trainer import all_param_shapes, check_videos_fit, predict_scores, train
-
-
-def _load_config(args) -> RunConfig:
-    cfg = load_run_config(args.config) if getattr(args, "config", None) else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.train.seed = args.seed
-    if getattr(args, "mode", None) is not None:
-        cfg.train.mode = args.mode
-    if getattr(args, "epochs", None) is not None:
-        cfg.train.epochs = args.epochs
-    cfg.validate()
-    return cfg
 
 
 def _flag(convert, rule: Rule):
@@ -88,7 +76,14 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     if args.fold is not None and not 0 <= args.fold < args.folds:
         raise ConfigError(f"--fold must lie in [0, {args.folds - 1}]")
-    cfg = _load_config(args)
+    cfg = load_run_config(args.config) if args.config else RunConfig()
+    if args.seed is not None:
+        cfg.train.seed = args.seed
+    if args.mode is not None:
+        cfg.train.mode = args.mode
+    if args.epochs is not None:
+        cfg.train.epochs = args.epochs
+    cfg.validate()
     dataset = load_dataset(args.data)
     val_videos = None
     if args.fold is not None:
@@ -134,10 +129,11 @@ def cmd_eval(args) -> int:
     dataset, predictions = _load_and_predict(args, protocol=args.protocol)
     ids = [v.video_id for v in dataset.videos]
     anns = [v.annotations for v in dataset.videos]
-    if args.oracle:
-        report = oracle_report(args.protocol, ids, anns)
+    if args.oracle:  # targets stand in for predictions: each non-degenerate mean is 1.0
+        signals = [protocol_targets(args.protocol, a) for a in anns]
     else:
-        report = evaluate(args.protocol, ids, [signal for _, signal in predictions], anns)
+        signals = [signal for _, signal in predictions]
+    report = evaluate(args.protocol, ids, signals, anns)
     write_report_csv(report, args.out)
     print(
         f"mean tau {report.mean_tau:.4f}, mean rho {report.mean_rho:.4f} "

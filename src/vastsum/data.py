@@ -66,9 +66,6 @@ class Dataset:
     mode: str
     videos: list[VideoRecord]
 
-    def __len__(self) -> int:
-        return len(self.videos)
-
 
 @dataclass
 class SyntheticConfig:
@@ -98,7 +95,7 @@ def _fail(video_id: str, reason: str):
 def _float_array(video_id: str, raw: dict, key: str) -> np.ndarray:
     try:
         return np.asarray(raw[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too big for a float
         _fail(video_id, f"{key} must be numeric: {exc}")
 
 

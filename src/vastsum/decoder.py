@@ -61,12 +61,11 @@ tile, and the candidate cells past n are written but never read. The
 candidate table starts on a 64-byte boundary, and a row of tile*K float64s
 is a multiple of 64 bytes at tile 16, so each row of the add's output is
 aligned: numpy's AVX-512 add into an unaligned output splits its stores
-across cache lines, and ran ~1.5x slower on a Xeon with a 2 MiB L2 (1537
-cells, K = 21, tile 16: 13.9 against 20.4 us). A block of one row, or one
-at a capacity below _TILED_CAP, is not tiled. One row adds a scalar to one
-contiguous run, which numpy already does in one SIMD loop. At small
-capacities the tile's fixed costs (the tiled copy, the aligned table, one
-more view an item) exceed what it saves.
+across cache lines. A block of one row, or one at a capacity below
+_TILED_CAP, is not tiled. One row adds a scalar to one contiguous run, which
+numpy already does in one SIMD loop. At small capacities the tile's fixed
+costs (the tiled copy, the aligned table, one more view an item) exceed what
+it saves.
 
 The first pass checks an item for ties with one flat count over its cells,
 and reduces per row only when that finds one: in this layout a per-row
@@ -341,8 +340,6 @@ def knapsack_select(instance: SegmentKnapsackInstance) -> np.ndarray:
     rows = instance.values[None] if instance.values.ndim == 1 else instance.values
     fits = [i for i, w in enumerate(weights) if w <= cap]  # the others change no cell
     block = max(1, _BLOCK_CELLS // (cap + 1))
-    if len(rows) <= block:
-        return _solve_block(rows, weights, cap, fits).reshape(instance.values.shape)
     selection = np.empty(rows.shape, dtype=bool)
     for s in range(0, rows.shape[0], block):
         selection[s : s + block] = _solve_block(rows[s : s + block], weights, cap, fits)

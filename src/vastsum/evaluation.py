@@ -1,14 +1,14 @@
 """Rank-correlation metrics and the two dataset evaluation protocols.
 
-Kendall's tau uses the tau-b tie correction; Spearman's rho is the Pearson
-correlation of tie-averaged ranks. Both take a [T] vector or [K, T] rows on
-either side, so a video's prediction meets all of its target rows in one call,
-and both raise ValueError on non-finite input. Constant vectors make both
-undefined: the functions return NaN and the protocols flag the video as
-degenerate and exclude it from the reported means. Every reduction is exact
-before its one rounding, so no result depends on summation order: rank
-statistics are integer sums, and means over rows and videos go through
-math.fsum.
+`evaluate` is the one entry point: it scores each video's prediction against
+its protocol targets by Kendall's tau-b and by Spearman's rho (the Pearson
+correlation of tie-averaged ranks). A [T] prediction meets every target row,
+a [K, T] one its rows pairwise, all in one call; non-finite input raises
+ValueError. A constant row makes both undefined and is left out of its
+video's means; a video with no row left is flagged degenerate and excluded
+from the reported means. Every reduction is exact before its one rounding,
+so no result depends on summation order: rank statistics are integer sums,
+and means over rows and videos go through math.fsum.
 
 Each side is ranked by one argsort (`_ranks`), and both statistics read that
 one ranking. The sort is numpy's default unstable one: every rank it yields
@@ -42,7 +42,7 @@ from .decoder import decode_summary, select_segments  # noqa: F401
 from .timeline import ChangePointPartition, PickSequence
 
 
-# Rows must be shorter than this: spearman_rho's int64 rank sums are exact
+# Rows must be shorter than this: rho's int64 rank sums are exact
 # only while T**3 < 2**63.
 _MAX_T = 1 << 21
 
@@ -172,33 +172,6 @@ def _rho(ca, cb) -> np.ndarray:
     return np.divide(cov, den, out=np.full(np.shape(cov), np.nan), where=den > 0)
 
 
-def kendall_tau(a, b):
-    """Kendall's tau-b; NaN when either side is constant.
-
-    `a` and `b` are [T] or [K, T]; two [T] vectors give a float, otherwise
-    one tau per row comes back as a [K] array."""
-    a, b = _pair("kendall_tau", a, b)
-    ra, _, ties_a = _ranks(a)
-    rb, _, ties_b = _ranks(b)
-    taus = _tau(ra, ties_a, rb, ties_b)
-    return float(taus[0]) if a.ndim == b.ndim == 1 else taus
-
-
-def spearman_rho(a, b):
-    """Spearman's rho over tie-averaged ranks; NaN when either side is
-    constant. Shapes as for `kendall_tau`."""
-    a, b = _pair("spearman_rho", a, b)
-    rhos = _rho(_ranks(a)[1], _ranks(b)[1])
-    return float(rhos) if a.ndim == b.ndim == 1 else rhos
-
-
-def average_ranks(x) -> np.ndarray:
-    """1-based ranks with ties sharing the mean rank of their run; [T] or
-    [K, T], ranked along the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    return (_ranks(x)[1] + (x.shape[-1] + 1)) / 2.0
-
-
 @dataclass
 class VideoCorrelation:
     video_id: str
@@ -280,19 +253,6 @@ def evaluate(protocol: str, video_ids, predictions, annotations) -> CorrelationR
 def evaluate_tvsum(video_ids, predictions, annotations) -> CorrelationReport:
     """tvsum protocol: every annotator row is a target."""
     return evaluate("tvsum", video_ids, predictions, annotations)
-
-
-def oracle_report(protocol: str, video_ids, annotations) -> CorrelationReport:
-    """Sanity protocol run with the targets standing in for the predictions.
-
-    Every non-degenerate comparison correlates a target with itself, so the
-    means must come out at exactly 1; useful as a CI smoke check of the
-    metric plumbing."""
-    rows = []
-    for vid, ann in _per_video(video_ids, annotations=annotations):
-        targets = protocol_targets(protocol, ann)
-        rows.append(_correlate(vid, targets, targets))
-    return _finish_report(rows, protocol)
 
 
 def flip_rate(

@@ -20,6 +20,7 @@ from vastsum.cli import build_parser, main
 from vastsum.config import TrainConfig, load_run_config
 from vastsum.data import Dataset, SyntheticConfig, load_dataset, make_folds
 from vastsum.decoder import budget
+from vastsum.evaluation import evaluate, protocol_targets, write_report_csv
 from vastsum.trainer import train
 
 
@@ -458,7 +459,46 @@ class TestOneSegmentMapPerVideo:
         assert [args[0] for args in maps] == [v.picks for v in videos]
 
 
+def test_integer_beyond_float_range_exit_2(tmp_path, trained, tiny_dataset, capsys):
+    doc = json.loads(Path(tiny_dataset).read_text())
+    doc["videos"][0]["features"][0][0] = 10**400
+    data = tmp_path / "huge.json"
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    for argv in (
+        ["train", "--out-dir", out],
+        ["eval", "--checkpoint", trained, "--protocol", "tvsum", "--out", out],
+        ["decode", "--checkpoint", trained, "--out", out],
+        ["stability-report", "--checkpoint", trained, "--out", out],
+    ):
+        assert run(*argv, "--data", str(data)) == 2, argv[0]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: video 'v000': features must be numeric: int too large to convert to float"
+        ], argv[0]
+
+
 class TestEval:
+    @pytest.mark.parametrize("protocol", ["tvsum", "summe"])
+    def test_oracle_report_bytes_come_from_evaluate(self, tmp_path, trained, protocol):
+        data = tmp_path / f"{protocol}.json"
+        assert run("gen-data", "--out", str(data), "--mode", protocol, "--videos", "4",
+                   "--timesteps", "16", "--feature-dim", "8", "--annotators", "3",
+                   "--segments", "3", "--seed", "6") == 0
+        out = tmp_path / "report.csv"
+        assert run("eval", "--checkpoint", trained, "--data", str(data),
+                   "--protocol", protocol, "--out", str(out), "--oracle") == 0
+        videos = load_dataset(data).videos
+        anns = [v.annotations for v in videos]
+        report = evaluate(protocol, [v.video_id for v in videos],
+                          [protocol_targets(protocol, a) for a in anns], anns)
+        want = tmp_path / "want.csv"
+        write_report_csv(report, want)
+        assert out.read_bytes() == want.read_bytes()
+        kept = [row for row in report.per_video if not row.degenerate]
+        assert kept
+        assert all(row.tau == 1.0 and row.rho == 1.0 for row in kept)
+
     def test_oracle_mode_perfect_scores(self, tmp_path, trained, tiny_dataset):
         out = tmp_path / "report.csv"
         assert run(

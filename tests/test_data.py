@@ -76,6 +76,18 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="binary"):
             load_dataset(write(tmp_path, {"mode": "summe", "videos": [bad]}))
 
+    @pytest.mark.parametrize("mode, key", [("tvsum", "features"), ("tvsum", "scores"),
+                                           ("summe", "summaries")])
+    def test_integer_beyond_float_range_names_video_and_key(self, tmp_path, mode, key):
+        # np.asarray raises OverflowError on a JSON integer past the float range
+        bad = valid_video()
+        if mode == "summe":
+            bad["summaries"] = [[0, 1, 0, 1]]
+            del bad["scores"]
+        bad[key][0][0] = 10**400
+        with pytest.raises(ValueError, match=f"^video 'v0': {key} must be numeric: int too large"):
+            load_dataset(write(tmp_path, {"mode": mode, "videos": [bad]}))
+
     def test_pick_outside_frames(self, tmp_path):
         bad = valid_video()
         bad["picks"] = [0, 2, 4, 9]

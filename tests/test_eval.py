@@ -6,13 +6,10 @@ import pytest
 from scipy import stats
 
 from vastsum.evaluation import (
-    average_ranks,
     evaluate,
     evaluate_tvsum,
     flip_rate,
-    kendall_tau,
-    oracle_report,
-    spearman_rho,
+    protocol_targets,
     write_report_csv,
 )
 import vastsum.decoder as decoder
@@ -42,6 +39,24 @@ def tied_corpus(count=100, max_n=50, seed=2024):
             continue
         corpus.append((a, b))
     return corpus
+
+
+def kendall_tau(a, b):
+    """The tau `evaluate` reports for one video with prediction `a` and
+    target row(s) `b`: a [T] pair's own tau, or the mean over [K, T] rows."""
+    return evaluate("tvsum", ["v"], [a], [np.atleast_2d(b)]).per_video[0].tau
+
+
+def spearman_rho(a, b):
+    """The rho `evaluate` reports for that video; see `kendall_tau`."""
+    return evaluate("tvsum", ["v"], [a], [np.atleast_2d(b)]).per_video[0].rho
+
+
+def average_ranks(x):
+    """1-based tie-averaged ranks, from the centered ranks `_ranks` gives
+    both statistics: 2r - (n + 1) -> r."""
+    x = np.asarray(x, dtype=np.float64)
+    return (evaluation._ranks(x)[1] + (x.shape[-1] + 1)) / 2.0
 
 
 class TestKendallTau:
@@ -131,7 +146,8 @@ def all_tied_but_one(rng, n):
 
 
 class TestBatchedRows:
-    """[T] and [K, T] inputs, checked with == against the loop oracles."""
+    """[T] and [K, T] inputs through `_correlate`, checked with == against the
+    loop oracles."""
 
     def cases(self, seed):
         # lengths 2, 3 and non-powers of two; untied, heavily tied, all-tied-but-one
@@ -143,54 +159,67 @@ class TestBatchedRows:
             yield rng.standard_normal(n), np.array([all_tied_but_one(rng, n) for _ in range(3)])
 
     def test_rows_match_the_oracles_exactly(self):
+        # each row on its own, then all rows in one call against the mean of
+        # the oracle's values over the rows where neither side is constant
         checked = 0
         for pred, targets in self.cases(seed=41):
-            taus = kendall_tau(pred, targets)
-            rhos = spearman_rho(pred, targets)
-            assert taus.shape == rhos.shape == (len(targets),)
-            for tau, rho, target in zip(taus, rhos, targets):
+            want_taus, want_rhos = [], []
+            for target in targets:
+                row = evaluation._correlate("v", pred, target[None])
                 want_tau = naive_kendall_tau(pred.tolist(), target.tolist())
                 if math.isnan(want_tau):  # a constant row
-                    assert math.isnan(tau) and math.isnan(rho)
+                    assert row.degenerate and math.isnan(row.tau) and math.isnan(row.rho)
                     continue
-                assert tau == want_tau
-                assert rho == naive_spearman(pred.tolist(), target.tolist())
+                want_rho = naive_spearman(pred.tolist(), target.tolist())
+                assert row.tau == want_tau
+                assert row.rho == want_rho
+                want_taus.append(want_tau)
+                want_rhos.append(want_rho)
                 checked += 1
+            row = evaluation._correlate("v", pred, targets)
+            assert row.degenerate == (not want_taus)
+            if want_taus:
+                assert row.tau == math.fsum(want_taus) / len(want_taus)
+                assert row.rho == math.fsum(want_rhos) / len(want_rhos)
         assert checked > 80
 
     def test_rows_equal_single_calls(self):
         for pred, targets in self.cases(seed=42):
             for a, b in ((pred, targets), (targets, pred), (targets, targets[::-1])):
                 rows = np.broadcast_arrays(a, b)
-                singles = [(kendall_tau(x, y), spearman_rho(x, y)) for x, y in zip(*rows)]
-                assert repr(kendall_tau(a, b).tolist()) == repr([t for t, _ in singles])
-                assert repr(spearman_rho(a, b).tolist()) == repr([r for _, r in singles])
-            assert np.array_equal(average_ranks(targets), [average_ranks(t) for t in targets])
+                singles = [evaluation._correlate("v", x, y[None]) for x, y in zip(*rows)]
+                kept = [r for r in singles if not r.degenerate]
+                row = evaluation._correlate("v", a, b)
+                assert row.degenerate == (not kept)
+                if kept:
+                    assert repr(row.tau) == repr(math.fsum(r.tau for r in kept) / len(kept))
+                    assert repr(row.rho) == repr(math.fsum(r.rho for r in kept) / len(kept))
+            batched = evaluation._ranks(targets)
+            for i, target in enumerate(targets):
+                for whole, single in zip(batched, evaluation._ranks(target)):
+                    assert np.array_equal(whole[i], single)
 
     def test_correlate_means_equal_the_public_calls(self):
-        # one [T] prediction for every target row, and one [K, T] prediction a row
+        # one [T] prediction for every target row, and one [K, T] prediction a
+        # row: a video's means equal evaluate's means over one video per row
         checked = 0
         for pred, targets in self.cases(seed=44):
             rng = np.random.default_rng(len(pred))
             for preds in (pred, targets[rng.permutation(len(targets))]):
-                taus = kendall_tau(preds, targets)
-                rhos = spearman_rho(preds, targets)
-                keep = ~np.isnan(taus)
-                assert np.array_equal(keep, ~np.isnan(rhos))
+                ids = [f"v{i}" for i in range(len(targets))]
+                rows = np.broadcast_to(preds, targets.shape)
+                report = evaluate("tvsum", ids, list(rows), [target[None] for target in targets])
+                for per_row in report.per_video:
+                    assert per_row.degenerate == math.isnan(per_row.tau) == math.isnan(per_row.rho)
                 row = evaluation._correlate("v", preds, targets)
-                if not keep.any():
+                if report.degenerate_count == len(targets):
                     assert row.degenerate and math.isnan(row.tau) and math.isnan(row.rho)
                     continue
                 assert not row.degenerate
-                kept = int(keep.sum())
-                assert repr(row.tau) == repr(math.fsum(taus[keep]) / kept)
-                assert repr(row.rho) == repr(math.fsum(rhos[keep]) / kept)
+                assert repr(row.tau) == repr(report.mean_tau)
+                assert repr(row.rho) == repr(report.mean_rho)
                 checked += 1
         assert checked > 50
-
-    def test_two_vectors_give_a_float(self):
-        assert type(kendall_tau([1.0, 2.0], [2.0, 1.0])) is float
-        assert type(spearman_rho([1.0, 2.0], [2.0, 1.0])) is float
 
     @pytest.mark.parametrize("fn", [kendall_tau, spearman_rho])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -339,13 +368,14 @@ class TestProtocols:
         assert report.mean_tau == 1.0
 
     def test_oracle_report_is_perfect(self):
+        # `eval --oracle`: each video's protocol targets stand in for its prediction
         rng = np.random.default_rng(4)
         anns = [rng.uniform(0, 1, (3, 10)) for _ in range(4)]
-        report = oracle_report("tvsum", [f"v{i}" for i in range(4)], anns)
-        assert report.mean_tau == 1.0 and report.mean_rho == 1.0
         summaries = [rng.integers(0, 2, (3, 10)).astype(float) for _ in range(4)]
-        report = oracle_report("summe", [f"v{i}" for i in range(4)], summaries)
-        assert report.mean_tau == 1.0 and report.mean_rho == 1.0
+        for protocol, annotations in (("tvsum", anns), ("summe", summaries)):
+            targets = [protocol_targets(protocol, a) for a in annotations]
+            report = evaluate(protocol, [f"v{i}" for i in range(4)], targets, annotations)
+            assert report.mean_tau == 1.0 and report.mean_rho == 1.0
 
     def test_lists_of_different_lengths_are_refused(self):
         # zip would keep one row of the two and report a mean tau of 1.0
@@ -353,8 +383,6 @@ class TestProtocols:
             evaluate("tvsum", ["a", "b"], [[1.0, 2.0, 3.0]], [[[1.0, 2.0, 3.0]], [[3.0, 2.0, 1.0]]])
         with pytest.raises(ValueError, match="got 1 video ids, 2 predictions, 2 annotations"):
             evaluate("tvsum", ["a"], [[1.0, 2.0]] * 2, [[[1.0, 2.0]]] * 2)
-        with pytest.raises(ValueError, match="got 2 video ids, 1 annotations"):
-            oracle_report("tvsum", ["a", "b"], [[[1.0, 2.0, 3.0]]])
 
     def test_a_length_mismatch_names_the_video(self):
         with pytest.raises(ValueError, match=r"^video 'a': .*one length T >= 2"):
