@@ -9,6 +9,7 @@ errors (a non-finite result included).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -56,17 +57,8 @@ def _field(cls, name: str, **overrides) -> dict:
 def cmd_gen_data(args) -> int:
     if args.segments > args.timesteps:
         raise ConfigError(f"--segments must be <= --timesteps {args.timesteps}, got {args.segments}")
-    cfg = SyntheticConfig(
-        n_videos=args.videos,
-        timesteps=args.timesteps,
-        feature_dim=args.feature_dim,
-        annotators=args.annotators,
-        segments=args.segments,
-        feature_noise=args.feature_noise,
-        annotator_noise=args.annotator_noise,
-        mode=args.mode,
-        seed=args.seed,
-    )
+    # every gen-data flag's dest is the SyntheticConfig field it sets
+    cfg = SyntheticConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SyntheticConfig)})
     dataset = generate_synthetic(cfg)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.videos)} {dataset.mode} videos to {args.out}")
@@ -79,12 +71,11 @@ def cmd_train(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.train.seed = args.seed
-    if args.mode is not None:
-        cfg.train.mode = args.mode
     if args.epochs is not None:
         cfg.train.epochs = args.epochs
     cfg.validate()
     dataset = load_dataset(args.data)
+    cfg.train.mode = dataset.mode
     val_videos = None
     if args.fold is not None:
         if args.folds > len(dataset.videos):
@@ -104,36 +95,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_and_predict(args, protocol=None):
-    """The inference preamble: load the checkpoint and the dataset (whose mode
-    must match `protocol` when one is given) and run the checkpoint's config
-    in the dataset's mode. Returns the dataset and a generator of (video,
-    decode signal) pairs that predicts each video as it is reached, so a
-    caller that never iterates it predicts nothing."""
+def _load_and_predict(args):
+    """The inference preamble: load the checkpoint and the dataset and run the
+    checkpoint's config in the dataset's mode. Returns the dataset and a
+    generator of (video, decode signal) pairs that predicts each video as it
+    is reached, so a caller that never iterates it predicts nothing."""
     params, meta = load_params(args.checkpoint)
     if "config" not in meta:
         raise ConfigError(f"checkpoint {args.checkpoint} carries no run config metadata")
     cfg = run_config_from_dict(meta["config"])
     validate_shapes(params, all_param_shapes(cfg))
     dataset = load_dataset(args.data)
-    if protocol is not None and dataset.mode != protocol:
-        raise ConfigError(f"protocol {protocol!r} does not match dataset mode {dataset.mode!r}")
     cfg.train.mode = dataset.mode
-    cfg.validate()
     check_videos_fit(dataset.videos, cfg.scorer)
     predictions = ((v, predict_scores(params, v, v.segment_map, cfg)["signal"]) for v in dataset.videos)
     return dataset, predictions
 
 
 def cmd_eval(args) -> int:
-    dataset, predictions = _load_and_predict(args, protocol=args.protocol)
+    dataset, predictions = _load_and_predict(args)
     ids = [v.video_id for v in dataset.videos]
     anns = [v.annotations for v in dataset.videos]
     if args.oracle:  # targets stand in for predictions: each non-degenerate mean is 1.0
-        signals = [protocol_targets(args.protocol, a) for a in anns]
+        signals = [protocol_targets(dataset.mode, a) for a in anns]
     else:
         signals = [signal for _, signal in predictions]
-    report = evaluate(args.protocol, ids, signals, anns)
+    report = evaluate(dataset.mode, ids, signals, anns)
     write_report_csv(report, args.out)
     print(
         f"mean tau {report.mean_tau:.4f}, mean rho {report.mean_rho:.4f} "
@@ -206,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset file")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=MODES, default=SyntheticConfig.mode)
-    p.add_argument("--videos", **_field(SyntheticConfig, "n_videos"))
+    p.add_argument("--videos", dest="n_videos", **_field(SyntheticConfig, "n_videos"))
     p.add_argument("--timesteps", **_field(SyntheticConfig, "timesteps"))
     p.add_argument("--feature-dim", **_field(SyntheticConfig, "feature_dim"))
     p.add_argument("--annotators", **_field(SyntheticConfig, "annotators"))
@@ -222,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="run-config JSON file")
     # None: the run config (a --config file or the defaults) keeps its value
     p.add_argument("--seed", **_field(TrainConfig, "seed", default=None))
-    p.add_argument("--mode", choices=MODES)
     p.add_argument("--epochs", **_field(TrainConfig, "epochs", default=None))
     p.add_argument("--fold", type=int, help="train one cross-validation fold")
     p.add_argument("--folds", type=_flag(int, at_least(2)), default=5)
@@ -231,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="rank-correlation report for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--protocol", choices=MODES, required=True)
     p.add_argument("--out", required=True)
     p.add_argument(
         "--oracle",

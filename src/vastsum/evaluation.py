@@ -242,10 +242,14 @@ def _per_video(video_ids, **columns) -> zip:
 
 def evaluate(protocol: str, video_ids, predictions, annotations) -> CorrelationReport:
     """Correlate each prediction with its protocol targets, average per video,
-    then across videos. Constant predictions or all-constant targets are
-    flagged degenerate."""
+    then across videos. Each video's annotations are [U, T], one row per
+    annotator. Constant predictions or all-constant targets are flagged
+    degenerate."""
     rows = []
     for vid, pred, ann in _per_video(video_ids, predictions=predictions, annotations=annotations):
+        ann = np.asarray(ann, dtype=np.float64)
+        if ann.ndim != 2:
+            raise ValueError(f"video {vid!r}: evaluate needs [U, T] annotations, got shape {ann.shape}")
         rows.append(_correlate(vid, pred, protocol_targets(protocol, ann)))
     return _finish_report(rows, protocol)
 

@@ -305,7 +305,7 @@ def test_criterion_9_determinism(tmp_path):
         blobs = [ckpt.read_bytes(), (out_dir / "train_log.csv").read_bytes()]
         for cmd, name in (
             (["eval", "--checkpoint", str(ckpt), "--data", str(data),
-              "--protocol", "tvsum", "--out", str(out_dir / "report.csv")], "report.csv"),
+              "--out", str(out_dir / "report.csv")], "report.csv"),
             (["decode", "--checkpoint", str(ckpt), "--data", str(data),
               "--out", str(out_dir / "masks.json")], "masks.json"),
             (["stability-report", "--checkpoint", str(ckpt), "--data", str(data),

@@ -17,11 +17,11 @@ import vastsum.diffcore as dc
 from vastsum import timeline
 from vastsum.checkpoint import load_params, save_params
 from vastsum.cli import build_parser, main
-from vastsum.config import TrainConfig, load_run_config
+from vastsum.config import TrainConfig, load_run_config, run_config_from_dict
 from vastsum.data import Dataset, SyntheticConfig, load_dataset, make_folds
 from vastsum.decoder import budget
 from vastsum.evaluation import evaluate, protocol_targets, write_report_csv
-from vastsum.trainer import train
+from vastsum.trainer import predict_scores, train
 
 
 def run(*argv):
@@ -109,10 +109,6 @@ class TestGenData:
         assert (out_dir / "train_log.csv").exists()
 
 
-# gen-data's flag for each SyntheticConfig field, where the names differ
-GEN_DATA_FLAGS = {"n_videos": "videos"}
-
-
 def parse_defaults(command, *required):
     return vars(build_parser().parse_args([command, *required]))
 
@@ -123,7 +119,7 @@ class TestFlagDefaults:
     def test_gen_data_flags_default_to_synthetic_config(self):
         args = parse_defaults("gen-data", "--out", "x.json")
         for field in dataclasses.fields(SyntheticConfig):
-            assert args[GEN_DATA_FLAGS.get(field.name, field.name)] == getattr(SyntheticConfig(), field.name)
+            assert args[field.name] == getattr(SyntheticConfig(), field.name)
 
     def test_rho_defaults_to_train_rho(self):
         for command in ("decode", "stability-report"):
@@ -136,7 +132,7 @@ class TestFlagDefaults:
         monkeypatch.setattr(SyntheticConfig.__dataclass_fields__["feature_noise"], "default", 0.25)
         monkeypatch.setattr(TrainConfig.__dataclass_fields__["rho"], "default", 0.3)
         args = parse_defaults("gen-data", "--out", "x.json")
-        assert (args["videos"], args["feature_noise"]) == (5, 0.25)
+        assert (args["n_videos"], args["feature_noise"]) == (5, 0.25)
         assert parse_defaults("decode", "--checkpoint", "c", "--data", "d", "--out", "o")["rho"] == 0.3
 
     def test_train_seed_and_epochs_leave_the_run_config_alone(self):
@@ -360,7 +356,7 @@ def test_dataset_that_does_not_fit_the_checkpoint_names_the_video(
                "--feature-dim", feature_dim, "--timesteps", timesteps) == 0
     capsys.readouterr()
     common = ["--checkpoint", trained, "--data", str(data), "--out", str(tmp_path / "out")]
-    for argv in (["eval", "--protocol", "tvsum"], ["decode"], ["stability-report"]):
+    for argv in (["eval"], ["decode"], ["stability-report"]):
         assert run(*argv, *common) == 2
         assert f"error: {message}" in capsys.readouterr().err, argv[0]
 
@@ -373,7 +369,7 @@ def test_non_finite_prediction_names_the_video(tmp_path, trained, tiny_dataset, 
     save_params(params, overflowing, meta)
     out = tmp_path / "out"
     common = ["--checkpoint", str(overflowing), "--data", tiny_dataset, "--out", str(out)]
-    for argv in (["eval", "--protocol", "tvsum"], ["decode"], ["stability-report"]):
+    for argv in (["eval"], ["decode"], ["stability-report"]):
         assert run(*argv, *common) == 2, argv[0]
         assert "error: video 'v000': prediction is not finite" in capsys.readouterr().err, argv[0]
         assert not out.exists()
@@ -388,7 +384,7 @@ def test_overflowing_prediction_prints_one_stderr_line(tmp_path, trained, tiny_d
     src = str(Path(vastsum.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "vastsum.cli", "eval", "--checkpoint", str(overflowing),
-         "--data", tiny_dataset, "--protocol", "tvsum", "--out", str(tmp_path / "out.csv")],
+         "--data", tiny_dataset, "--out", str(tmp_path / "out.csv")],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2
@@ -468,7 +464,7 @@ def test_integer_beyond_float_range_exit_2(tmp_path, trained, tiny_dataset, caps
     out = str(tmp_path / "out")
     for argv in (
         ["train", "--out-dir", out],
-        ["eval", "--checkpoint", trained, "--protocol", "tvsum", "--out", out],
+        ["eval", "--checkpoint", trained, "--out", out],
         ["decode", "--checkpoint", trained, "--out", out],
         ["stability-report", "--checkpoint", trained, "--out", out],
     ):
@@ -487,7 +483,7 @@ class TestEval:
                    "--segments", "3", "--seed", "6") == 0
         out = tmp_path / "report.csv"
         assert run("eval", "--checkpoint", trained, "--data", str(data),
-                   "--protocol", protocol, "--out", str(out), "--oracle") == 0
+                   "--out", str(out), "--oracle") == 0
         videos = load_dataset(data).videos
         anns = [v.annotations for v in videos]
         report = evaluate(protocol, [v.video_id for v in videos],
@@ -503,7 +499,7 @@ class TestEval:
         out = tmp_path / "report.csv"
         assert run(
             "eval", "--checkpoint", trained, "--data", tiny_dataset,
-            "--protocol", "tvsum", "--out", str(out), "--oracle",
+            "--out", str(out), "--oracle",
         ) == 0
         rows = list(csv.DictReader(out.open()))
         footer = rows[-1]
@@ -511,19 +507,11 @@ class TestEval:
         assert float(footer["tau"]) == 1.0
         assert float(footer["rho"]) == 1.0
 
-    def test_protocol_mismatch_exit_2(self, tmp_path, trained, tiny_dataset, capsys):
-        code = run(
-            "eval", "--checkpoint", trained, "--data", tiny_dataset,
-            "--protocol", "summe", "--out", str(tmp_path / "r.csv"),
-        )
-        assert code == 2
-        assert "protocol" in capsys.readouterr().err
-
     def test_report_row_count(self, tmp_path, trained, tiny_dataset):
         out = tmp_path / "report.csv"
         assert run(
             "eval", "--checkpoint", trained, "--data", tiny_dataset,
-            "--protocol", "tvsum", "--out", str(out),
+            "--out", str(out),
         ) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 3 + 1  # header + 3 videos + mean footer
@@ -533,9 +521,64 @@ class TestEval:
         for out in outs:
             assert run(
                 "eval", "--checkpoint", trained, "--data", tiny_dataset,
-                "--protocol", "tvsum", "--out", str(out),
+                "--out", str(out),
             ) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestModeFromDataset:
+    """train and eval take the mode and the protocol from the dataset file."""
+
+    @pytest.fixture()
+    def summe_dataset(self, tmp_path):
+        out = tmp_path / "summe.json"
+        assert run("gen-data", "--out", str(out), "--mode", "summe", "--videos", "3",
+                   "--timesteps", "16", "--feature-dim", "8", "--annotators", "3",
+                   "--segments", "3", "--seed", "4") == 0
+        return str(out)
+
+    def test_summe_chain_with_no_mode_flag(self, tmp_path, tiny_config_file, summe_dataset):
+        run_dir = tmp_path / "run"
+        assert run("train", "--data", summe_dataset, "--out-dir", str(run_dir),
+                   "--config", tiny_config_file, "--epochs", "1") == 0
+        checkpoint = str(run_dir / "checkpoint.json")
+        params, meta = load_params(checkpoint)
+        assert meta["config"]["train"]["mode"] == "summe"
+        common = ["--checkpoint", checkpoint, "--data", summe_dataset]
+        out = {name: tmp_path / name for name in ("report.csv", "masks.json", "stability.csv")}
+        assert run("eval", *common, "--out", str(out["report.csv"])) == 0
+        assert run("decode", *common, "--out", str(out["masks.json"])) == 0
+        assert run("stability-report", *common, "--trials", "5", "--out", str(out["stability.csv"])) == 0
+        cfg = run_config_from_dict(meta["config"])
+        videos = load_dataset(summe_dataset).videos
+        report = evaluate("summe", [v.video_id for v in videos],
+                          [predict_scores(params, v, v.segment_map, cfg)["signal"] for v in videos],
+                          [v.annotations for v in videos])
+        want = tmp_path / "want.csv"
+        write_report_csv(report, want)
+        assert out["report.csv"].read_bytes() == want.read_bytes()
+
+    def test_a_config_mode_gives_way_to_the_dataset(self, tmp_path, tiny_config_file, summe_dataset):
+        # tiny_config_file says "train": {"mode": "tvsum"}
+        assert load_run_config(tiny_config_file).train.mode == "tvsum"
+        doc = json.loads(Path(tiny_config_file).read_text())
+        doc["train"]["mode"] = "summe"
+        summe_config = tmp_path / "summe-config.json"
+        summe_config.write_text(json.dumps(doc))
+        runs = []
+        for tag, config in (("tvsum-config", tiny_config_file), ("summe-config", str(summe_config))):
+            assert run("train", "--data", summe_dataset, "--out-dir", str(tmp_path / tag),
+                       "--config", config, "--epochs", "1") == 0
+            runs.append((tmp_path / tag / "checkpoint.json").read_bytes())
+        assert runs[0] == runs[1]
+        assert load_params(tmp_path / "tvsum-config" / "checkpoint.json")[1]["config"]["train"]["mode"] == "summe"
+
+    @pytest.mark.parametrize("command, flag", [("train", "--mode"), ("eval", "--protocol")])
+    def test_removed_flags_are_unrecognized(self, tmp_path, capsys, command, flag):
+        args = {"train": ["--data", "d", "--out-dir", str(tmp_path / "o")],
+                "eval": ["--checkpoint", "c", "--data", "d", "--out", str(tmp_path / "o")]}[command]
+        assert refused_by_argparse(command, *args, flag, "tvsum") == 2
+        assert f"unrecognized arguments: {flag} tvsum" in capsys.readouterr().err
 
 
 class TestDecode:
@@ -676,7 +719,7 @@ def test_artifacts_get_the_umask_mode(tmp_path, tiny_config_file, umask, mode):
         ) == 0
         assert run(
             "eval", "--checkpoint", str(checkpoint), "--data", str(data),
-            "--protocol", "tvsum", "--out", str(report),
+            "--out", str(report),
         ) == 0
     finally:
         os.umask(previous)

@@ -400,6 +400,13 @@ class TestProtocols:
         with pytest.raises(ValueError, match=r"^video 'v0': .*finite"):
             evaluate("tvsum", ["v0"], [bad], [[[1.0, 1.0, 1.0]]])
 
+    @pytest.mark.parametrize("protocol", ["tvsum", "summe"])
+    def test_annotations_that_are_not_u_by_t_name_the_video(self, protocol):
+        # a [T] annotation row used to reach the rank cores: tvsum raised
+        # IndexError, summe a length mismatch on its one-number mean
+        with pytest.raises(ValueError, match=r"^video 'v1': evaluate needs \[U, T\] annotations, got shape \(3,\)$"):
+            evaluate(protocol, ["v0", "v1"], [[1.0, 2.0, 3.0]] * 2, [[[1.0, 3.0, 2.0]], [1.0, 3.0, 2.0]])
+
 
 class TestFlipRate:
     def setup_method(self):
