@@ -99,8 +99,10 @@ def _float_array(video_id: str, raw: dict, key: str) -> np.ndarray:
         _fail(video_id, f"{key} must be numeric: {exc}")
 
 
-def _validate_record(raw: dict, mode: str, feature_dim: int | None) -> VideoRecord:
-    vid = str(raw.get("id", "<missing id>"))
+def _validate_record(raw: dict, mode: str, feature_dim: int | None, index: int) -> VideoRecord:
+    vid = raw.get("id", "<missing id>")
+    if not isinstance(vid, str) or not vid:
+        raise ValueError(f"videos[{index}]: id must be a non-empty string, got {vid!r:.40}")
     required = {"id", "n_frames", "picks", "change_points", "features"}
     missing = required - set(raw)
     if missing:
@@ -179,7 +181,7 @@ def load_dataset(path) -> Dataset:
     for index, entry in enumerate(raw["videos"]):
         if not isinstance(entry, dict):
             raise ValueError(f"videos[{index}] must be an object, got {type(entry).__name__}")
-        record = _validate_record(entry, mode, feature_dim)
+        record = _validate_record(entry, mode, feature_dim, index)
         feature_dim = record.features.shape[1]
         videos.append(record)
     ids = [v.video_id for v in videos]

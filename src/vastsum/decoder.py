@@ -182,8 +182,16 @@ def segment_values(
         raise ValueError(f"expected {cps.n_frames} frame scores, got {frame_scores.shape}")
     starts = np.array([s for s, _ in cps.segments])
     lengths = cps.lengths()
-    padded = np.insert(frame_scores, starts, 0.0, axis=-1)
-    sums = np.add.reduceat(padded, starts + np.arange(len(starts)), axis=-1)
+    heads = starts + np.arange(len(starts))  # each segment's 0.0 in the padded rows
+    gap = np.zeros(cps.n_frames + len(starts), dtype=bool)
+    gap[heads] = True
+    # np.insert's steps without its wrapper: an empty buffer in its layout,
+    # then the 0.0s and the frames, each through one index on the last axis
+    padded = np.empty(frame_scores.shape[:-1] + gap.shape, order="F" if frame_scores.flags.fnc else "C")
+    lead = (slice(None),) * (frame_scores.ndim - 1)
+    padded[lead + (heads,)] = 0.0
+    padded[lead + (~gap,)] = frame_scores
+    sums = np.add.reduceat(padded, heads, axis=-1)
     return SegmentKnapsackInstance(values=sums / lengths, weights=lengths, capacity=capacity)
 
 
@@ -372,7 +380,7 @@ def decode_summary(
     scores, picks: PickSequence, cps: ChangePointPartition, rho: float = 0.15
 ) -> SummaryMask:
     """Decode one score row and emit the binary summary mask."""
-    selected = tuple(int(k) for k in np.flatnonzero(select_segments(scores, picks, cps, rho)))
+    selected = tuple(select_segments(scores, picks, cps, rho).ravel().nonzero()[0].tolist())
     y = np.zeros(cps.n_frames, dtype=bool)
     for k in selected:
         start, end = cps.segments[k]

@@ -29,6 +29,15 @@ its nodes have no parents and no VJP, and the tape keeps no node list, so an
 activation is freed as soon as its last consumer returns and `backward`
 refuses the tape. Node ids still count up. The primitives do not branch on
 the flag; work that only the backward pass needs is done in the VJP.
+
+Primitives call ufuncs and their methods, never numpy's Python-level
+wrappers, which on a desk-scale step's small arrays cost as much as the
+arithmetic: `np.add.reduce(x, axis, keepdims=True) / n` for `x.mean`,
+`np.multiply.outer` for `np.outer`, a zeroed buffer for `np.pad`. Each runs
+the wrapper's ufunc on the same operands in the same order, so the bits are
+the wrapper's. `np.clip` stays (`np.minimum(np.maximum(...))` differs on
+signed zeros), and so does `zeros_like` where an operand may not be
+C-ordered: it keeps the layout, which a later sum's order follows.
 """
 
 from __future__ import annotations
@@ -77,18 +86,16 @@ class Tape:
         self._count = 0
 
     def _record(self, kind, value, parents, vjp, name=None) -> Node:
-        nodes = self._live_nodes()
-        nid, self._count = self._count, self._count + 1
+        nodes = self.nodes
+        if nodes is None:
+            raise ValueError("tape was released; record on a new tape")
+        nid = self._count
+        self._count = nid + 1
         if not self.grad:
             return Node(self, nid, kind, value, (), None, name)
         node = Node(self, nid, kind, value, parents, vjp, name)
         nodes.append(node)
         return node
-
-    def _live_nodes(self) -> list[Node]:
-        if self.nodes is None:
-            raise ValueError("tape was released; record on a new tape")
-        return self.nodes
 
     def release(self) -> None:
         """Drop the node list, which breaks the node-tape cycle (see the
@@ -183,7 +190,7 @@ def matmul(a: Node, b: Node, transpose_b: bool = False) -> Node:
         out = av @ bv
 
         def vjp(g):
-            return (np.outer(g, bv) if need_a else None, av.T @ g if need_b else None)
+            return (np.multiply.outer(g, bv) if need_a else None, av.T @ g if need_b else None)
 
     else:
         raise ShapeError(f"matmul: unsupported operand ranks {av.shape} @ {bv.shape}")
@@ -201,11 +208,11 @@ def affine(x: Node, w: Node, b: Node) -> Node:
     need_x, need_w, need_b = x.kind != "const", w.kind != "const", b.kind != "const"
 
     def vjp(g):
-        gx = (g @ wv.T if wv.ndim == 2 else np.outer(g, wv)) if need_x else None
+        gx = (g @ wv.T if wv.ndim == 2 else np.multiply.outer(g, wv)) if need_x else None
         return (
             gx,
             xv.T @ g if need_w else None,
-            g.sum(axis=0).reshape(bias_shape) if need_b else None,
+            np.add.reduce(g, 0).reshape(bias_shape) if need_b else None,
         )
 
     return tape._record("affine", xv @ wv + bv, (x, w, b), vjp)
@@ -234,29 +241,30 @@ def layer_norm(a: Node, gain: Node, bias: Node) -> Node:
     av, gv, bv = a.value, gain.value, bias.value
     if av.ndim != 2 or gv.shape != av.shape[1:] or bv.shape != av.shape[1:]:
         raise ShapeError(f"layer-norm: {av.shape} with gain {gv.shape}, bias {bv.shape}")
-    mu = av.mean(axis=-1, keepdims=True)
+    d = av.shape[1]
+    mu = np.add.reduce(av, -1, keepdims=True) / d
     centered = av - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered**2, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     y = centered * inv
 
     def vjp(g):
         gy = g * gv
-        gm = gy.mean(axis=-1, keepdims=True)
-        gym = (gy * y).mean(axis=-1, keepdims=True)
-        return (inv * (gy - gm - y * gym), (g * y).sum(axis=0), g.sum(axis=0))
+        gm = np.add.reduce(gy, -1, keepdims=True) / d
+        gym = np.add.reduce(gy * y, -1, keepdims=True) / d
+        return (inv * (gy - gm - y * gym), np.add.reduce(g * y, 0), np.add.reduce(g, 0))
 
     return tape._record("layer-norm", y * gv + bv, (a, gain, bias), vjp)
 
 
 def softmax_rows(a: Node) -> Node:
     av = a.value
-    shifted = av - av.max(axis=-1, keepdims=True)
+    shifted = av - np.maximum.reduce(av, -1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = e / np.add.reduce(e, -1, keepdims=True)
 
     def vjp(g):
-        return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+        return (p * (g - np.add.reduce(g * p, -1, keepdims=True)),)
 
     return a.tape._record("softmax-rows", p, (a,), vjp)
 
@@ -314,7 +322,7 @@ def gather_rows(a: Node, indices: Sequence[int]) -> Node:
     g into the slice with the range's bounds, which gives the same bytes."""
     idx = np.asarray(indices, dtype=np.intp)
     av = a.value
-    if ((idx < 0) | (idx >= av.shape[0])).any():
+    if np.logical_or.reduce((idx < 0) | (idx >= av.shape[0]), None):
         raise ShapeError(f"gather-rows: index out of range for {av.shape[0]} rows")
     out = av[idx]
     ascending = isinstance(indices, range) and indices.step > 0
@@ -344,17 +352,20 @@ def depthwise_conv1d(x: Node, w: Node) -> Node:
     if k % 2 == 0:
         raise ValueError("depthwise-conv1d kernel width must be odd")
     t_len, off = xv.shape[0], k // 2
-    padded = np.pad(xv, ((off, off), (0, 0)))
+    # zero-padded as np.pad pads: Fortran order for a Fortran-only input, else C
+    order = "F" if xv.flags.fnc else "C"
+    padded = np.zeros((t_len + 2 * off, xv.shape[1]), order=order)
+    padded[off : off + t_len] = xv
     out = np.zeros_like(xv)
     for j in range(k):
         out += padded[j : j + t_len] * wv[:, j]
 
     def vjp(g):
-        dpad = np.zeros_like(padded)
-        dw = np.zeros_like(wv)
+        dpad = np.zeros(padded.shape, order=order)
+        dw = np.empty_like(wv)  # every column is written below
         for j in range(k):
             dpad[j : j + t_len] += g * wv[:, j]
-            dw[:, j] = (g * padded[j : j + t_len]).sum(axis=0)
+            dw[:, j] = np.add.reduce(g * padded[j : j + t_len], 0)
         return (dpad[off : off + t_len], dw)
 
     return tape._record("depthwise-conv1d", out, (x, w), vjp)
@@ -401,14 +412,16 @@ def backward(
     Finiteness is checked once, on the loss and on `into`'s buffer. A tape
     made with grad=False raises ValueError: it recorded no graph.
     """
-    nodes = tape._live_nodes()
+    nodes = tape.nodes
+    if nodes is None:
+        raise ValueError("tape was released; record on a new tape")
     if not tape.grad:
         raise ValueError("tape records no gradients (made with grad=False); nothing to backpropagate")
     if loss.tape is not tape:
         raise ValueError("loss node does not belong to this tape")
     if loss.value.size != 1:
         raise ValueError("loss must be a scalar (size-1) node")
-    if not np.isfinite(loss.value).all():
+    if not np.logical_and.reduce(np.isfinite(loss.value), None):
         for node in nodes[: loss.nid + 1]:
             if not np.isfinite(node.value).all():
                 raise NumericError(
@@ -416,7 +429,7 @@ def backward(
                     node_id=node.nid,
                 )
     grads: list[np.ndarray | None] = [None] * len(nodes)
-    grads[loss.nid] = np.ones_like(loss.value)
+    grads[loss.nid] = np.ones(loss.value.shape)
     sweep = nodes[loss.nid :: -1]
     for node in sweep:
         g = grads[node.nid]
@@ -434,7 +447,7 @@ def backward(
             into[n.name][...] = 0.0 if g is None else g
         elif g is not None:
             into[n.name] += g
-    if not np.isfinite(into.flat).all():
+    if not np.logical_and.reduce(np.isfinite(into.flat), None):
         # Replay on the sweep's gradients: every node up to the first
         # non-finite VJP output saw what a per-VJP check would have given
         # it, so that node is named; else finite terms overflowed in a sum,

@@ -62,17 +62,18 @@ def _pair(name: str, a, b) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"{name} needs T < 2**21 = {_MAX_T} (exact int64 rank sums), got T={a.shape[-1]}"
         )
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if not (np.logical_and.reduce(np.isfinite(a), None)
+            and np.logical_and.reduce(np.isfinite(b), None)):
         raise ValueError(f"{name} needs finite inputs")
     return a, b
 
 
 def _run_starts(xs: np.ndarray) -> np.ndarray:
-    """For each position of the sorted rows `xs`, the position where its run
-    of equal values starts."""
-    new = np.ones(xs.shape, dtype=bool)
-    new[..., 1:] = xs[..., 1:] != xs[..., :-1]
-    return np.maximum.accumulate(np.where(new, np.arange(xs.shape[-1]), 0), axis=-1)
+    """For each position of the sorted [K, T] rows `xs`, the position where
+    its run of equal values starts."""
+    pos = np.zeros(xs.shape, dtype=np.int64)
+    np.multiply(xs[:, 1:] != xs[:, :-1], np.arange(1, xs.shape[1]), out=pos[:, 1:])
+    return np.maximum.accumulate(pos, axis=1)
 
 
 def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,22 +81,25 @@ def _ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the lowest rank of their run), the centered average ranks 2r - (n + 1)
     (twice each average rank's deviation from the mean rank, an exact int64
     in [-(n - 1), n - 1]) and the number of tied pairs in each row."""
-    n = x.shape[-1]
-    order = np.argsort(x, axis=-1)
-    xs = np.take_along_axis(x, order, axis=-1)
+    rows = x.reshape(-1, x.shape[-1])
+    n = rows.shape[1]
+    order = np.argsort(rows, axis=1)
+    index = np.arange(len(rows))[:, None]
+    xs = rows[index, order]
     starts = _run_starts(xs)
     # a run's last position, found as its start in the reversed rows
-    ends = n - _run_starts(xs[..., ::-1])[..., ::-1]
+    ends = n - _run_starts(xs[:, ::-1])[:, ::-1]
     min_ranks, centered = np.empty_like(order), np.empty_like(order)
-    np.put_along_axis(min_ranks, order, starts, axis=-1)
+    min_ranks[index, order] = starts
     # a run at sorted positions [start, end) holds ranks start+1 .. end
-    np.put_along_axis(centered, order, starts + ends - n, axis=-1)
-    return min_ranks, centered, _tied_pairs(starts)
+    centered[index, order] = starts + ends - n
+    ties = _tied_pairs(starts).reshape(x.shape[:-1])
+    return min_ranks.reshape(x.shape), centered.reshape(x.shape), ties
 
 
 def _tied_pairs(starts: np.ndarray) -> np.ndarray:
     # a run of length L adds 0 + 1 + ... + (L - 1) = L(L - 1)/2
-    return (np.arange(starts.shape[-1]) - starts).sum(axis=-1)
+    return np.add.reduce(np.arange(starts.shape[1]) - starts, 1)
 
 
 def _inversions(seq: np.ndarray, bound: int) -> np.ndarray:
@@ -123,8 +127,8 @@ def _inversions(seq: np.ndarray, bound: int) -> np.ndarray:
     shift = 1
     while 1 << shift <= width:
         w = 1 << (shift - 1)
-        order = np.argsort(vals + (pos >> shift) * (bound + 1), kind="stable")
-        counts += ((order & w) * (order - pos)).reshape(k, width).sum(axis=1) >> (shift - 1)
+        order = (vals + (pos >> shift) * (bound + 1)).argsort(kind="stable")
+        counts += np.add.reduce(((order & w) * (order - pos)).reshape(k, width), 1) >> (shift - 1)
         vals = vals[order]
         shift += 1
     return counts
@@ -136,15 +140,15 @@ def _tau(ra, ties_a, rb, ties_b) -> np.ndarray:
     n = ra.shape[-1]
     # sorting (a, b) rank keys leaves b's ranks in (a, b) order: b ascends
     # within each tie of a, so its inversions are exactly the discordant pairs
-    keys = np.sort((ra * n + rb).reshape(-1, n), axis=1)
+    keys = (ra * n + rb).reshape(-1, n)
+    keys.sort(axis=1)
     ties_ab = _tied_pairs(_run_starts(keys))
     discordant = _inversions(keys % n, n)
-    k = len(keys)
     n0 = n * (n - 1) // 2
+    zeros = np.zeros(len(keys), dtype=np.int64)  # broadcasts a one-row side's count to every row
     taus = []
     for ta, tb, tab, d in zip(
-        np.broadcast_to(ties_a, k).tolist(), np.broadcast_to(ties_b, k).tolist(),
-        ties_ab.tolist(), discordant.tolist(),
+        (ties_a + zeros).tolist(), (ties_b + zeros).tolist(), ties_ab.tolist(), discordant.tolist()
     ):
         if ta == n0 or tb == n0:
             taus.append(float("nan"))
@@ -164,12 +168,12 @@ def _rho(ca, cb) -> np.ndarray:
     exact while n^3 < 2^63 (`_pair` refuses longer rows), and rounding one
     to float and dividing by 4 gives the correctly rounded sum of the
     deviations' products, as `math.fsum` would."""
-    cov = (ca * cb).sum(axis=-1) / 4.0
-    var_a = (ca * ca).sum(axis=-1) / 4.0
-    var_b = (cb * cb).sum(axis=-1) / 4.0
+    cov = np.add.reduce(ca * cb, -1) / 4.0
+    var_a = np.add.reduce(ca * ca, -1) / 4.0
+    var_b = np.add.reduce(cb * cb, -1) / 4.0
     # a constant row has all-zero centered ranks and no variance
     den = np.sqrt(var_a * var_b)
-    return np.divide(cov, den, out=np.full(np.shape(cov), np.nan), where=den > 0)
+    return np.divide(cov, den, out=np.full(cov.shape, np.nan), where=den > 0)
 
 
 @dataclass
@@ -209,7 +213,7 @@ def protocol_targets(protocol: str, annotations) -> np.ndarray:
     if protocol == "tvsum":
         return annotations
     if protocol == "summe":
-        return annotations.mean(axis=0, keepdims=True)
+        return np.add.reduce(annotations, 0, keepdims=True) / len(annotations)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
@@ -224,7 +228,7 @@ def _correlate(video_id: str, preds, targets: np.ndarray) -> VideoCorrelation:
     # a constant row on either side makes both statistics NaN
     taus = _tau(rp, ties_p, rt, ties_t)
     keep = ~np.isnan(taus)
-    if not keep.any():
+    if not np.logical_or.reduce(keep):
         return VideoCorrelation(video_id, float("nan"), float("nan"), True)
     taus, rhos = taus[keep], _rho(cp, ct)[keep]
     return VideoCorrelation(video_id, math.fsum(taus) / len(taus), math.fsum(rhos) / len(rhos), False)
@@ -279,8 +283,9 @@ def flip_rate(
         raise ValueError("trials must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     noise = np.random.default_rng(seed).normal(0.0, sigma, (trials,) + scores.shape)
-    selection = select_segments(np.vstack([scores, scores + noise]), picks, cps, rho)
-    return int(np.count_nonzero((selection[1:] != selection[0]).any(axis=1))) / trials
+    rows = np.concatenate((scores[None], scores + noise))  # np.vstack's call
+    selection = select_segments(rows, picks, cps, rho)
+    return int(np.count_nonzero(np.logical_or.reduce(selection[1:] != selection[0], 1))) / trials
 
 
 def write_report_csv(report: CorrelationReport, path) -> None:

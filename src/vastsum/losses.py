@@ -66,11 +66,11 @@ def tvsum_nll(mu: dc.Node, log_v: dc.Node, annotations, epsilon: float = 1e-6) -
     if annotations.ndim != 2 or annotations.shape[1] != mu.value.shape[0]:
         raise ValueError(f"annotations shape {annotations.shape} does not match T={mu.value.shape[0]}")
     tape = mu.tape
-    y_mean = annotations.mean(axis=0)
-    spread = ((annotations - y_mean) ** 2).mean(axis=0)
+    y_mean = np.add.reduce(annotations, 0) / len(annotations)
+    spread = np.add.reduce((annotations - y_mean) ** 2, 0) / len(annotations)
     var = dc.exp(log_v)
     # 1/(v + eps) via exp(-log(v + eps)); v + eps > 0 always under the clamp
-    recip = dc.exp(dc.scale(dc.log(dc.add(var, tape.constant(np.full_like(mu.value, epsilon)))), -1.0))
+    recip = dc.exp(dc.scale(dc.log(dc.add(var, tape.constant(np.full(mu.value.shape, epsilon)))), -1.0))
     sq_err = dc.add(dc.square(dc.subtract(tape.constant(y_mean), mu)), tape.constant(spread))
     return dc.scale(_mean_all(dc.add(log_v, dc.multiply(sq_err, recip))), 0.5)
 
@@ -101,8 +101,8 @@ def soft_min(x: dc.Node, tau_sm: float) -> dc.Node:
         raise ValueError("tau_sm must be > 0")
     tape = x.tape
     scaled = dc.scale(x, -1.0 / tau_sm)
-    top = scaled.value.max()
-    terms = dc.exp(dc.subtract(scaled, tape.constant(np.full_like(scaled.value, top))))
+    top = np.maximum.reduce(scaled.value, None)
+    terms = dc.exp(dc.subtract(scaled, tape.constant(np.full(scaled.value.shape, top))))
     total = dc.matmul(tape.constant(np.ones((1, x.value.shape[0]))), terms)
     return dc.scale(dc.add(tape.constant(np.array([top])), dc.log(total)), -tau_sm)
 
@@ -124,10 +124,11 @@ def likelihood(
     """
     annotations = np.asarray(annotations, dtype=np.float64)
     if mode == "tvsum":
-        return tvsum_nll(signal, log_v, annotations, cfg.epsilon), annotations.mean(axis=0)
+        target = np.add.reduce(annotations, 0) / len(annotations)
+        return tvsum_nll(signal, log_v, annotations, cfg.epsilon), target
     if mode == "summe":
         bces = annotator_bces(signal, annotations)
-        return soft_min(bces, cfg.tau_softmin), annotations[int(np.argmin(bces.value))]
+        return soft_min(bces, cfg.tau_softmin), annotations[int(bces.value.argmin())]
     raise ValueError(f"unknown dataset mode {mode!r}")
 
 
@@ -179,12 +180,13 @@ def stability_loss(
     m = s.shape[0]
     if noise.ndim != 2 or noise.shape[1] != m:
         raise ValueError(f"noise shape {noise.shape} does not match M={m}")
-    batch = knapsack_select(SegmentKnapsackInstance(np.vstack([s, s + noise]), weights, capacity))
+    rows = np.concatenate((s[None], s + noise))  # np.vstack's call
+    batch = knapsack_select(SegmentKnapsackInstance(rows, weights, capacity))
     base = batch[0]
-    freq = batch[1:].sum(axis=0) / noise.shape[0]
+    freq = np.add.reduce(batch[1:], 0) / noise.shape[0]
     unstable = (freq > 0.0) & (freq < 1.0)
-    selected = np.flatnonzero(base)
-    unselected = np.flatnonzero(~base)
+    selected = base.nonzero()[0]
+    unselected = (~base).nonzero()[0]
     tape = segment_scores.tape
 
     def hinge_mean(ks, anchor_idx, anchor_first):
@@ -195,13 +197,13 @@ def stability_loss(
         return _mean_all(dc.clip(dc.subtract(margins, gap), 0.0, np.inf))
 
     terms = []
-    up_sel = np.flatnonzero(base & unstable)
+    up_sel = (base & unstable).nonzero()[0]
     if up_sel.size and unselected.size:
-        j_star = int(unselected[np.argmax(s[unselected])])
+        j_star = int(unselected[s[unselected].argmax()])
         terms.append(hinge_mean(up_sel, j_star, anchor_first=True))
-    up_unsel = np.flatnonzero(~base & unstable)
+    up_unsel = (~base & unstable).nonzero()[0]
     if up_unsel.size and selected.size:
-        i_star = int(selected[np.argmin(s[selected])])
+        i_star = int(selected[s[selected].argmin()])
         terms.append(hinge_mean(up_unsel, i_star, anchor_first=False))
     if not terms:
         return _zero(tape)

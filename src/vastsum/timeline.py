@@ -120,7 +120,7 @@ def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> Segmen
 def _frame_picks(picks: PickSequence, n_frames: int) -> np.ndarray:
     """The pick whose score each frame takes: the last pick at or before it,
     and the first pick for frames before it."""
-    return np.maximum(np.searchsorted(picks.picks, np.arange(n_frames), side="right") - 1, 0)
+    return np.maximum(np.asarray(picks.picks).searchsorted(np.arange(n_frames), side="right") - 1, 0)
 
 
 def frame_weights(picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:

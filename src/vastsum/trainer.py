@@ -117,7 +117,7 @@ def clip_global_norm(grads: dc.FlatTensors, max_norm: float) -> dc.FlatTensors:
     do not depend on the order of the tensors."""
     if not max_norm > 0:
         raise ValueError("max_norm must be > 0")
-    total = math.fsum(float(np.sum(g * g)) for g in grads.values())
+    total = math.fsum(float(np.add.reduce(g * g, None)) for g in grads.values())
     norm = math.sqrt(total)
     if norm <= max_norm:
         return grads

@@ -161,3 +161,108 @@ def random_picks(rng, n_frames):
     """Non-empty strictly increasing pick set within [0, n_frames)."""
     count = int(rng.integers(1, n_frames + 1))
     return tuple(sorted(rng.choice(n_frames, size=count, replace=False).tolist()))
+
+
+# ---------------------------------------------------------------------------
+# numpy-wrapper forms, kept as references. The library calls the ufuncs and
+# C methods these wrappers reach (`ndarray.mean` -> `np.add.reduce(...) / n`,
+# `np.pad` -> a zeroed buffer, `np.outer` -> `np.multiply.outer`, ...), on the
+# same operands in the same order, so each form below must give its bits.
+# ---------------------------------------------------------------------------
+
+
+def wrapper_matvec(av, bv, g):
+    """matmul of [T, D] by [D]: value and VJP."""
+    return av @ bv, (np.outer(g, bv), av.T @ g)
+
+
+def wrapper_affine(xv, wv, bv, g):
+    """affine's value and VJP."""
+    bias_shape = wv.shape[1:] if wv.ndim == 2 else (1,)
+    gx = g @ wv.T if wv.ndim == 2 else np.outer(g, wv)
+    return xv @ wv + bv, (gx, xv.T @ g, g.sum(axis=0).reshape(bias_shape))
+
+
+def wrapper_layer_norm(av, gv, bv, g):
+    """layer_norm's value and VJP through `ndarray.mean` and `ndarray.sum`."""
+    mu = av.mean(axis=-1, keepdims=True)
+    centered = av - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + dc.LN_EPS)
+    y = centered * inv
+    gy = g * gv
+    gm = gy.mean(axis=-1, keepdims=True)
+    gym = (gy * y).mean(axis=-1, keepdims=True)
+    return y * gv + bv, (inv * (gy - gm - y * gym), (g * y).sum(axis=0), g.sum(axis=0))
+
+
+def wrapper_softmax_rows(av, g):
+    """softmax_rows' value and VJP through `ndarray.max` and `ndarray.sum`."""
+    shifted = av - av.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p, (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
+
+
+def wrapper_depthwise_conv1d(xv, wv, g):
+    """depthwise_conv1d's value and VJP through `np.pad` and `zeros_like`."""
+    k = wv.shape[1]
+    t_len, off = xv.shape[0], k // 2
+    padded = np.pad(xv, ((off, off), (0, 0)))
+    out = np.zeros_like(xv)
+    for j in range(k):
+        out += padded[j : j + t_len] * wv[:, j]
+    dpad = np.zeros_like(padded)
+    dw = np.zeros_like(wv)
+    for j in range(k):
+        dpad[j : j + t_len] += g * wv[:, j]
+        dw[:, j] = (g * padded[j : j + t_len]).sum(axis=0)
+    return out, (dpad[off : off + t_len], dw)
+
+
+def wrapper_tvsum_nll(mu, log_v, annotations, epsilon):
+    """tvsum_nll's node, with the annotator statistics from `ndarray.mean`."""
+    annotations = np.asarray(annotations, dtype=np.float64)
+    tape = mu.tape
+    y_mean = annotations.mean(axis=0)
+    spread = ((annotations - y_mean) ** 2).mean(axis=0)
+    var = dc.exp(log_v)
+    recip = dc.exp(dc.scale(dc.log(dc.add(var, tape.constant(np.full_like(mu.value, epsilon)))), -1.0))
+    sq_err = dc.add(dc.square(dc.subtract(tape.constant(y_mean), mu)), tape.constant(spread))
+    n = mu.value.shape[0]
+    mean = dc.matmul(tape.constant(np.full((1, n), 1.0 / n)), dc.add(log_v, dc.multiply(sq_err, recip)))
+    return dc.scale(mean, 0.5)
+
+
+def wrapper_global_norm(grads):
+    """clip_global_norm's norm through `np.sum`."""
+    return math.sqrt(math.fsum(float(np.sum(g * g)) for g in grads.values()))
+
+
+def wrapper_segment_values(frame_scores, cps):
+    """segment_values' values and weights through `np.insert`."""
+    starts = np.array([s for s, _ in cps.segments])
+    lengths = cps.lengths()
+    padded = np.insert(frame_scores, starts, 0.0, axis=-1)
+    sums = np.add.reduceat(padded, starts + np.arange(len(starts)), axis=-1)
+    return sums / lengths, lengths
+
+
+def _wrapper_run_starts(xs):
+    new = np.ones(xs.shape, dtype=bool)
+    new[..., 1:] = xs[..., 1:] != xs[..., :-1]
+    return np.maximum.accumulate(np.where(new, np.arange(xs.shape[-1]), 0), axis=-1)
+
+
+def wrapper_ranks(x):
+    """evaluation._ranks through `take_along_axis` and `put_along_axis`: min
+    ranks, centered ranks and tied-pair counts."""
+    n = x.shape[-1]
+    order = np.argsort(x, axis=-1)
+    xs = np.take_along_axis(x, order, axis=-1)
+    starts = _wrapper_run_starts(xs)
+    ends = n - _wrapper_run_starts(xs[..., ::-1])[..., ::-1]
+    min_ranks, centered = np.empty_like(order), np.empty_like(order)
+    np.put_along_axis(min_ranks, order, starts, axis=-1)
+    np.put_along_axis(centered, order, starts + ends - n, axis=-1)
+    return min_ranks, centered, (np.arange(n) - starts).sum(axis=-1)

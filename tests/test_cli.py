@@ -174,7 +174,9 @@ class TestTrain:
         "mutate, message",
         [(lambda videos: [1], "videos[0] must be an object, got int"),
          (lambda videos: videos + ["v999"], "videos[3] must be an object, got str"),
-         (lambda videos: {"a": 1}, "dataset 'videos' must be a list, got dict")],
+         (lambda videos: {"a": 1}, "dataset 'videos' must be a list, got dict"),
+         (lambda videos: videos[:1] + [dict(videos[1], id=float("nan"))],
+          "videos[1]: id must be a non-empty string, got nan")],
     )
     def test_malformed_videos_exit_2(self, tmp_path, tiny_dataset, capsys, mutate, message):
         doc = json.loads(Path(tiny_dataset).read_text())

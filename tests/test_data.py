@@ -88,6 +88,18 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=f"^video 'v0': {key} must be numeric: int too large"):
             load_dataset(write(tmp_path, {"mode": mode, "videos": [bad]}))
 
+    @pytest.mark.parametrize("bad_id, shown", [
+        (float("nan"), "nan"), (True, "True"), (0, "0"), ({"k": 1}, "{'k': 1}"), ("", "''"),
+        (None, "None"), (10**20, "100000000000000000000"),
+    ], ids=["nan", "true", "zero", "object", "empty", "null", "20-digit"])
+    def test_id_must_be_a_non_empty_string(self, tmp_path, bad_id, shown):
+        bad = valid_video()
+        bad["id"] = bad_id
+        payload = {"mode": "tvsum", "videos": [valid_video("a"), bad]}
+        with pytest.raises(ValueError) as info:
+            load_dataset(write(tmp_path, payload))
+        assert str(info.value) == f"videos[1]: id must be a non-empty string, got {shown}"
+
     def test_pick_outside_frames(self, tmp_path):
         bad = valid_video()
         bad["picks"] = [0, 2, 4, 9]
