@@ -260,6 +260,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's names the size; a bare MemoryError has no message
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

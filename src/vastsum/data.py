@@ -11,8 +11,8 @@ A dataset is one JSON document:
 
 Loading is the single validation gate: every invariant is checked and a
 violation aborts with the offending video id. A `VideoRecord` keeps what
-the model reads of its metadata, each built once: `segment_map` (built by
-the load's partition check) and `frame_weights`. The synthetic generator embeds
+the model reads of its metadata, each built once: `segment_map` (built at
+load) and `frame_weights`. The synthetic generator embeds
 a per-segment latent importance linearly into the features so that a trained
 model (or even a linear probe) can recover it.
 """
@@ -161,7 +161,7 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None, index: int) 
         change_points=cps,
         annotations=annotations,
     )
-    record.segment_map  # built here and kept; raises CoverageError on a malformed partition
+    record.segment_map  # built here and kept; every pick lies in the partition, so no CoverageError
     return record
 
 

@@ -1,8 +1,8 @@
 """Budgeted summary decoding.
 
-Sampled scores are expanded to the original timeline, averaged per
-change-point segment, and a 0/1 knapsack over segment lengths picks the
-summary under capacity floor(rho * N). The solver is an exact dynamic
+Sampled scores are pooled into the mean score of each change-point segment's
+frames (`timeline.segment_values`), and a 0/1 knapsack over segment lengths
+picks the summary under capacity floor(rho * N). The solver is an exact dynamic
 program with deterministic tie-breaking (equal value: prefer the lighter
 selection, then the lexicographically smallest index set), so decoding is a
 pure function of its inputs.
@@ -116,7 +116,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .timeline import ChangePointPartition, PickSequence, expand_scores
+from .timeline import ChangePointPartition, PickSequence, segment_values
 
 # DP cells (rows * (cap + 1)) in one block of rows: 512 KiB per float64 table
 _BLOCK_CELLS = 1 << 16
@@ -147,7 +147,11 @@ class SegmentKnapsackInstance:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        self.weights = tuple(_integer(f"weights[{k}]", w) for k, w in enumerate(self.weights))
+        try:
+            self.weights = tuple(map(operator.index, self.weights))
+        except TypeError:  # name the first weight that is not an integer
+            for k, w in enumerate(self.weights):
+                _integer(f"weights[{k}]", w)
         self.capacity = _integer("capacity", self.capacity)
         if self.values.ndim not in (1, 2) or self.values.shape[-1] != len(self.weights):
             raise ValueError("values and weights must have equal length")
@@ -163,36 +167,6 @@ class SummaryMask:
 
     y: np.ndarray
     selected_segments: tuple[int, ...]
-
-
-def segment_values(
-    frame_scores, cps: ChangePointPartition, capacity: int = 0
-) -> SegmentKnapsackInstance:
-    """Mean frame score per segment as value, segment length as weight.
-
-    frame_scores is [N] or [K, N]; values then has shape [M] or [K, M]. Each
-    mean equals `frame_scores[..., s:e+1].mean()` on the 1-D run, bit for bit:
-    a 1-D `np.add.reduce` starts from 0.0 and adds the pairwise sum of the
-    whole run, while `reduceat` starts from a run's first element and adds
-    the pairwise sum of the rest, so a 0.0 is put in front of every segment.
-    (`mean(axis=1)` over a 2-D block sums in another order.)
-    """
-    frame_scores = np.asarray(frame_scores, dtype=np.float64)
-    if frame_scores.ndim not in (1, 2) or frame_scores.shape[-1] != cps.n_frames:
-        raise ValueError(f"expected {cps.n_frames} frame scores, got {frame_scores.shape}")
-    starts = np.array([s for s, _ in cps.segments])
-    lengths = cps.lengths()
-    heads = starts + np.arange(len(starts))  # each segment's 0.0 in the padded rows
-    gap = np.zeros(cps.n_frames + len(starts), dtype=bool)
-    gap[heads] = True
-    # np.insert's steps without its wrapper: an empty buffer in its layout,
-    # then the 0.0s and the frames, each through one index on the last axis
-    padded = np.empty(frame_scores.shape[:-1] + gap.shape, order="F" if frame_scores.flags.fnc else "C")
-    lead = (slice(None),) * (frame_scores.ndim - 1)
-    padded[lead + (heads,)] = 0.0
-    padded[lead + (~gap,)] = frame_scores
-    sums = np.add.reduceat(padded, heads, axis=-1)
-    return SegmentKnapsackInstance(values=sums / lengths, weights=lengths, capacity=capacity)
 
 
 def _rerank(key: np.ndarray, shift: int, item_bits: int, cap: int) -> np.ndarray:
@@ -364,25 +338,20 @@ def budget(rho: float, n_frames: int) -> int:
 def select_segments(
     scores, picks: PickSequence, cps: ChangePointPartition, rho: float
 ) -> np.ndarray:
-    """The decode pipeline: budget, expand, pool, solve.
+    """The decode pipeline: budget, pool, solve.
 
     scores is [T] or [K, T]; the selection is [M] or [K, M], each row solved
     as its own decode in one knapsack call.
     """
     capacity = budget(rho, cps.n_frames)
-    frames = expand_scores(scores, picks, cps.n_frames)
-    instance = segment_values(frames, cps, capacity=capacity)
-    del frames  # [K, N]; freed before the DP allocates its tables
-    return knapsack_select(instance)
+    values = segment_values(scores, picks, cps)
+    return knapsack_select(SegmentKnapsackInstance(values, cps.lengths(), capacity))
 
 
 def decode_summary(
     scores, picks: PickSequence, cps: ChangePointPartition, rho: float = 0.15
 ) -> SummaryMask:
     """Decode one score row and emit the binary summary mask."""
-    selected = tuple(select_segments(scores, picks, cps, rho).ravel().nonzero()[0].tolist())
-    y = np.zeros(cps.n_frames, dtype=bool)
-    for k in selected:
-        start, end = cps.segments[k]
-        y[start : end + 1] = True
-    return SummaryMask(y=y, selected_segments=selected)
+    selection = select_segments(scores, picks, cps, rho).ravel()
+    selected = tuple(selection.nonzero()[0].tolist())
+    return SummaryMask(y=selection.repeat(cps.lengths()), selected_segments=selected)

@@ -126,26 +126,38 @@ def _frame_picks(picks: PickSequence, n_frames: int) -> np.ndarray:
 def frame_weights(picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:
     """The [M, T] matrix that pools pick scores into segment values as the
     decoder does: row k holds, for each pick, the number of segment k's
-    frames that take its score under `expand_scores`, divided once by the
-    segment's length. So `frame_weights(picks, cps) @ s` is the mean of
-    `expand_scores(s, picks, cps.n_frames)` over each segment, up to rounding.
+    frames that take its score (`_frame_picks`), divided once by the
+    segment's length. So `frame_weights(picks, cps) @ s` is
+    `segment_values(s, picks, cps)`, up to rounding.
     """
     lengths = np.array(cps.lengths())
-    owner = np.repeat(np.arange(cps.n_segments), lengths)
+    owner = np.arange(cps.n_segments).repeat(lengths)
     counts = _count_pool(owner, _frame_picks(picks, cps.n_frames), (cps.n_segments, len(picks)))
     return counts / lengths[:, None]
 
 
-def expand_scores(scores, picks: PickSequence, n_frames: int) -> np.ndarray:
-    """Expand sampled scores to the original timeline, piecewise constant.
+def segment_values(scores, picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:
+    """The mean score of each segment's frames, frame n taking the score of
+    its pick (`_frame_picks`): the decoder's knapsack values. scores is [T]
+    or [K, T]; values is [M] or [K, M].
 
-    Frame n takes the score of the last pick at or before it; frames before
-    the first pick are backfilled with the first score. scores is [T] or
-    [K, T]; each row is expanded with the same frame-to-pick index.
+    Each mean is the 1-D `.mean()` of the segment's frame scores, bit for
+    bit. `np.add.reduce` gives 0.0 + the pairwise sum of a run, and `reduceat`
+    the run's first element + the pairwise sum of the rest, so each segment's
+    run in the padded rows starts with a 0.0: one [N + M] index gathers them
+    from the scores plus a 0.0 column, a segment head taking the 0.0 and
+    every other position its frame's pick. (`mean(axis=1)` over a 2-D block
+    sums in another order.)
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim not in (1, 2) or scores.size == 0:
         raise ValueError("scores must be a non-empty 1-D or 2-D sequence")
     if scores.shape[-1] != len(picks):
         raise ValueError(f"got {scores.shape[-1]} scores for {len(picks)} picks")
-    return scores[..., _frame_picks(picks, n_frames)]
+    heads = np.array([s for s, _ in cps.segments]) + np.arange(cps.n_segments)
+    source = np.full(cps.n_frames + cps.n_segments, len(picks))
+    frames = np.ones(source.shape, dtype=bool)
+    frames[heads] = False
+    source[frames] = _frame_picks(picks, cps.n_frames)
+    padded = np.concatenate((scores, np.zeros(scores.shape[:-1] + (1,))), -1)[..., source]
+    return np.add.reduceat(padded, heads, axis=-1) / cps.lengths()

@@ -163,6 +163,16 @@ def random_picks(rng, n_frames):
     return tuple(sorted(rng.choice(n_frames, size=count, replace=False).tolist()))
 
 
+def expand_scores(scores, picks, n_frames):
+    """Pick scores expanded to the n_frames frames, piecewise constant: frame
+    n takes the score of the last pick at or before it, and frames before
+    the first pick take the first score. scores is [T] or [K, T]. The pick
+    index of frame n is the number of picks after the first at or before n."""
+    marks = np.zeros(n_frames, dtype=np.int64)
+    marks[list(picks.picks[1:])] = 1
+    return np.asarray(scores, dtype=np.float64)[..., np.cumsum(marks)]
+
+
 # ---------------------------------------------------------------------------
 # numpy-wrapper forms, kept as references. The library calls the ufuncs and
 # C methods these wrappers reach (`ndarray.mean` -> `np.add.reduce(...) / n`,
@@ -240,12 +250,12 @@ def wrapper_global_norm(grads):
 
 
 def wrapper_segment_values(frame_scores, cps):
-    """segment_values' values and weights through `np.insert`."""
+    """The mean of each segment's frame scores, for [N] or [K, N] frame
+    scores, through `np.insert`: a 0.0 in front of each segment, then one
+    `reduceat`."""
     starts = np.array([s for s, _ in cps.segments])
-    lengths = cps.lengths()
     padded = np.insert(frame_scores, starts, 0.0, axis=-1)
-    sums = np.add.reduceat(padded, starts + np.arange(len(starts)), axis=-1)
-    return sums / lengths, lengths
+    return np.add.reduceat(padded, starts + np.arange(len(starts)), axis=-1) / cps.lengths()
 
 
 def _wrapper_run_starts(xs):

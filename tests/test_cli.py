@@ -701,6 +701,36 @@ class TestStabilityReport:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+class TestOutOfMemory:
+    """An allocation the machine cannot make exits 2 with one error line, not a
+    traceback. The allocating call is replaced: a test never allocates for real."""
+
+    NUMPY_MESSAGE = "Unable to allocate 11.9 GiB for an array with shape (100000001, 16) and data type float64"
+
+    def test_stability_report_with_huge_trials(self, tmp_path, trained, tiny_dataset, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError(self.NUMPY_MESSAGE)
+
+        monkeypatch.setattr(vastsum.cli, "flip_rate", refuse)
+        out = tmp_path / "stab.csv"
+        assert run(
+            "stability-report", "--checkpoint", trained, "--data", tiny_dataset,
+            "--trials", "100000000", "--out", str(out),
+        ) == 2
+        assert capsys.readouterr().err == f"error: out of memory: {self.NUMPY_MESSAGE}\n"
+        assert not out.exists()
+
+    def test_train_with_huge_model(self, tmp_path, tiny_config_file, tiny_dataset, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(vastsum.trainer, "init_all_params", refuse)
+        out_dir = tmp_path / "run"
+        assert run("train", "--data", tiny_dataset, "--out-dir", str(out_dir), "--config", tiny_config_file) == 2
+        assert capsys.readouterr().err == "error: out of memory: an allocation failed\n"
+        assert not (out_dir / "checkpoint.json").exists()
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_artifacts_get_the_umask_mode(tmp_path, tiny_config_file, umask, mode):
     previous = os.umask(umask)

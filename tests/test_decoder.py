@@ -9,11 +9,11 @@ from vastsum.decoder import (
     budget,
     decode_summary,
     knapsack_select,
-    segment_values,
+    select_segments,
 )
-from vastsum.timeline import ChangePointPartition, PickSequence, expand_scores
+from vastsum.timeline import ChangePointPartition, PickSequence, segment_values
 
-from oracles import brute_force_knapsack, random_partition, random_picks, reference_value_dp
+from oracles import brute_force_knapsack, expand_scores, random_partition, random_picks, reference_value_dp
 
 
 def total_value(values, selection):
@@ -47,44 +47,67 @@ def keyed_rows(monkeypatch):
     return calls
 
 
+def every_frame(cps):
+    """One pick on every frame: each frame takes its own score."""
+    return PickSequence(range(cps.n_frames))
+
+
 class TestSegmentValues:
     def test_constant_blocks(self):
-        inst = segment_values([1, 1, 1, 5, 5], ChangePointPartition(((0, 2), (3, 4)), 5))
-        assert inst.values.tolist() == [1, 5]
-        assert inst.weights == (3, 2)
+        cps = ChangePointPartition(((0, 2), (3, 4)), 5)
+        assert segment_values([1, 1, 1, 5, 5], every_frame(cps), cps).tolist() == [1, 5]
+        assert tuple(cps.lengths()) == (3, 2)
 
     def test_single_segment_global_mean(self):
-        inst = segment_values([2.0, 4.0, 6.0], ChangePointPartition(((0, 2),), 3))
-        assert inst.values.tolist() == [4.0]
-        assert inst.weights == (3,)
+        cps = ChangePointPartition(((0, 2),), 3)
+        assert segment_values([2.0, 4.0, 6.0], every_frame(cps), cps).tolist() == [4.0]
+        assert tuple(cps.lengths()) == (3,)
 
     def test_two_pair_means(self):
-        inst = segment_values([0, 2, 4, 6], ChangePointPartition(((0, 1), (2, 3)), 4))
-        assert inst.values.tolist() == [1, 5]
-        assert inst.weights == (2, 2)
+        cps = ChangePointPartition(((0, 1), (2, 3)), 4)
+        assert segment_values([0, 2, 4, 6], every_frame(cps), cps).tolist() == [1, 5]
+        assert tuple(cps.lengths()) == (2, 2)
 
     def test_length_mismatch(self):
+        cps = ChangePointPartition(((0, 1),), 2)
         with pytest.raises(ValueError):
-            segment_values([1.0], ChangePointPartition(((0, 1),), 2))
+            segment_values([1.0], every_frame(cps), cps)
+
+    def test_select_segments_weighs_each_segment_by_its_length(self, monkeypatch):
+        instances = []
+
+        def spy(inst):
+            instances.append(inst)
+            return np.zeros(inst.values.shape, dtype=bool)
+
+        monkeypatch.setattr(decoder, "knapsack_select", spy)
+        cps = ChangePointPartition(((0, 2), (3, 4)), 5)
+        select_segments([1, 1, 1, 5, 5], every_frame(cps), cps, 0.6)
+        (inst,) = instances
+        assert inst.values.tolist() == [1, 5]
+        assert inst.weights == (3, 2) and inst.capacity == 3
 
     def test_rows_equal_one_dimensional_means_bit_for_bit(self):
         # A 2-D mean(axis=1) sums in another order and differs in the last
-        # bits; segment values must equal the 1-D mean of each run, row by row.
+        # bits; segment values must equal the 1-D mean of each segment's frame
+        # scores, row by row.
         rng = np.random.default_rng(17)
         cases = [(rng.integers(1, 40, 6), 4), (rng.integers(60, 200, 80), 3), ([9000, 1, 300], 2)]
         for lengths, k in cases:
             ends = np.cumsum(lengths) - 1
             cps = ChangePointPartition(tuple(zip(ends - lengths + 1, ends)), int(ends[-1]) + 1)
             picks = PickSequence(tuple(range(0, cps.n_frames, 7)))
-            for frames in (
-                rng.standard_normal((k, cps.n_frames)) * 10.0 ** rng.integers(-3, 4, (k, 1)),
-                expand_scores(rng.uniform(0, 1, (k, len(picks))), picks, cps.n_frames),
+            frame_scores = rng.standard_normal((k, cps.n_frames)) * 10.0 ** rng.integers(-3, 4, (k, 1))
+            for scores, pick_seq in (
+                (frame_scores, every_frame(cps)),
+                (rng.uniform(0, 1, (k, len(picks))), picks),
             ):
-                values = segment_values(frames, cps).values
+                frames = expand_scores(scores, pick_seq, cps.n_frames)
+                values = segment_values(scores, pick_seq, cps)
                 expected = [[row[a : e + 1].mean() for a, e in cps.segments] for row in frames]
                 assert values.shape == (k, cps.n_segments)
                 assert values.tobytes() == np.array(expected).tobytes()
-                assert segment_values(frames[0], cps).values.tobytes() == values[0].tobytes()
+                assert segment_values(scores[0], pick_seq, cps).tobytes() == values[0].tobytes()
 
 
 class TestKnapsackSelect:

@@ -9,12 +9,11 @@ from vastsum.timeline import (
     PickSequence,
     SegmentIndexMap,
     assign_segment_ids,
-    expand_scores,
     frame_weights,
+    segment_values,
 )
-from vastsum.decoder import segment_values
 
-from oracles import mean_rows, random_partition, random_picks
+from oracles import expand_scores, mean_rows, random_partition, random_picks
 
 
 def seg_map(picks, segments, n_frames):
@@ -134,6 +133,9 @@ class TestAssignSegmentIds:
 
 
 class TestExpandScores:
+    """The frame rule `segment_values` pools under, on its reference
+    `oracles.expand_scores`; `segment_values` refuses the same inputs."""
+
     def test_even_picks(self):
         out = expand_scores([10.0, 20.0, 30.0], PickSequence((0, 2, 4)), 6)
         assert out.tolist() == [10, 10, 20, 20, 30, 30]
@@ -150,11 +152,11 @@ class TestExpandScores:
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            expand_scores([], PickSequence((0,)), 3)
+            segment_values([], PickSequence((0,)), ChangePointPartition(((0, 2),), 3))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="2 picks"):
-            expand_scores([1.0], PickSequence((0, 1)), 3)
+            segment_values([1.0], PickSequence((0, 1)), ChangePointPartition(((0, 2),), 3))
 
     def test_rows_expand_like_single_rows(self):
         rng = np.random.default_rng(8)
@@ -210,7 +212,7 @@ class TestFrameWeights:
         assert weights.shape == (4, 3)
         pooled = weights @ scores
         np.testing.assert_allclose(pooled, [0.9, 0.9, -4.0 / 15.0, 0.2], rtol=0, atol=1e-15)
-        decoded = segment_values(expand_scores(scores, picks, cps.n_frames), cps).values
+        decoded = segment_values(scores, picks, cps)
         np.testing.assert_allclose(pooled, decoded, rtol=0, atol=1e-15)
         # the pick-mean pool sees [0.9, 0, -0.15, 0] here
         assert weights[2].tolist() == [0.0, 10 / 15, 5 / 15]
@@ -227,7 +229,7 @@ class TestFrameWeights:
                 counts = np.bincount(frame_pick[start : end + 1], minlength=len(picks))
                 assert np.array_equal(weights[k], counts / (end - start + 1))
             scores = rng.standard_normal((3, len(picks)))
-            decoded = segment_values(expand_scores(scores, picks, n), cps).values
+            decoded = segment_values(scores, picks, cps)
             np.testing.assert_allclose(scores @ weights.T, decoded, rtol=1e-12, atol=1e-12)
 
     def test_equal_spans_give_the_pick_mean_pool(self):

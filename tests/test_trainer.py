@@ -14,14 +14,13 @@ import vastsum.trainer as trainer
 from vastsum.checkpoint import load_params, params_to_bytes, save_params, validate_shapes
 from vastsum.config import HeadConfig, LossConfig, RunConfig, ScorerConfig, TrainConfig
 from vastsum.data import Dataset, SyntheticConfig, VideoRecord, generate_synthetic, make_folds
-from vastsum.decoder import segment_values
 from vastsum.errors import ConfigError, NumericError
 from vastsum.timeline import (
     ChangePointPartition,
     PickSequence,
     assign_segment_ids,
-    expand_scores,
     frame_weights,
+    segment_values,
 )
 from vastsum.trainer import OptimizerState, adamw_step, clip_global_norm, train
 
@@ -489,7 +488,7 @@ class TestStabilityPool:
         train(Dataset("tvsum", [video]), small_cfg(epochs=1, accumulate=1))
         signal, pooled = seen["ranking_hinge"], seen["stability_loss"]
         assert np.array_equal(pooled, frame_weights(picks, cps) @ signal)
-        decoded = segment_values(expand_scores(signal, picks, 30), cps).values
+        decoded = segment_values(signal, picks, cps)
         np.testing.assert_allclose(pooled, decoded, rtol=1e-12, atol=1e-15)
         assert pooled[0] == pooled[1] == signal[0]
 

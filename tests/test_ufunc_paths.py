@@ -16,13 +16,15 @@ import numpy as np
 import pytest
 
 import vastsum.diffcore as dc
-from vastsum import decoder, evaluation, losses, trainer
+from vastsum import decoder, evaluation, losses, timeline, trainer
 from vastsum.config import HeadConfig, RunConfig, ScorerConfig, TrainConfig
 from vastsum.data import SyntheticConfig, generate_synthetic
-from vastsum.timeline import ChangePointPartition
+from vastsum.timeline import ChangePointPartition, PickSequence
 
 from oracles import (
+    expand_scores,
     random_partition,
+    random_picks,
     wrapper_affine,
     wrapper_depthwise_conv1d,
     wrapper_global_norm,
@@ -164,12 +166,27 @@ class TestDecodeAndRankBits:
         for _ in range(12):
             # segments past 8 frames take numpy's pairwise summation
             cps = ChangePointPartition(*random_partition(rng, max_len=40))
-            shape = (cps.n_frames,) if rows is None else (rows, cps.n_frames)
+            picks = PickSequence(random_picks(rng, cps.n_frames))
+            shape = (len(picks),) if rows is None else (rows, len(picks))
             scores = np.asarray(special(rng, rng.standard_normal(shape), kind), order=order)
-            got = decoder.segment_values(scores, cps, capacity=3)
-            values, weights = wrapper_segment_values(scores, cps)
-            assert same(got.values, values)
-            assert got.weights == tuple(weights) and got.capacity == 3
+            got = timeline.segment_values(scores, picks, cps)
+            assert same(got, wrapper_segment_values(expand_scores(scores, picks, cps.n_frames), cps))
+
+    @pytest.mark.parametrize("kind", ["plain", "ties"])
+    def test_fortran_rows_select_as_single_decodes(self, kind):
+        rng = np.random.default_rng(74)
+        for _ in range(12):
+            cps = ChangePointPartition(*random_partition(rng, max_len=40))
+            picks = PickSequence(random_picks(rng, cps.n_frames))
+            shape = (int(rng.integers(2, 7)), len(picks))
+            rows = rng.integers(0, 3, shape).astype(np.float64) if kind == "ties" else rng.standard_normal(shape)
+            rows = np.asfortranarray(rows)
+            rho = float(rng.uniform(0.1, 0.6))
+            batch = decoder.select_segments(rows, picks, cps, rho)
+            assert batch.shape == (len(rows), cps.n_segments)
+            for row, selection in zip(rows, batch):
+                single = decoder.decode_summary(row, picks, cps, rho).selected_segments
+                assert tuple(selection.nonzero()[0].tolist()) == single
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("rows", [None, 1, 5])
@@ -198,6 +215,7 @@ REMOVED_WRAPPERS = (
     "numpy.sum",
     "numpy.pad",
     "numpy.insert",
+    "numpy.repeat",
     "numpy.outer",
     "numpy.vstack",
     "numpy.flatnonzero",
