@@ -127,8 +127,9 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None, index: int) 
         _fail(vid, "change_points must be a list of [start, end] integer pairs")
     n_frames = int(raw["n_frames"])
     try:
-        picks = PickSequence(tuple(raw["picks"]))
-        cps = ChangePointPartition(tuple(tuple(p) for p in pairs), n_frames)
+        # a JSON integral float (2.0) passed is_integral; the constructors take ints only
+        picks = PickSequence(tuple(map(int, raw["picks"])))
+        cps = ChangePointPartition(tuple((int(s), int(e)) for s, e in pairs), n_frames)
     except ValueError as exc:
         _fail(vid, str(exc))
     if picks.picks[-1] >= n_frames:
@@ -192,24 +193,18 @@ def load_dataset(path) -> Dataset:
 
 def dataset_to_dict(dataset: Dataset) -> dict:
     key = ANNOTATION_KEY[dataset.mode]
-    videos = []
-    for v in dataset.videos:
-        ann = v.annotations
-        serialized = (
-            [[int(x) for x in row] for row in ann]
-            if dataset.mode == "summe"
-            else [[float(x) for x in row] for row in ann]
-        )
-        videos.append(
-            {
-                "id": v.video_id,
-                "n_frames": v.n_frames,
-                "picks": list(v.picks.picks),
-                "change_points": [[s, e] for s, e in v.change_points.segments],
-                "features": [[float(x) for x in row] for row in v.features],
-                key: serialized,
-            }
-        )
+    labels = np.int64 if dataset.mode == "summe" else np.float64
+    videos = [
+        {
+            "id": v.video_id,
+            "n_frames": v.n_frames,
+            "picks": list(v.picks.picks),
+            "change_points": [[s, e] for s, e in v.change_points.segments],
+            "features": v.features.tolist(),
+            key: v.annotations.astype(labels).tolist(),
+        }
+        for v in dataset.videos
+    ]
     return {"mode": dataset.mode, "videos": videos}
 
 

@@ -111,12 +111,11 @@ the whole batch, as they would unblocked.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .timeline import ChangePointPartition, PickSequence, segment_values
+from .timeline import ChangePointPartition, PickSequence, _integer, _integers, segment_values
 
 # DP cells (rows * (cap + 1)) in one block of rows: 512 KiB per float64 table
 _BLOCK_CELLS = 1 << 16
@@ -124,14 +123,6 @@ _BLOCK_CELLS = 1 << 16
 # which a block of more than one row is tiled
 _TILE_CELLS = 16
 _TILED_CAP = 320
-
-
-def _integer(name: str, x) -> int:
-    """x as a Python int; a float is refused, never truncated."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {x!r}") from None
 
 
 @dataclass
@@ -147,11 +138,7 @@ class SegmentKnapsackInstance:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        try:
-            self.weights = tuple(map(operator.index, self.weights))
-        except TypeError:  # name the first weight that is not an integer
-            for k, w in enumerate(self.weights):
-                _integer(f"weights[{k}]", w)
+        self.weights = _integers("weights", self.weights)
         self.capacity = _integer("capacity", self.capacity)
         if self.values.ndim not in (1, 2) or self.values.shape[-1] != len(self.weights):
             raise ValueError("values and weights must have equal length")
@@ -351,7 +338,10 @@ def select_segments(
 def decode_summary(
     scores, picks: PickSequence, cps: ChangePointPartition, rho: float = 0.15
 ) -> SummaryMask:
-    """Decode one score row and emit the binary summary mask."""
-    selection = select_segments(scores, picks, cps, rho).ravel()
+    """Decode one [T] score row and emit the binary summary mask."""
+    if np.ndim(scores) != 1:
+        raise ValueError(f"decode_summary takes one [T] score row, got shape {np.shape(scores)}; "
+                         "select_segments decodes a [K, T] batch")
+    selection = select_segments(scores, picks, cps, rho)
     selected = tuple(selection.nonzero()[0].tolist())
     return SummaryMask(y=selection.repeat(cps.lengths()), selected_segments=selected)

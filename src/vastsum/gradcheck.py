@@ -1,10 +1,10 @@
 """End-to-end gradient verification on a tiny model instance.
 
-Builds the full scorer + head graph and a composed smooth objective
-(heteroscedastic NLL + latent KL + soft-min BCE, all C1 everywhere), then
-compares tape gradients against central finite differences over every
-parameter entry. The instance is small enough to finish in seconds while
-touching every primitive the training path uses.
+Builds the full scorer + head graph and a smooth objective composed of the
+entry points training calls (`likelihood`'s NLL and soft-min BCE, the latent
+KL; all C1), then compares tape gradients against central differences over
+every parameter entry. The instance is small enough to finish in seconds
+while touching every primitive the training path uses.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ def build_problem(seed: int = 0):
 
     def f(theta):
         out, p = trainer.model_forward(theta, features, seg, cfg, latent_noise)
-        nll = losses.tvsum_nll(out.mu, out.log_v, continuous, cfg.loss.epsilon)
+        nll = losses.likelihood("tvsum", out.mu, out.log_v, continuous, cfg.loss)[0]
         kl = losses.kl_standard_normal(out.mu_z, out.log_var_z)
-        soft = losses.summe_softmin_bce(p, binary, cfg.loss.tau_softmin)
+        soft = losses.likelihood("summe", p, out.log_v, binary, cfg.loss)[0]
         return dc.add(dc.add(nll, kl), soft)
 
     return f, params

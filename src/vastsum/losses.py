@@ -4,8 +4,8 @@ Dataset likelihoods (multi-annotator Gaussian NLL, soft-min BCE), pairwise
 hinge ranking, KL to the standard-normal prior, and the knapsack stability
 margin loss, plus the warm-up-weighted total. Every loss returns a size-1
 tape node; supervision targets and noise draws arrive as plain arrays and
-never receive gradients. The stability term consults the knapsack solver on
-detached values only.
+never receive gradients. Both margin terms are one pair hinge, `_pair_hinge`;
+the stability term consults the knapsack solver on detached values only.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ def _mean_all(x: dc.Node) -> dc.Node:
     [n] input gives [1] and a [n, d] input gives [1, d]."""
     n = x.value.shape[0]
     return dc.matmul(x.tape.constant(np.full((1, n), 1.0 / n)), x)
-
-
-def _zero(tape: dc.Tape) -> dc.Node:
-    return tape.constant(np.zeros(1))
 
 
 def tvsum_nll(mu: dc.Node, log_v: dc.Node, annotations, epsilon: float = 1e-6) -> dc.Node:
@@ -107,11 +103,6 @@ def soft_min(x: dc.Node, tau_sm: float) -> dc.Node:
     return dc.scale(dc.add(tape.constant(np.array([top])), dc.log(total)), -tau_sm)
 
 
-def summe_softmin_bce(p: dc.Node, annotations, tau_sm: float) -> dc.Node:
-    """Soft minimum over the per-annotator BCEs: -tau * log sum_a exp(-BCE_a / tau)."""
-    return soft_min(annotator_bces(p, annotations), tau_sm)
-
-
 def likelihood(
     mode: str, signal: dc.Node, log_v: dc.Node, annotations, cfg: LossConfig
 ) -> tuple[dc.Node, np.ndarray]:
@@ -132,6 +123,13 @@ def likelihood(
     raise ValueError(f"unknown dataset mode {mode!r}")
 
 
+def _pair_hinge(q: dc.Node, first, second, margin: float) -> dc.Node:
+    """Mean of max(0, m - (q_a - q_b)) over the index pairs (first[k], second[k])."""
+    gap = dc.subtract(dc.gather_rows(q, first), dc.gather_rows(q, second))
+    margins = q.tape.constant(np.full(len(first), float(margin)))
+    return _mean_all(dc.clip(dc.subtract(margins, gap), 0.0, np.inf))
+
+
 def ranking_hinge(q: dc.Node, r, pairs, margin: float) -> dc.Node:
     """Mean hinge max(0, m - (q_i - q_j)) over pairs with r_i > r_j.
 
@@ -142,12 +140,8 @@ def ranking_hinge(q: dc.Node, r, pairs, margin: float) -> dc.Node:
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     kept = pairs[r[pairs[:, 0]] > r[pairs[:, 1]]]
     if not len(kept):
-        return _zero(q.tape)
-    qi = dc.gather_rows(q, kept[:, 0])
-    qj = dc.gather_rows(q, kept[:, 1])
-    margins = q.tape.constant(np.full(len(kept), float(margin)))
-    hinge = dc.clip(dc.subtract(margins, dc.subtract(qi, qj)), 0.0, np.inf)
-    return _mean_all(hinge)
+        return q.tape.constant(np.zeros(1))
+    return _pair_hinge(q, kept[:, 0], kept[:, 1], margin)
 
 
 def kl_standard_normal(mu_z: dc.Node, log_var_z: dc.Node) -> dc.Node:
@@ -173,7 +167,9 @@ def stability_loss(
 
     The solver runs on detached values to find the base selection and the
     unstable set; gradients flow only through the pooled segment scores in
-    the hinge terms. Empty sets contribute nothing.
+    two pair hinges: unstable selected segments over the best unselected one
+    (j*), the worst selected one (i*) over unstable unselected ones. Empty
+    sets contribute nothing.
     """
     noise = np.asarray(noise, dtype=np.float64)
     s = segment_scores.value
@@ -187,26 +183,17 @@ def stability_loss(
     unstable = (freq > 0.0) & (freq < 1.0)
     selected = base.nonzero()[0]
     unselected = (~base).nonzero()[0]
-    tape = segment_scores.tape
-
-    def hinge_mean(ks, anchor_idx, anchor_first):
-        sk = dc.gather_rows(segment_scores, ks)
-        anchor = dc.gather_rows(segment_scores, np.full(len(ks), anchor_idx))
-        gap = dc.subtract(sk, anchor) if anchor_first else dc.subtract(anchor, sk)
-        margins = tape.constant(np.full(len(ks), cfg.stab_margin))
-        return _mean_all(dc.clip(dc.subtract(margins, gap), 0.0, np.inf))
-
     terms = []
     up_sel = (base & unstable).nonzero()[0]
     if up_sel.size and unselected.size:
-        j_star = int(unselected[s[unselected].argmax()])
-        terms.append(hinge_mean(up_sel, j_star, anchor_first=True))
+        j_star = unselected[s[unselected].argmax()]
+        terms.append(_pair_hinge(segment_scores, up_sel, np.full(len(up_sel), j_star), cfg.stab_margin))
     up_unsel = (~base & unstable).nonzero()[0]
     if up_unsel.size and selected.size:
-        i_star = int(selected[s[selected].argmin()])
-        terms.append(hinge_mean(up_unsel, i_star, anchor_first=False))
+        i_star = selected[s[selected].argmin()]
+        terms.append(_pair_hinge(segment_scores, np.full(len(up_unsel), i_star), up_unsel, cfg.stab_margin))
     if not terms:
-        return _zero(tape)
+        return segment_scores.tape.constant(np.zeros(1))
     return terms[0] if len(terms) == 1 else dc.add(terms[0], terms[1])
 
 

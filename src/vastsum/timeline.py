@@ -8,12 +8,31 @@ throughout the code and in file formats (docs elsewhere may count from 1).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import CoverageError
+
+
+def _integer(name: str, x) -> int:
+    """x as a Python int; a float is refused, never truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {x!r}") from None
+
+
+def _integers(name: str, xs) -> tuple[int, ...]:
+    """xs as a tuple of Python ints in one pass, walked only to name the first non-integer."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError:
+        for k, x in enumerate(xs):
+            _integer(f"{name}[{k}]", x)
+        raise
 
 
 @dataclass(frozen=True)
@@ -24,7 +43,12 @@ class ChangePointPartition:
     n_frames: int
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple((int(s), int(e)) for s, e in self.segments))
+        try:
+            segments = tuple((operator.index(s), operator.index(e)) for s, e in self.segments)
+        except TypeError:  # walk the pairs to name the first bound that is not an integer
+            segments = tuple(_integers(f"segments[{k}]", pair) for k, pair in enumerate(self.segments))
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "n_frames", _integer("n_frames", self.n_frames))
         if not self.segments:
             raise ValueError("partition needs at least one segment")
         if self.n_frames < 1:
@@ -58,7 +82,7 @@ class PickSequence:
     picks: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "picks", tuple(int(p) for p in self.picks))
+        object.__setattr__(self, "picks", _integers("picks", self.picks))
         if not self.picks:
             raise ValueError("pick sequence must be non-empty")
         if self.picks[0] < 0:

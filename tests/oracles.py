@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's own code paths: plain
 Python loops, exhaustive enumeration, and textbook formulas. Where a final
 formula is shared with the implementation (e.g. the tau-b normalization),
-the combinatorial quantities feeding it are derived independently. The one
-exception is `mean_rows`, a tape reducer the gradient tests build losses with.
+the combinatorial quantities feeding it are derived independently. The
+exceptions are `mean_rows`, a tape reducer the gradient tests build losses
+with, and `reference_stability_loss`, an earlier formulation of a library
+loss kept to check the current one bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 import vastsum.diffcore as dc
+from vastsum.decoder import SegmentKnapsackInstance, knapsack_select
 
 
 def brute_force_knapsack(values, weights, capacity):
@@ -171,6 +174,42 @@ def expand_scores(scores, picks, n_frames):
     marks = np.zeros(n_frames, dtype=np.int64)
     marks[list(picks.picks[1:])] = 1
     return np.asarray(scores, dtype=np.float64)[..., np.cumsum(marks)]
+
+
+def reference_stability_loss(segment_scores, weights, capacity, cfg, noise):
+    """The closure formulation `losses.stability_loss` had before both of its
+    hinge terms became calls to `losses._pair_hinge`, kept as its reference:
+    a local `hinge_mean` gathers the unstable segments and a broadcast anchor,
+    and an `anchor_first` flag orders their gap."""
+    s = segment_scores.value
+    rows = np.concatenate((s[None], s + noise))
+    batch = knapsack_select(SegmentKnapsackInstance(rows, weights, capacity))
+    base = batch[0]
+    freq = np.add.reduce(batch[1:], 0) / noise.shape[0]
+    unstable = (freq > 0.0) & (freq < 1.0)
+    selected = base.nonzero()[0]
+    unselected = (~base).nonzero()[0]
+    tape = segment_scores.tape
+
+    def hinge_mean(ks, anchor_idx, anchor_first):
+        sk = dc.gather_rows(segment_scores, ks)
+        anchor = dc.gather_rows(segment_scores, np.full(len(ks), anchor_idx))
+        gap = dc.subtract(sk, anchor) if anchor_first else dc.subtract(anchor, sk)
+        margins = tape.constant(np.full(len(ks), cfg.stab_margin))
+        return mean_rows(dc.clip(dc.subtract(margins, gap), 0.0, np.inf))
+
+    terms = []
+    up_sel = (base & unstable).nonzero()[0]
+    if up_sel.size and unselected.size:
+        j_star = int(unselected[s[unselected].argmax()])
+        terms.append(hinge_mean(up_sel, j_star, anchor_first=True))
+    up_unsel = (~base & unstable).nonzero()[0]
+    if up_unsel.size and selected.size:
+        i_star = int(selected[s[selected].argmin()])
+        terms.append(hinge_mean(up_unsel, i_star, anchor_first=False))
+    if not terms:
+        return tape.constant(np.zeros(1))
+    return terms[0] if len(terms) == 1 else dc.add(terms[0], terms[1])
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_criterion_4_loss_unit_oracles():
     p1 = 0.13572454282179748
     p2 = 0.0028680117618511427
     ann = np.array([[1.0, 0.0], [0.0, 1.0]])
-    got = scalar(losses.summe_softmin_bce(make_node([p1, p2]), ann, 0.5))
+    got = scalar(losses.soft_min(losses.annotator_bces(make_node([p1, p2]), ann), 0.5))
     expected = -0.5 * math.log(math.exp(-2.0) + math.exp(-6.0))  # 0.990925036...
     checks.append(abs(got - expected) < 1e-9)
 
@@ -176,7 +176,7 @@ def test_criterion_4_loss_unit_oracles():
     same = np.array([[1.0, 0.0, 1.0]] * 2)
     pc = np.clip(p, 1e-7, 1 - 1e-7)
     b = float(np.mean(-same[0] * np.log(pc) - (1 - same[0]) * np.log(1 - pc)))
-    got = scalar(losses.summe_softmin_bce(make_node(p), same, 0.25))
+    got = scalar(losses.soft_min(losses.annotator_bces(make_node(p), same), 0.25))
     checks.append(abs(got - (b - 0.25 * math.log(2.0))) < 1e-9)
 
     # KL closed forms
@@ -203,7 +203,7 @@ def test_criterion_5_softmin_limit():
     rng = np.random.default_rng(55)
     p = rng.uniform(0.1, 0.9, 12)
     ann = rng.integers(0, 2, (4, 12)).astype(float)
-    got = scalar(losses.summe_softmin_bce(make_node(p), ann, 1e-3))
+    got = scalar(losses.soft_min(losses.annotator_bces(make_node(p), ann), 1e-3))
     pc = np.clip(p, 1e-7, 1 - 1e-7)
     best = min(
         float(np.mean(-row * np.log(pc) - (1 - row) * np.log(1 - pc))) for row in ann

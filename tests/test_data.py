@@ -100,6 +100,22 @@ class TestLoadDataset:
             load_dataset(write(tmp_path, payload))
         assert str(info.value) == f"videos[1]: id must be a non-empty string, got {shown}"
 
+    def test_integral_floats_load_to_the_same_record(self, tmp_path):
+        # JSON 2.0 passes the integral check and is converted before the
+        # timeline objects, which take integers only, are built
+        floats = valid_video()
+        floats["n_frames"] = 8.0
+        floats["picks"] = [0.0, 2.0, 4.0, 6.0]
+        floats["change_points"] = [[0.0, 3.0], [4.0, 7.0]]
+        want = load_dataset(write(tmp_path, {"mode": "tvsum", "videos": [valid_video()]}, "ints.json"))
+        got = load_dataset(write(tmp_path, {"mode": "tvsum", "videos": [floats]}))
+        assert dataset_to_dict(got) == dataset_to_dict(want)
+        video = got.videos[0]
+        assert (video.n_frames, video.picks, video.change_points) == (8, want.videos[0].picks,
+                                                                     want.videos[0].change_points)
+        assert all(type(x) is int for x in (*video.picks.picks, *sum(video.change_points.segments, ()),
+                                             video.n_frames, video.change_points.n_frames))
+
     def test_pick_outside_frames(self, tmp_path):
         bad = valid_video()
         bad["picks"] = [0, 2, 4, 9]

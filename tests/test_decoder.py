@@ -606,6 +606,12 @@ class TestLiveCells:
 
 
 class TestDecodeSummary:
+    def test_refuses_a_batch_of_rows(self):
+        # a [2, 3] batch used to fail inside numpy's broadcasting
+        cps = ChangePointPartition(((0, 1), (2, 5)), 6)
+        with pytest.raises(ValueError, match=r"shape \(2, 3\); select_segments"):
+            decode_summary(np.ones((2, 3)), PickSequence((0, 2, 4)), cps, rho=0.5)
+
     def test_single_oversized_segment_gives_empty_summary(self):
         mask = decode_summary(
             [1.0], PickSequence((0,)), ChangePointPartition(((0, 9),), 10), rho=0.5

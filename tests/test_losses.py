@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import vastsum.diffcore as dc
+import vastsum.gradcheck as gradcheck
 import vastsum.losses as losses
 from vastsum.config import LossConfig
 from vastsum.decoder import SegmentKnapsackInstance, knapsack_select
 
-from oracles import mean_rows
+from oracles import mean_rows, reference_stability_loss
 
 
 def node(values):
@@ -100,7 +101,7 @@ class TestSoftminBce:
         rng = np.random.default_rng(4)
         p = rng.uniform(0.05, 0.95, 7)
         targets = rng.integers(0, 2, 7).astype(float)
-        out = val(losses.summe_softmin_bce(node(p), targets[None, :], 0.5))
+        out = val(losses.soft_min(losses.annotator_bces(node(p), targets[None, :]), 0.5))
         assert out == pytest.approx(bce_oracle(p, targets), rel=1e-12)
 
     def test_two_known_bces(self):
@@ -109,7 +110,7 @@ class TestSoftminBce:
         p_val = math.exp(-1.0)  # -log p = 1 for annotator [1]
         ann = np.array([[1.0], [0.0]])
         # -log(1 - e^-1) = 0.458..., not 3; instead check against the formula
-        out = val(losses.summe_softmin_bce(node([p_val]), ann, 0.5))
+        out = val(losses.soft_min(losses.annotator_bces(node([p_val]), ann), 0.5))
         b1 = bce_oracle([p_val], [1.0])
         b2 = bce_oracle([p_val], [0.0])
         expected = -0.5 * math.log(math.exp(-b1 / 0.5) + math.exp(-b2 / 0.5))
@@ -120,7 +121,7 @@ class TestSoftminBce:
         p = np.array([0.7, 0.3, 0.9])
         targets = np.array([[1.0, 0.0, 1.0]] * 2)
         tau = 0.25
-        out = val(losses.summe_softmin_bce(node(p), targets, tau))
+        out = val(losses.soft_min(losses.annotator_bces(node(p), targets), tau))
         b = bce_oracle(p, targets[0])
         assert out == pytest.approx(b - tau * math.log(2.0), abs=1e-12)
 
@@ -132,7 +133,7 @@ class TestSoftminBce:
             p = rng.uniform(0.02, 0.98, t)
             ann = rng.integers(0, 2, (u, t)).astype(float)
             tau = float(rng.uniform(0.05, 1.0))
-            out = val(losses.summe_softmin_bce(node(p), ann, tau))
+            out = val(losses.soft_min(losses.annotator_bces(node(p), ann), tau))
             best = min(bce_oracle(p, row) for row in ann)
             assert best - tau * math.log(u) - 1e-12 <= out <= best + 1e-12
 
@@ -140,12 +141,12 @@ class TestSoftminBce:
         rng = np.random.default_rng(6)
         p = rng.uniform(0.1, 0.9, 10)
         ann = rng.integers(0, 2, (4, 10)).astype(float)
-        out = val(losses.summe_softmin_bce(node(p), ann, 1e-3))
+        out = val(losses.soft_min(losses.annotator_bces(node(p), ann), 1e-3))
         best = min(bce_oracle(p, row) for row in ann)
         assert abs(out - best) < 1e-3
 
     def test_probability_clamp_keeps_loss_finite(self):
-        out = val(losses.summe_softmin_bce(node([0.0, 1.0]), [[1.0, 0.0]], 0.1))
+        out = val(losses.soft_min(losses.annotator_bces(node([0.0, 1.0]), [[1.0, 0.0]]), 0.1))
         assert math.isfinite(out)
 
     def test_gradient_check(self):
@@ -156,7 +157,7 @@ class TestSoftminBce:
             tape = dc.Tape()
             p = dc.lift_params(tape, theta)
             probs = dc.sigmoid(p["logits"])
-            return losses.summe_softmin_bce(probs, ann, 0.2)
+            return losses.soft_min(losses.annotator_bces(probs, ann), 0.2)
 
         params = {"logits": rng.standard_normal(6)}
         assert dc.finite_difference_check(build, params) < 1e-4
@@ -241,7 +242,8 @@ class TestLikelihood:
         p, log_v = nodes([0.5, 0.5], [0.0, 0.0])
         main, r = losses.likelihood("summe", p, log_v, [[1.0, 0.0]], LossConfig())
         assert r.tolist() == [1.0, 0.0]
-        assert val(main) == val(losses.summe_softmin_bce(p, [[1.0, 0.0]], LossConfig().tau_softmin))
+        bces = losses.annotator_bces(p, [[1.0, 0.0]])
+        assert val(main) == val(losses.soft_min(bces, LossConfig().tau_softmin))
 
     def test_summe_picks_best_matching_annotator(self):
         a1 = [1.0, 0.0]
@@ -261,6 +263,32 @@ class TestLikelihood:
         bces = losses.annotator_bces(node(p), ann).value
         assert bces.shape == (4,)
         np.testing.assert_allclose(bces, [bce_oracle(p, row) for row in ann], rtol=1e-12)
+
+    def test_gradcheck_objective_is_the_composed_entry_points(self, monkeypatch):
+        # build_problem reaches the data terms through likelihood; at its initial
+        # parameters its objective is tvsum_nll + kl + soft_min(annotator_bces)
+        # bit for bit, value and gradients
+        seen = {}
+
+        def spy(name, fn):
+            def call(*args):
+                seen.setdefault(name, []).append(args)
+                return fn(*args)
+            monkeypatch.setattr(losses, name, call)
+
+        spy("likelihood", losses.likelihood)
+        spy("kl_standard_normal", losses.kl_standard_normal)
+        f, params = gradcheck.build_problem(0)
+        got = f(params)
+        monkeypatch.undo()
+        (_, mu, log_v, continuous, cfg), (_, p, _, binary, _) = seen["likelihood"]
+        assert [args[0] for args in seen["likelihood"]] == ["tvsum", "summe"]
+        nll = losses.tvsum_nll(mu, log_v, continuous, cfg.epsilon)
+        kl = losses.kl_standard_normal(*seen["kl_standard_normal"][0])
+        want = dc.add(dc.add(nll, kl), losses.soft_min(losses.annotator_bces(p, binary), cfg.tau_softmin))
+        assert got.value.tobytes() == want.value.tobytes()
+        tape = got.tape
+        assert dc.backward(tape, got).flat.tobytes() == dc.backward(tape, want).flat.tobytes()
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -384,6 +412,35 @@ class TestStabilityLoss:
                 assert calls == [(9, m)]
                 outcomes.append((val(out), dc.backward(tape, out)["s"].tobytes()))
             assert outcomes[0] == outcomes[1]
+
+    def test_matches_the_closure_reference_bit_for_bit(self):
+        # value bytes, gradient bytes and tape length against the closure
+        # formulation, on instances that fire both hinge terms, each alone, and neither
+        rng = np.random.default_rng(2025)
+        fired = set()
+        for _ in range(200):
+            m = int(rng.integers(1, 9))
+            weights = tuple(int(w) for w in rng.integers(1, 6, m))
+            cap = int(rng.integers(0, sum(weights) + 1))
+            # a negative score stays out of the base selection: the second term alone
+            scores = rng.uniform(-0.5, 1, m)
+            noise = rng.normal(0, float(rng.choice([0.0, 0.05, 0.3])), (int(rng.integers(1, 9)), m))
+            cfg = self.cfg(stab_margin=float(rng.uniform(0.01, 0.5)))
+            runs = []
+            for loss in (losses.stability_loss, reference_stability_loss):
+                tape = dc.Tape()
+                s = tape.param("s", scores)
+                out = loss(s, weights, cap, cfg, noise)
+                runs.append((out.value.tobytes(), len(tape.nodes), dc.backward(tape, out)["s"].tobytes()))
+            assert runs[0] == runs[1]
+            rows = np.concatenate((scores[None], scores + noise))
+            batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+            base, freq = batch[0], batch[1:].mean(axis=0)
+            unstable = (freq > 0) & (freq < 1)
+            fired.add((bool((base & unstable).any() and (~base).any()),
+                       bool((~base & unstable).any() and base.any())))
+        assert fired == {(False, False), (True, False), (False, True), (True, True)}
+
 
 
 class TestTotalLoss:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,26 @@ class TestPartitionValidation:
     def test_picks_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             PickSequence((0, 2, 2))
+
+    @pytest.mark.parametrize("bad", [2.5, np.float64(2.5)], ids=["float", "np.float64"])
+    def test_fractional_indices_are_refused_not_truncated(self, bad):
+        # int() used to load picks (0.5, 1.7, 3.2) as (0, 1, 3)
+        with pytest.raises(ValueError, match=r"^picks\[1\] must be an integer, got .*2\.5"):
+            PickSequence((0, bad, 3))
+        for name, segments in (("segments[0][1]", ((0, bad), (3, 5))), ("segments[1][0]", ((0, 2), (bad, 5)))):
+            with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got .*2\.5"):
+                ChangePointPartition(segments, 6)
+        with pytest.raises(ValueError, match=r"^n_frames must be an integer, got .*2\.5"):
+            ChangePointPartition(((0, 1),), bad)
+        # an integral float is refused too: a later decode would fail on it
+        with pytest.raises(ValueError, match=r"^n_frames must be an integer, got 6\.0"):
+            ChangePointPartition(((0, 5),), 6.0)
+
+    def test_numpy_integers_become_python_ints(self):
+        picks = PickSequence(tuple(np.array([0, 2, 4])))
+        cps = ChangePointPartition(((np.int64(0), np.int64(2)), (3, np.int64(5))), np.int64(6))
+        assert picks.picks == (0, 2, 4) and cps.segments == ((0, 2), (3, 5)) and cps.n_frames == 6
+        assert all(type(x) is int for x in (*picks.picks, *sum(cps.segments, ()), cps.n_frames))
 
 
 class TestAssignSegmentIds:
