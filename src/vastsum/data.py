@@ -12,9 +12,10 @@ A dataset is one JSON document:
 Loading is the single validation gate: every invariant is checked and a
 violation aborts with the offending video id. A `VideoRecord` keeps what
 the model reads of its metadata, each built once: `segment_map` (built at
-load) and `frame_weights`. The synthetic generator embeds
-a per-segment latent importance linearly into the features so that a trained
-model (or even a linear probe) can recover it.
+load) and `pooling_plan` (built on first use by training), the decoder's
+pooling. The synthetic generator embeds a per-segment latent importance
+linearly into the features so that a trained model (or even a linear probe)
+can recover it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .checkpoint import atomic_write
 from .config import MODE, MODES, NON_NEGATIVE, at_least, check_fields, is_integral, read_json, setting
 from .errors import ConfigError
-from .timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids, frame_weights
+from .timeline import ChangePointPartition, PickSequence, PoolingPlan, SegmentIndexMap, assign_segment_ids
 
 
 @dataclass
@@ -53,12 +54,9 @@ class VideoRecord:
         return assign_segment_ids(self.picks, self.change_points)
 
     @cached_property
-    def frame_weights(self) -> np.ndarray:
-        """`timeline.frame_weights(picks, change_points)`, built once and kept
-        read-only."""
-        weights = frame_weights(self.picks, self.change_points)
-        weights.flags.writeable = False
-        return weights
+    def pooling_plan(self) -> PoolingPlan:
+        """`PoolingPlan(picks, change_points)`, built once and kept."""
+        return PoolingPlan(self.picks, self.change_points)
 
 
 @dataclass

@@ -371,6 +371,15 @@ def depthwise_conv1d(x: Node, w: Node) -> Node:
     return tape._record("depthwise-conv1d", out, (x, w), vjp)
 
 
+def segment_pool(a: Node, plan) -> Node:
+    """A [T] node pooled into [M] segment means by `plan`, a
+    `timeline.PoolingPlan`: the value is `plan(a.value)`, the VJP `plan.adjoint(g)`."""
+    av = a.value
+    if av.ndim != 1:
+        raise ShapeError(f"segment-pool: takes a [T] input, got {av.shape}")
+    return a.tape._record("segment-pool", plan(av), (a,), lambda g: (plan.adjoint(g),))
+
+
 def concat_last(nodes: Sequence[Node]) -> Node:
     nodes = list(nodes)
     tape = _same_tape(*nodes)

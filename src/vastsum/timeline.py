@@ -95,12 +95,6 @@ class PickSequence:
         return len(self.picks)
 
 
-def _count_pool(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The [M, T] integer count of each (row, col) pair."""
-    m, t = shape
-    return np.bincount(rows * t + cols, minlength=m * t).reshape(m, t)
-
-
 @dataclass(frozen=True)
 class SegmentIndexMap:
     """Per-timestep segment ids plus the per-segment lengths.
@@ -121,8 +115,8 @@ class SegmentIndexMap:
         """The [M, T] matrix whose row k averages the picks of segment k; a
         segment with no pick gets a zero row. Built once per map and kept,
         read-only, in the instance dict, outside equality and the hash."""
-        counts = _count_pool(np.asarray(self.segment_ids), np.arange(len(self.segment_ids)),
-                             (self.n_segments, len(self.segment_ids)))
+        m, t = self.n_segments, len(self.segment_ids)
+        counts = np.bincount(np.asarray(self.segment_ids) * t + np.arange(t), minlength=m * t).reshape(m, t)
         pool = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
         pool.flags.writeable = False
         return pool
@@ -141,47 +135,47 @@ def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> Segmen
     return SegmentIndexMap(segment_ids=tuple(ids.tolist()), lengths=tuple(cps.lengths()))
 
 
-def _frame_picks(picks: PickSequence, n_frames: int) -> np.ndarray:
-    """The pick whose score each frame takes: the last pick at or before it,
-    and the first pick for frames before it."""
-    return np.maximum(np.asarray(picks.picks).searchsorted(np.arange(n_frames), side="right") - 1, 0)
-
-
-def frame_weights(picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:
-    """The [M, T] matrix that pools pick scores into segment values as the
-    decoder does: row k holds, for each pick, the number of segment k's
-    frames that take its score (`_frame_picks`), divided once by the
-    segment's length. So `frame_weights(picks, cps) @ s` is
-    `segment_values(s, picks, cps)`, up to rounding.
+class PoolingPlan:
+    """How one video's pick scores pool into segment means, the decoder's
+    knapsack values: frame n takes the score of the last pick at or before
+    it (the first pick's if none is), and the plan called on [T] or [K, T]
+    scores gives the [M] or [K, M] means. Each is the 1-D `.mean()` of the
+    segment's frame scores, bit for bit: `np.add.reduce` gives 0.0 + the
+    pairwise sum of a run, and `reduceat` the run's first element + the
+    pairwise sum of the rest, so `source`, one [N + M] index into the scores
+    plus a 0.0 column, starts each segment's run with the 0.0. `adjoint`
+    gives each run's positions g_k / len_k and sums them per pick with one
+    `np.bincount` over `source`, the heads' shares falling in the dropped
+    0.0 column. The plan depends only on the video: build it once per video.
     """
-    lengths = np.array(cps.lengths())
-    owner = np.arange(cps.n_segments).repeat(lengths)
-    counts = _count_pool(owner, _frame_picks(picks, cps.n_frames), (cps.n_segments, len(picks)))
-    return counts / lengths[:, None]
+
+    __slots__ = ("source", "heads", "lengths", "n_picks")
+
+    def __init__(self, picks: PickSequence, cps: ChangePointPartition):
+        self.n_picks = len(picks)
+        self.lengths = np.array(cps.lengths())
+        self.heads = np.array([s for s, _ in cps.segments]) + np.arange(cps.n_segments)
+        self.source = np.full(cps.n_frames + cps.n_segments, self.n_picks)
+        frames = np.ones(self.source.shape, dtype=bool)
+        frames[self.heads] = False
+        frame_picks = np.asarray(picks.picks).searchsorted(np.arange(cps.n_frames), side="right") - 1
+        self.source[frames] = np.maximum(frame_picks, 0)
+
+    def __call__(self, scores) -> np.ndarray:
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.ndim not in (1, 2) or scores.size == 0:
+            raise ValueError("scores must be a non-empty 1-D or 2-D sequence")
+        if scores.shape[-1] != self.n_picks:
+            raise ValueError(f"got {scores.shape[-1]} scores for {self.n_picks} picks")
+        padded = np.concatenate((scores, np.zeros(scores.shape[:-1] + (1,))), -1)[..., self.source]
+        return np.add.reduceat(padded, self.heads, axis=-1) / self.lengths
+
+    def adjoint(self, g: np.ndarray) -> np.ndarray:
+        """The [T] gradient of the picks for an [M] gradient of the means."""
+        t = self.n_picks
+        return np.bincount(self.source, (g / self.lengths).repeat(self.lengths + 1), t + 1)[:t]
 
 
 def segment_values(scores, picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:
-    """The mean score of each segment's frames, frame n taking the score of
-    its pick (`_frame_picks`): the decoder's knapsack values. scores is [T]
-    or [K, T]; values is [M] or [K, M].
-
-    Each mean is the 1-D `.mean()` of the segment's frame scores, bit for
-    bit. `np.add.reduce` gives 0.0 + the pairwise sum of a run, and `reduceat`
-    the run's first element + the pairwise sum of the rest, so each segment's
-    run in the padded rows starts with a 0.0: one [N + M] index gathers them
-    from the scores plus a 0.0 column, a segment head taking the 0.0 and
-    every other position its frame's pick. (`mean(axis=1)` over a 2-D block
-    sums in another order.)
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim not in (1, 2) or scores.size == 0:
-        raise ValueError("scores must be a non-empty 1-D or 2-D sequence")
-    if scores.shape[-1] != len(picks):
-        raise ValueError(f"got {scores.shape[-1]} scores for {len(picks)} picks")
-    heads = np.array([s for s, _ in cps.segments]) + np.arange(cps.n_segments)
-    source = np.full(cps.n_frames + cps.n_segments, len(picks))
-    frames = np.ones(source.shape, dtype=bool)
-    frames[heads] = False
-    source[frames] = _frame_picks(picks, cps.n_frames)
-    padded = np.concatenate((scores, np.zeros(scores.shape[:-1] + (1,))), -1)[..., source]
-    return np.add.reduceat(padded, heads, axis=-1) / cps.lengths()
+    """The decoder's knapsack values: `PoolingPlan(picks, cps)(scores)`."""
+    return PoolingPlan(picks, cps)(scores)

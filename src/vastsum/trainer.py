@@ -199,8 +199,9 @@ def build_video_loss(
 ) -> tuple[dc.Node, losses.LossBreakdown]:
     """One tape: scorer, head, and all four loss terms for a single video.
 
-    The stability loss pools the signal into segment values as the decoder
-    does, with the video's `frame_weights`."""
+    The stability loss pools the signal into segment values through the
+    video's `pooling_plan`, the pooling the decoder runs, so its knapsack
+    sees the decoder's values bit for bit."""
     seg = video.segment_map
     out, signal = model_forward(params, video.features, seg, cfg, noise.latent)
     main, target = losses.likelihood(
@@ -208,7 +209,7 @@ def build_video_loss(
     )
     rank = losses.ranking_hinge(signal, target, noise.pairs, cfg.loss.rank_margin)
     kl = losses.kl_standard_normal(out.mu_z, out.log_var_z)
-    pooled = dc.matmul(signal.tape.constant(video.frame_weights), signal)
+    pooled = dc.segment_pool(signal, video.pooling_plan)
     stab = losses.stability_loss(
         pooled, seg.lengths, budget(cfg.train.rho, video.n_frames), cfg.loss, noise.stab
     )
@@ -272,10 +273,6 @@ def train(
         )
     val_videos = list(val_videos or [])
     check_videos_fit(dataset.videos + val_videos, cfg.scorer)
-    # Build the kept weights before the first step, not among its temporaries:
-    # built inside the steps, they raised paper's peak RSS by ~10 MiB.
-    for video in dataset.videos:
-        video.frame_weights
 
     rng = np.random.default_rng(cfg.train.seed)
     params = init_all_params(cfg, rng)

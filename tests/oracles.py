@@ -176,6 +176,17 @@ def expand_scores(scores, picks, n_frames):
     return np.asarray(scores, dtype=np.float64)[..., np.cumsum(marks)]
 
 
+def frame_weights(picks, cps):
+    """The dense [M, T] pooling matrix, the reference form of
+    `timeline.PoolingPlan`: row k counts, for each pick, the frames of
+    segment k that take its score (`expand_scores` of the identity), divided
+    once by the segment's length. So `frame_weights(picks, cps) @ s` is the
+    plan's forward up to rounding, and `frame_weights(picks, cps).T @ g` its
+    adjoint."""
+    owners = expand_scores(np.eye(len(picks)), picks, cps.n_frames)
+    return np.array([owners[:, s : e + 1].sum(axis=1) / (e - s + 1) for s, e in cps.segments])
+
+
 def reference_stability_loss(segment_scores, weights, capacity, cfg, noise):
     """The closure formulation `losses.stability_loss` had before both of its
     hinge terms became calls to `losses._pair_hinge`, kept as its reference:

@@ -440,14 +440,16 @@ def count_calls(monkeypatch, fn):
 class TestOneSegmentMapPerVideo:
     def test_load_then_train_with_validation(self, monkeypatch, tiny_config_file, tiny_dataset):
         maps = count_calls(monkeypatch, timeline.assign_segment_ids)
-        weights = count_calls(monkeypatch, timeline.frame_weights)
+        plans = count_calls(monkeypatch, timeline.PoolingPlan)
         dataset = load_dataset(tiny_dataset)
         cfg = load_run_config(tiny_config_file)
         train_set = Dataset(dataset.mode, dataset.videos[:2])
         for _ in range(2):
             train(train_set, cfg, val_videos=dataset.videos[2:])
         assert [args[0] for args in maps] == [v.picks for v in dataset.videos]
-        assert len(weights) == len(train_set.videos)
+        # one pooling plan per training video, kept across both runs
+        built = [args[0] for args in plans]
+        assert len(built) == len(train_set.videos) and all(v.picks in built for v in train_set.videos)
 
     def test_decode_command(self, monkeypatch, tmp_path, trained, tiny_dataset):
         videos = load_dataset(tiny_dataset).videos

@@ -5,17 +5,17 @@ import pytest
 
 import vastsum.diffcore as dc
 import vastsum.scorer as scorer
-from vastsum.errors import CoverageError
+from vastsum.errors import CoverageError, ShapeError
 from vastsum.timeline import (
     ChangePointPartition,
     PickSequence,
+    PoolingPlan,
     SegmentIndexMap,
     assign_segment_ids,
-    frame_weights,
     segment_values,
 )
 
-from oracles import expand_scores, mean_rows, random_partition, random_picks
+from oracles import expand_scores, frame_weights, mean_rows, random_partition, random_picks
 
 
 def seg_map(picks, segments, n_frames):
@@ -225,7 +225,73 @@ class TestPoolSegmentScores:
             assert np.array_equal(expanded[list(picks)], scores)
 
 
+def pooling_cases(seed, draws=60):
+    """Random (picks, partition) pairs; some segments hold no pick."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        segments, n = random_partition(rng)
+        picks = PickSequence(random_picks(rng, n))
+        yield rng, picks, ChangePointPartition(segments, n)
+
+
+def has_empty_segment(picks, cps):
+    return any(not any(s <= p <= e for p in picks.picks) for s, e in cps.segments)
+
+
+class TestPoolingPlan:
+    """The one pooling: `segment_values` is a plan built for the call, and
+    training's tape node runs a cached plan's forward and adjoint."""
+
+    def test_forward_is_segment_values_bit_for_bit(self):
+        empty = 0
+        for rng, picks, cps in pooling_cases(41):
+            plan = PoolingPlan(picks, cps)
+            empty += has_empty_segment(picks, cps)
+            for shape in ((len(picks),), (3, len(picks))):
+                scores = rng.standard_normal(shape)
+                assert plan(scores).tobytes() == segment_values(scores, picks, cps).tobytes()
+                assert plan(scores).shape == shape[:-1] + (cps.n_segments,)
+        assert empty > 0
+
+    def test_adjoint_is_the_transposed_frame_weights(self):
+        empty = 0
+        for rng, picks, cps in pooling_cases(43):
+            empty += has_empty_segment(picks, cps)
+            g = rng.standard_normal(cps.n_segments)
+            got = PoolingPlan(picks, cps).adjoint(g)
+            assert got.shape == (len(picks),)
+            np.testing.assert_allclose(got, frame_weights(picks, cps).T @ g, rtol=1e-12, atol=1e-12)
+        assert empty > 0
+
+    def test_node_value_vjp_and_gradcheck(self):
+        # segments 1 and 4 hold no pick and take pick 2's and pick 5's scores
+        picks = PickSequence((0, 2, 4, 6, 8, 10))
+        cps = ChangePointPartition(((0, 4), (5, 5), (6, 7), (8, 13), (14, 15)), 16)
+        plan = PoolingPlan(picks, cps)
+        x = np.random.default_rng(44).standard_normal(6)
+        node = dc.segment_pool(dc.Tape().param("x", x), plan)
+        assert node.kind == "segment-pool"
+        assert node.value.tobytes() == segment_values(x, picks, cps).tobytes()
+        g = np.random.default_rng(45).standard_normal(5)
+        assert node.vjp(g)[0].tobytes() == plan.adjoint(g).tobytes()
+
+        def build(theta):
+            tape = dc.Tape()
+            pooled = dc.segment_pool(dc.lift_params(tape, theta)["x"], plan)
+            return mean_rows(dc.square(pooled))
+
+        assert dc.finite_difference_check(build, {"x": x}) < 1e-6
+
+    def test_node_takes_a_single_row(self):
+        plan = PoolingPlan(PickSequence((0, 1)), ChangePointPartition(((0, 2),), 3))
+        with pytest.raises(ShapeError, match="segment-pool"):
+            dc.segment_pool(dc.Tape().param("x", np.zeros((2, 2))), plan)
+
+
 class TestFrameWeights:
+    """The dense reference pool `oracles.frame_weights` against the decoder
+    and the token pool."""
+
     def test_pools_unequal_pick_spans_as_the_decoder(self):
         picks = PickSequence((0, 10, 20))
         cps = ChangePointPartition(((0, 4), (5, 9), (10, 24), (25, 29)), 30)

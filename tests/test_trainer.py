@@ -19,7 +19,6 @@ from vastsum.timeline import (
     ChangePointPartition,
     PickSequence,
     assign_segment_ids,
-    frame_weights,
     segment_values,
 )
 from vastsum.trainer import OptimizerState, adamw_step, clip_global_norm, train
@@ -468,13 +467,17 @@ class TestNoGradForward:
 
 
 class TestStabilityPool:
-    def test_stability_loss_sees_the_decoders_segment_values(self, monkeypatch):
-        # picks (0, 10, 20) span 10, 10 and 10 frames across segments of
-        # 5, 5, 15 and 5 frames: the pick mean would give [s0, 0, mean(s1, s2), 0]
-        picks = PickSequence((0, 10, 20))
-        cps = ChangePointPartition(((0, 4), (5, 9), (10, 24), (25, 29)), 30)
+    """What the stability loss receives is the decoder's `segment_values` of
+    the decode signal, exactly."""
+
+    # picks (0, 10, 20) span 10, 10 and 10 frames across segments of
+    # 5, 5, 15 and 5 frames: the pick mean would give [s0, 0, mean(s1, s2), 0]
+    PICKS = PickSequence((0, 10, 20))
+    CPS = ChangePointPartition(((0, 4), (5, 9), (10, 24), (25, 29)), 30)
+
+    def train_and_check_pool(self, monkeypatch, mode, labels):
         rng = np.random.default_rng(6)
-        video = VideoRecord("v", 30, rng.standard_normal((3, 8)), picks, cps, rng.uniform(0, 1, (2, 3)))
+        video = VideoRecord("v", 30, rng.standard_normal((3, 8)), self.PICKS, self.CPS, labels(rng))
         seen = {}
 
         def spy(name, fn):
@@ -485,12 +488,19 @@ class TestStabilityPool:
 
         spy("ranking_hinge", trainer.losses.ranking_hinge)
         spy("stability_loss", trainer.losses.stability_loss)
-        train(Dataset("tvsum", [video]), small_cfg(epochs=1, accumulate=1))
+        train(Dataset(mode, [video]), small_cfg(mode, epochs=1, accumulate=1))
         signal, pooled = seen["ranking_hinge"], seen["stability_loss"]
-        assert np.array_equal(pooled, frame_weights(picks, cps) @ signal)
-        decoded = segment_values(signal, picks, cps)
-        np.testing.assert_allclose(pooled, decoded, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(pooled, segment_values(signal, self.PICKS, self.CPS))
         assert pooled[0] == pooled[1] == signal[0]
+        return signal
+
+    def test_stability_loss_sees_the_decoders_segment_values(self, monkeypatch):
+        self.train_and_check_pool(monkeypatch, "tvsum", lambda rng: rng.uniform(0, 1, (2, 3)))
+
+    def test_summe_stability_loss_pools_the_calibrated_probabilities(self, monkeypatch):
+        summaries = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+        signal = self.train_and_check_pool(monkeypatch, "summe", lambda rng: summaries)
+        assert ((signal > 0) & (signal < 1)).all()
 
 
 class TestEmptySegment:
