@@ -9,22 +9,28 @@ pure function of its inputs.
 
 The DP (Kellerer, Pferschy & Pisinger, *Knapsack Problems*, 2004, ch. 2)
 takes items in forward index order and works on all capacity cells at once.
-Cell c holds the best set of the items seen so far that fits in c; a
-keep table records whether item i entered cell c, and one backtrack from
-cell cap reads the selection off. Values accumulate as
-`base + v_i`, i.e. in ascending index order, as
+Cell c holds the best set of the items seen so far that fits in c. Values
+accumulate as `base + v_i`, i.e. in ascending index order, as
 `tests/oracles.brute_force_knapsack` sums them.
 
-Every table is cell-major, [cap+1, K]: cells on axis 0, the batch's rows on
-axis 1. An item of weight w reads the cells value[c-w] and writes value[c]
-and its keep[j, c] for a range of cells c, and each of these is one
-contiguous run, so each pass over an item is one flat sweep rather than K
-strided ones.
+It runs in two passes. The value pass (`_value_dp`) keeps values only: item
+i enters a cell when `base + v_i` is strictly greater than the cell's value,
+a keep table records it, and one backtrack from cell cap reads the
+selection off. A row is marked tied once any of its live cells (below)
+meets an exact tie (`base + v_i` equal to the cell's value). The keyed pass
+(`_keyed_dp`) re-solves only the tied rows; rows with continuous values
+rarely tie, so it seldom runs at all.
 
-An item touches only the cells that can matter (the same book). Let
+Every table of the value pass is cell-major, [cap+1, K]: cells on axis 0,
+the batch's rows on axis 1. An item of weight w reads the cells value[c-w]
+and writes value[c] and its keep[j, c] for a range of cells c, and each of
+these is one contiguous run, so each pass over an item is one flat sweep
+rather than K strided ones.
+
+The value pass touches only the cells that can matter (the same book). Let
 W_upto(j) be the weight of the fitting items up to and including the j-th,
 and W_after(j) that of the fitting items after it. Item j's live cells are
-[lo_j, hi_j], which `_ranges` gives to both passes and to the backtrack:
+[lo_j, hi_j], which `_ranges` gives to the value pass and to its backtrack:
 - hi_j = min(cap, W_upto(j)). Every cell above W_upto(j) can hold all the
   items so far, so it equals cell hi_j in value and in keep. Such cells are
   never computed. When hi grows, the cells above the last hi are first filled
@@ -36,20 +42,25 @@ and W_after(j) that of the fitting items after it. Item j's live cells are
   fitting item fits at once (total weight below cap) that bound lies above
   hi_j, and the clamp keeps cell hi_j, the one the backtrack reads.
 
-It runs in two passes. The first keeps values only: item i enters a cell
-when `base + v_i` is strictly greater than the cell's value, and a row is
-marked tied once any of its live cells meets an exact tie (`base + v_i`
-equal to the cell's value). The keyed DP below takes a candidate when it is
-greater, or equal with a smaller key; on a row where no live cell is ever
-equal that is the same rule, so an untied row's keep table, on every cell
-the backtrack reads, and its selection, is the keyed DP's bit for bit. A tie
-above hi_j repeats the one on cell hi_j, so the upper bound drops no flag; a
-tie below lo_j can change no cell that reaches cap, in either pass, so the
-rows flagged only there (which a pass over every cell would flag) keep
-their selection without the keyed DP. The second pass re-solves only the
-tied rows with the keyed DP (`_keyed_dp`); rows with continuous values
-rarely tie, so it seldom runs at all. NaN and infinite values take the same
-path: a NaN cell never compares equal, and equal infinities tie.
+The keyed pass is the textbook DP over every cell [w_i, cap] of each
+fitting item. Each cell holds its value (the same `base + v_i` adds), its
+int64 weight and its set, a bool membership row of a [cap+1, K, M] table. A
+candidate takes a cell when its value is greater; on an equal value, when
+it is lighter; on an equal weight too, when it holds the smallest index
+where the two sets differ, which is the lexicographic rule. The selection
+is the membership row at cell cap. Each item costs O(cap * M) a row, where
+the value pass costs O(cap): at paper shape (cap 1536, M = 80) one core of
+a Xeon VM takes 7 ms for one tied row and 360 ms for a block of 42, where
+the packed int64-key form, `tests/oracles.packed_key_dp`, takes 1 and 21.
+
+On a row where no live cell meets an equal value, both passes take a
+candidate on a live cell exactly when it is greater, and live cells read
+only live cells, so the two hold the same sets there; a cell above hi_j
+holds cell hi_j's set and a cell below lo_j never reaches cap, so the
+untied row's selection is the keyed pass's bit for bit. For the same
+reasons a tie above hi_j repeats the one on cell hi_j, so the upper bound
+drops no flag, and rows tied only below lo_j keep their selection without
+the keyed pass. A NaN cell never compares equal, and equal infinities tie.
 
 The value pass adds an item's values to its range of n cells as one tiled
 add. A broadcast [n, K] + [K] add runs numpy's inner loop once a cell, K
@@ -76,17 +87,8 @@ bit the masked copy of cand where the pass takes it. A value cell starts at
 cand where it is greater, and old where cand is smaller or NaN (such as
 `inf + -inf`). Where the two are equal it returns an equal value, which can
 differ only in the sign of a zero, and no later comparison sees that; a
-keyed take on a tie keeps an equal value too, so only the keys need a masked
-copy. (`np.maximum` would propagate a NaN candidate.)
-
-The keyed DP holds each cell's set as its value and one int64 key, and
-exact value ties go to the smaller key. The key is weight * 2**shift +
-rank, with the rank in (-2**shift, 0], so it orders by weight and then by
-rank. The rank orders sets by "the smallest index in the symmetric
-difference belongs to the better set", which at equal weight is the
-lexicographic rule: taking item i subtracts 2**bit(i) from its base's rank,
-with earlier items on higher bits, and every few dozen items the ranks are
-re-encoded densely, in the same order, before the bits run out.
+keyed take on a tie keeps an equal value too, so only the weights and sets
+need a masked copy. (`np.maximum` would propagate a NaN candidate.)
 
 Where float sums round, two sets that differ in value can tie once an item
 is added to both, and the set the DP dropped earlier may be the one the
@@ -101,11 +103,12 @@ solve their perturbed rows in one call this way.
 A batch is solved in blocks of max(1, _BLOCK_CELLS // (cap + 1)) rows, so a
 block's [cap+1, block] value and candidate tables (512 KiB each) stay in a
 2 MiB L2 through the passes each item makes over them. Each block runs both
-passes on its own, with a keep[fits, cap+1, block] table (fits: the items of
-weight <= cap), and its selection fills its rows of the [K, M] result. Rows never interact,
-so the blocks change no bit. A batch that fits in one block (training's
-K = 9, a single decode, any small capacity) is one block: both passes run on
-the whole batch, as they would unblocked.
+passes on its own, the value pass with a keep[fits, cap+1, block] table
+(fits: the items of weight <= cap), and its selection fills its rows of the
+[K, M] result. Rows never interact, so the blocks change no bit. A batch
+that fits in one block (training's K = 9, a single decode, any small
+capacity) is one block: both passes run on the whole batch, as they would
+unblocked.
 """
 
 from __future__ import annotations
@@ -154,20 +157,6 @@ class SummaryMask:
 
     y: np.ndarray
     selected_segments: tuple[int, ...]
-
-
-def _rerank(key: np.ndarray, shift: int, item_bits: int, cap: int) -> np.ndarray:
-    """Re-encode each row's set ranks (a column of key) densely, in the same
-    order, and clear the low item_bits bits for the next items; weights are
-    kept."""
-    weight = -(-key // (1 << shift))
-    rank = key - weight * (1 << shift)
-    order = np.argsort(rank, axis=0, kind="stable")
-    ranked = np.take_along_axis(rank, order, axis=0)
-    dense = np.zeros_like(rank)
-    np.cumsum(ranked[1:] != ranked[:-1], axis=0, out=dense[1:])
-    np.put_along_axis(rank, order, dense, axis=0)
-    return weight * (1 << shift) + (rank - cap) * (1 << item_bits)
 
 
 def _ranges(weights: tuple[int, ...], cap: int, fits: list[int]) -> list[tuple[int, int]]:
@@ -252,47 +241,32 @@ def _value_dp(
 
 
 def _keyed_dp(rows: np.ndarray, weights: tuple[int, ...], cap: int, fits: list[int]) -> np.ndarray:
-    """The keyed DP's selection: equal values go to the smaller key."""
-    k = rows.shape[0]
-    # A dense re-rank leaves ranks in [-cap, 0] * 2**item_bits, and the next
-    # item_bits items take bits item_bits-1 .. 0; weights are <= cap, so
-    # every key stays below 2**62 in magnitude.
-    item_bits = 62 - cap.bit_length() - (cap + 1).bit_length()
-    shift = item_bits + (cap + 1).bit_length()
+    """The keyed pass's selection: each cell holds its value, weight and
+    membership row, and ties break as the module docstring says."""
+    k, m = rows.shape
     items = np.ascontiguousarray(rows.T)
     value = np.zeros((cap + 1, k))
-    key = np.zeros((cap + 1, k), dtype=np.int64)
-    keep = np.zeros((len(fits), cap + 1, k), dtype=bool)
-    cand_value, cand_key = np.empty_like(value), np.empty_like(key)
-    tie, lower = np.empty((cap + 1, k), dtype=bool), np.empty((cap + 1, k), dtype=bool)
-    bounds = _ranges(weights, cap, fits)
-    bit, top = item_bits, bounds[0][1] if fits else 0
-    for j, i in enumerate(fits):
-        if bit == 0:
-            key, bit = _rerank(key, shift, item_bits, cap), item_bits
-        bit -= 1
-        lo, hi = bounds[j]
-        if hi > top:
-            value[top + 1 : hi + 1] = value[top]
-            key[top + 1 : hi + 1] = key[top]
-            top = hi
+    weight = np.zeros((cap + 1, k), dtype=np.int64)
+    member = np.zeros((cap + 1, k, m), dtype=bool)
+    for i in fits:
         w = weights[i]
-        n = hi + 1 - lo
-        cv = np.add(value[lo - w : hi + 1 - w], items[i], out=cand_value[:n])
-        ck = np.add(key[lo - w : hi + 1 - w], (w << shift) - (1 << bit), out=cand_key[:n])
-        old_value, old_key = value[lo : hi + 1], key[lo : hi + 1]
-        take = np.greater(cv, old_value, out=keep[j, lo : hi + 1])
-        tied = np.equal(cv, old_value, out=tie[:n])
-        tied &= np.less(ck, old_key, out=lower[:n])
-        take |= tied
+        cv, cw = value[: cap + 1 - w] + items[i], weight[: cap + 1 - w] + w
+        cs = member[: cap + 1 - w].copy()
+        cs[:, :, i] = True
+        old_value, old_weight, old_set = value[w:], weight[w:], member[w:]
+        first = np.argmax(cs != old_set, axis=2)[..., None]
+        earlier = np.take_along_axis(cs, first, axis=2)[..., 0]
+        wins_tie = (cw < old_weight) | ((cw == old_weight) & earlier)
+        take = (cv > old_value) | ((cv == old_value) & wins_tie)
         np.fmax(old_value, cv, out=old_value)
-        np.copyto(old_key, ck, where=take)
-    return _backtrack(keep, weights, fits, bounds, rows.shape[1])
+        np.copyto(old_weight, cw, where=take)
+        old_set[take] = cs[take]
+    return member[cap]
 
 
 def _solve_block(rows: np.ndarray, weights: tuple[int, ...], cap: int, fits: list[int]) -> np.ndarray:
-    """Both passes on one block of rows: the value DP, then the keyed DP on
-    the block's tied rows only."""
+    """Both passes on one block of rows: the value DP, then the membership-row
+    keyed DP over every cell on the block's exactly tied rows only."""
     selection, tied = _value_dp(rows, weights, cap, fits)
     if np.count_nonzero(tied):
         selection[tied] = _keyed_dp(rows[tied], weights, cap, fits)

@@ -190,10 +190,9 @@ class CorrelationReport:
     mean_tau: float
     mean_rho: float
     degenerate_count: int
-    protocol: str
 
 
-def _finish_report(rows: list[VideoCorrelation], protocol: str) -> CorrelationReport:
+def _finish_report(rows: list[VideoCorrelation]) -> CorrelationReport:
     valid = [r for r in rows if not r.degenerate]
     mean_tau = math.fsum(r.tau for r in valid) / len(valid) if valid else float("nan")
     mean_rho = math.fsum(r.rho for r in valid) / len(valid) if valid else float("nan")
@@ -202,7 +201,6 @@ def _finish_report(rows: list[VideoCorrelation], protocol: str) -> CorrelationRe
         mean_tau=mean_tau,
         mean_rho=mean_rho,
         degenerate_count=len(rows) - len(valid),
-        protocol=protocol,
     )
 
 
@@ -255,7 +253,7 @@ def evaluate(protocol: str, video_ids, predictions, annotations) -> CorrelationR
         if ann.ndim != 2:
             raise ValueError(f"video {vid!r}: evaluate needs [U, T] annotations, got shape {ann.shape}")
         rows.append(_correlate(vid, pred, protocol_targets(protocol, ann)))
-    return _finish_report(rows, protocol)
+    return _finish_report(rows)
 
 
 def evaluate_tvsum(video_ids, predictions, annotations) -> CorrelationReport:

@@ -5,8 +5,8 @@ Python loops, exhaustive enumeration, and textbook formulas. Where a final
 formula is shared with the implementation (e.g. the tau-b normalization),
 the combinatorial quantities feeding it are derived independently. The
 exceptions are `mean_rows`, a tape reducer the gradient tests build losses
-with, and `reference_stability_loss`, an earlier formulation of a library
-loss kept to check the current one bit for bit.
+with, and the earlier formulations kept to check the current ones bit for
+bit: `reference_value_dp`, `packed_key_dp` and `reference_stability_loss`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 import vastsum.diffcore as dc
-from vastsum.decoder import SegmentKnapsackInstance, knapsack_select
+from vastsum.decoder import SegmentKnapsackInstance, _backtrack, _ranges, knapsack_select
 
 
 def brute_force_knapsack(values, weights, capacity):
@@ -68,6 +68,67 @@ def reference_value_dp(rows, weights, cap, fits):
         selection[:, fits[j]] = taken
         np.subtract(cell, weights[fits[j]], out=cell, where=taken)
     return selection, tied
+
+
+def _rerank(key, shift, item_bits, cap):
+    """Re-encode each row's set ranks (a column of key) densely, in the same
+    order, and clear the low item_bits bits for the next items; weights are
+    kept."""
+    weight = -(-key // (1 << shift))
+    rank = key - weight * (1 << shift)
+    order = np.argsort(rank, axis=0, kind="stable")
+    ranked = np.take_along_axis(rank, order, axis=0)
+    dense = np.zeros_like(rank)
+    np.cumsum(ranked[1:] != ranked[:-1], axis=0, out=dense[1:])
+    np.put_along_axis(rank, order, dense, axis=0)
+    return weight * (1 << shift) + (rank - cap) * (1 << item_bits)
+
+
+def packed_key_dp(rows, weights, cap, fits):
+    """The keyed DP `decoder._keyed_dp` replaced, kept as its reference: each
+    cell's set is its value and one int64 key, weight * 2**shift + rank, and
+    equal values go to the smaller key. The rank orders sets by "the
+    smallest index in the symmetric difference belongs to the better set":
+    taking item i subtracts 2**bit(i) from its base's rank, earlier items on
+    higher bits, and every few dozen items `_rerank` re-encodes the
+    ranks densely, in the same order, before the bits run out. Only the
+    live cells of `decoder._ranges` are solved, and `decoder._backtrack`
+    reads the selection off a keep table."""
+    k = rows.shape[0]
+    # A dense re-rank leaves ranks in [-cap, 0] * 2**item_bits, and the next
+    # item_bits items take bits item_bits-1 .. 0; weights are <= cap, so
+    # every key stays below 2**62 in magnitude.
+    item_bits = 62 - cap.bit_length() - (cap + 1).bit_length()
+    shift = item_bits + (cap + 1).bit_length()
+    items = np.ascontiguousarray(rows.T)
+    value = np.zeros((cap + 1, k))
+    key = np.zeros((cap + 1, k), dtype=np.int64)
+    keep = np.zeros((len(fits), cap + 1, k), dtype=bool)
+    cand_value, cand_key = np.empty_like(value), np.empty_like(key)
+    tie, lower = np.empty((cap + 1, k), dtype=bool), np.empty((cap + 1, k), dtype=bool)
+    bounds = _ranges(weights, cap, fits)
+    bit, top = item_bits, bounds[0][1] if fits else 0
+    for j, i in enumerate(fits):
+        if bit == 0:
+            key, bit = _rerank(key, shift, item_bits, cap), item_bits
+        bit -= 1
+        lo, hi = bounds[j]
+        if hi > top:
+            value[top + 1 : hi + 1] = value[top]
+            key[top + 1 : hi + 1] = key[top]
+            top = hi
+        w = weights[i]
+        n = hi + 1 - lo
+        cv = np.add(value[lo - w : hi + 1 - w], items[i], out=cand_value[:n])
+        ck = np.add(key[lo - w : hi + 1 - w], (w << shift) - (1 << bit), out=cand_key[:n])
+        old_value, old_key = value[lo : hi + 1], key[lo : hi + 1]
+        take = np.greater(cv, old_value, out=keep[j, lo : hi + 1])
+        tied = np.equal(cv, old_value, out=tie[:n])
+        tied &= np.less(ck, old_key, out=lower[:n])
+        take |= tied
+        np.fmax(old_value, cv, out=old_value)
+        np.copyto(old_key, ck, where=take)
+    return _backtrack(keep, weights, fits, bounds, rows.shape[1])
 
 
 def naive_kendall_tau(a, b):

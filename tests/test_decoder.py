@@ -13,6 +13,7 @@ from vastsum.decoder import (
 )
 from vastsum.timeline import ChangePointPartition, PickSequence, segment_values
 
+import oracles
 from oracles import brute_force_knapsack, expand_scores, random_partition, random_picks, reference_value_dp
 
 
@@ -183,14 +184,12 @@ class TestKnapsackSelect:
                 if r < 2:
                     assert tuple(np.flatnonzero(selection)) == best_subset
 
-    def test_long_instances_keep_the_tie_order(self, keyed_rows, monkeypatch):
-        # Fillers (value -1, weight 1) are never worth taking but still use up
-        # rank bits, so the ranks are re-encoded mid-solve while the tie-heavy
-        # real items decide the answer; it must still be the brute-force one.
+    def test_long_instances_keep_the_tie_order(self, keyed_rows):
+        # Fillers (value -1, weight 1) are never worth taking but make the
+        # rows 54 to 135 items long, while the tie-heavy real items decide
+        # the answer; it must still be the brute-force one.
         rng = np.random.default_rng(32)
-        reranks, keyed_solves = [], 0
-        rerank = decoder._rerank
-        monkeypatch.setattr(decoder, "_rerank", lambda *args: reranks.append(1) or rerank(*args))
+        keyed_solves = 0
         for _ in range(20):
             real = 9
             cap = int(rng.integers(1, 40))
@@ -209,19 +208,15 @@ class TestKnapsackSelect:
             assert all(np.array_equal(rows, values[None]) for rows in keyed_rows)
             keyed_solves += len(keyed_rows)
             keyed_rows.clear()
-        # the tie-heavy rows went through the keyed DP, and it re-ranked them
-        assert keyed_solves >= 10 and reranks
+        # the tie-heavy rows went through the keyed DP
+        assert keyed_solves >= 10
 
-    def test_rerank_keeps_each_rows_tie_order(self, keyed_rows, monkeypatch):
+    def test_tied_rows_in_one_call_keep_each_rows_tie_order(self, keyed_rows):
         # Five tie-heavy rows in one call, each with its fillers (value -1)
-        # in its own places: the keyed DP re-ranks the five rows' keys at
-        # once, and each row must still get its own brute-force set.
+        # in its own places: the keyed DP solves the five rows at once, and
+        # each row must still get its own brute-force set.
         rng = np.random.default_rng(43)
         widths = []
-        rerank = decoder._rerank
-        monkeypatch.setattr(
-            decoder, "_rerank", lambda key, *args: widths.append(key.shape[1]) or rerank(key, *args)
-        )
         for _ in range(10):
             real, k = 9, 5
             cap = int(rng.integers(8, 40))
@@ -235,9 +230,39 @@ class TestKnapsackSelect:
             for row, at, selection in zip(rows, real_at, batch):
                 _, best_subset = brute_force_knapsack(row[at], [weights[i] for i in at], cap)
                 assert tuple(np.flatnonzero(selection)) == tuple(at[list(best_subset)])
+            widths += [len(rows) for rows in keyed_rows]
             keyed_rows.clear()
-        # every re-rank saw a batch of rows, and some saw all five
+        # every keyed solve saw a batch of rows, and some saw all five
         assert widths and min(widths) > 1 and max(widths) == 5
+
+    def test_keyed_dp_equals_the_packed_key_dp(self, monkeypatch):
+        # The membership-row DP against the int64-key DP it replaced, bit for
+        # bit: dyadic, constant and 0.1-step rows (rounded ties), NaN and
+        # +-inf, capacity 0, 1 to 5 rows, and one instance in eight 60 to 200
+        # items long, which makes the packed keys re-rank.
+        rng = np.random.default_rng(44)
+        reranks = []
+        rerank = oracles._rerank
+        monkeypatch.setattr(oracles, "_rerank", lambda *args: reranks.append(1) or rerank(*args))
+        kinds = [
+            lambda k, m: rng.choice([0.25, 0.5, 0.75, 1.0, -0.25], (k, m)),
+            lambda k, m: np.full((k, m), 0.5),
+            lambda k, m: rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, -0.1], (k, m)),
+            lambda k, m: np.round(rng.uniform(-1, 2, (k, m)), 1),
+            lambda k, m: rng.choice([np.nan, np.inf, -np.inf, 0.5, 1.0, -1.0], (k, m)),
+        ]
+        for trial in range(2000):
+            k = int(rng.integers(1, 6))
+            long = trial % 8 == 7
+            m = int(rng.integers(60, 201)) if long else int(rng.integers(1, 12))
+            weights = tuple(int(w) for w in rng.integers(1, 5 if long else 21, m))
+            cap = 0 if trial % 20 == 0 else int(rng.integers(1, 81))
+            rows = kinds[trial % len(kinds)](k, m)
+            fits = [i for i, w in enumerate(weights) if w <= cap]
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                selection = decoder._keyed_dp(rows, weights, cap, fits)
+                assert np.array_equal(selection, oracles.packed_key_dp(rows, weights, cap, fits))
+        assert len(reranks) >= 250
 
     def test_only_tied_rows_enter_the_keyed_dp(self, keyed_rows):
         # Constant and dyadic rows whose first two items are equal and fit
