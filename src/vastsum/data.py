@@ -10,12 +10,12 @@ A dataset is one JSON document:
                  | "summaries": [[0/1, ...], ...]}]}       # summe, U x T
 
 Loading is the single validation gate: every invariant is checked and a
-violation aborts with the offending video id. A `VideoRecord` keeps what
-the model reads of its metadata, each built once: `segment_map` (built at
-load) and `pooling_plan` (built on first use by training), the decoder's
-pooling. The synthetic generator embeds a per-segment latent importance
-linearly into the features so that a trained model (or even a linear probe)
-can recover it.
+violation aborts with the offending video id. A `VideoRecord` describes its
+timeline once: `n_frames` is its partition's, and `segment_map`, built at
+load and kept, is the `SegmentIndexMap` from which training and inference
+read the token pool and the decoder's pooling. The synthetic generator
+embeds a per-segment latent importance linearly into the features so that a
+trained model (or even a linear probe) can recover it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .checkpoint import atomic_write
 from .config import MODE, MODES, NON_NEGATIVE, at_least, check_fields, is_integral, read_json, setting
 from .errors import ConfigError
-from .timeline import ChangePointPartition, PickSequence, PoolingPlan, SegmentIndexMap, assign_segment_ids
+from .timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids
 
 
 @dataclass
@@ -38,7 +38,6 @@ class VideoRecord:
     pick/partition metadata tying it to the original timeline."""
 
     video_id: str
-    n_frames: int
     features: np.ndarray
     picks: PickSequence
     change_points: ChangePointPartition
@@ -48,15 +47,14 @@ class VideoRecord:
     def n_timesteps(self) -> int:
         return self.features.shape[0]
 
+    @property
+    def n_frames(self) -> int:
+        return self.change_points.n_frames
+
     @cached_property
     def segment_map(self) -> SegmentIndexMap:
         """`assign_segment_ids(picks, change_points)`, built once and kept."""
         return assign_segment_ids(self.picks, self.change_points)
-
-    @cached_property
-    def pooling_plan(self) -> PoolingPlan:
-        """`PoolingPlan(picks, change_points)`, built once and kept."""
-        return PoolingPlan(self.picks, self.change_points)
 
 
 @dataclass
@@ -154,7 +152,6 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None, index: int) 
             _fail(vid, "summe summaries must be binary")
     record = VideoRecord(
         video_id=vid,
-        n_frames=n_frames,
         features=features,
         picks=picks,
         change_points=cps,
@@ -254,7 +251,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
         videos.append(
             VideoRecord(
                 video_id=f"v{v:03d}",
-                n_frames=n_frames,
                 features=features,
                 picks=picks,
                 change_points=cps,

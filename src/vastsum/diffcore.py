@@ -371,13 +371,13 @@ def depthwise_conv1d(x: Node, w: Node) -> Node:
     return tape._record("depthwise-conv1d", out, (x, w), vjp)
 
 
-def segment_pool(a: Node, plan) -> Node:
-    """A [T] node pooled into [M] segment means by `plan`, a
-    `timeline.PoolingPlan`: the value is `plan(a.value)`, the VJP `plan.adjoint(g)`."""
+def segment_pool(a: Node, seg) -> Node:
+    """A [T] node pooled into [M] segment means, the decoder's knapsack values, by
+    `seg`, the video's `timeline.SegmentIndexMap`: value `seg(a.value)`, VJP `seg.adjoint(g)`."""
     av = a.value
     if av.ndim != 1:
         raise ShapeError(f"segment-pool: takes a [T] input, got {av.shape}")
-    return a.tape._record("segment-pool", plan(av), (a,), lambda g: (plan.adjoint(g),))
+    return a.tape._record("segment-pool", seg(av), (a,), lambda g: (seg.adjoint(g),))
 
 
 def concat_last(nodes: Sequence[Node]) -> Node:

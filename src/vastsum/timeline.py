@@ -8,6 +8,7 @@ throughout the code and in file formats (docs elsewhere may count from 1).
 
 from __future__ import annotations
 
+import bisect
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,16 +96,34 @@ class PickSequence:
         return len(self.picks)
 
 
-@dataclass(frozen=True)
 class SegmentIndexMap:
-    """Per-timestep segment ids plus the per-segment lengths.
+    """One video's timeline, built from its picks and partition:
+    segment_ids[t] is the (0-based) segment holding pick t (a pick outside
+    every segment raises CoverageError) and lengths[k] segment k's length in
+    frames. Its two poolings are each built on first use and kept:
+    `token_pool` for the scorer, and the call for the decoder and `L_stab`.
 
-    segment_ids[t] is the (0-based) segment containing pick t, and
-    lengths[k] is the length of segment k in original frames.
+    Called on [T] or [K, T] scores, the map gives the [M] or [K, M] means of
+    each segment's frame scores, frame n taking the score of the last pick at
+    or before it (the first pick's if none is), each the 1-D `.mean()` bit for
+    bit: `np.add.reduce` gives 0.0 + the pairwise sum of a run, and `reduceat`
+    the run's first element + the pairwise sum of the rest, so `source`, one
+    [N + M] index into the scores plus a 0.0 column, starts each segment's
+    run with the 0.0. `adjoint` gives each run's positions g_k / len_k and
+    sums them per pick with one `np.bincount` over `source`, the heads'
+    shares falling in the dropped 0.0 column.
     """
 
-    segment_ids: tuple[int, ...]
-    lengths: tuple[int, ...]
+    def __init__(self, picks: PickSequence, cps: ChangePointPartition):
+        # the segments tile [0, n_frames - 1] and picks are >= 0 and increasing,
+        # so the picks outside every segment are those from n_frames on
+        if picks.picks[-1] >= cps.n_frames:
+            t = bisect.bisect_left(picks.picks, cps.n_frames)
+            raise CoverageError(f"pick {picks.picks[t]} (timestep {t}) lies outside every segment")
+        self.picks, self.cps = picks, cps
+        self._starts, self._points = np.array([s for s, _ in cps.segments]), np.array(picks.picks)
+        self.segment_ids = tuple((self._starts.searchsorted(self._points, side="right") - 1).tolist())
+        self.lengths = tuple(cps.lengths())
 
     @property
     def n_segments(self) -> int:
@@ -114,68 +133,48 @@ class SegmentIndexMap:
     def token_pool(self) -> np.ndarray:
         """The [M, T] matrix whose row k averages the picks of segment k; a
         segment with no pick gets a zero row. Built once per map and kept,
-        read-only, in the instance dict, outside equality and the hash."""
+        read-only, in the instance dict."""
         m, t = self.n_segments, len(self.segment_ids)
         counts = np.bincount(np.asarray(self.segment_ids) * t + np.arange(t), minlength=m * t).reshape(m, t)
         pool = counts / np.maximum(counts.sum(axis=1), 1)[:, None]
         pool.flags.writeable = False
         return pool
 
-
-def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> SegmentIndexMap:
-    """Assign each pick to the segment whose inclusive bounds contain it."""
-    starts = np.array([s for s, _ in cps.segments])
-    ends = np.array([e for _, e in cps.segments])
-    points = np.array(picks.picks)
-    ids = np.searchsorted(starts, points, side="right") - 1
-    outside = (ids < 0) | (points > ends[ids])
-    if outside.any():
-        t = int(np.argmax(outside))
-        raise CoverageError(f"pick {picks.picks[t]} (timestep {t}) lies outside every segment")
-    return SegmentIndexMap(segment_ids=tuple(ids.tolist()), lengths=tuple(cps.lengths()))
-
-
-class PoolingPlan:
-    """How one video's pick scores pool into segment means, the decoder's
-    knapsack values: frame n takes the score of the last pick at or before
-    it (the first pick's if none is), and the plan called on [T] or [K, T]
-    scores gives the [M] or [K, M] means. Each is the 1-D `.mean()` of the
-    segment's frame scores, bit for bit: `np.add.reduce` gives 0.0 + the
-    pairwise sum of a run, and `reduceat` the run's first element + the
-    pairwise sum of the rest, so `source`, one [N + M] index into the scores
-    plus a 0.0 column, starts each segment's run with the 0.0. `adjoint`
-    gives each run's positions g_k / len_k and sums them per pick with one
-    `np.bincount` over `source`, the heads' shares falling in the dropped
-    0.0 column. The plan depends only on the video: build it once per video.
-    """
-
-    __slots__ = ("source", "heads", "lengths", "n_picks")
-
-    def __init__(self, picks: PickSequence, cps: ChangePointPartition):
-        self.n_picks = len(picks)
-        self.lengths = np.array(cps.lengths())
-        self.heads = np.array([s for s, _ in cps.segments]) + np.arange(cps.n_segments)
-        self.source = np.full(cps.n_frames + cps.n_segments, self.n_picks)
-        frames = np.ones(self.source.shape, dtype=bool)
-        frames[self.heads] = False
-        frame_picks = np.asarray(picks.picks).searchsorted(np.arange(cps.n_frames), side="right") - 1
-        self.source[frames] = np.maximum(frame_picks, 0)
+    @cached_property
+    def pooling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`(source, heads, lengths)`, the arrays the call and `adjoint` read."""
+        cps, n_picks = self.cps, len(self.picks)
+        lengths = np.array(self.lengths)
+        heads = self._starts + np.arange(cps.n_segments)
+        source = np.full(cps.n_frames + cps.n_segments, n_picks)
+        frames = np.ones(source.shape, dtype=bool)
+        frames[heads] = False
+        frame_picks = self._points.searchsorted(np.arange(cps.n_frames), side="right") - 1
+        source[frames] = np.maximum(frame_picks, 0)
+        return source, heads, lengths
 
     def __call__(self, scores) -> np.ndarray:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim not in (1, 2) or scores.size == 0:
             raise ValueError("scores must be a non-empty 1-D or 2-D sequence")
-        if scores.shape[-1] != self.n_picks:
-            raise ValueError(f"got {scores.shape[-1]} scores for {self.n_picks} picks")
-        padded = np.concatenate((scores, np.zeros(scores.shape[:-1] + (1,))), -1)[..., self.source]
-        return np.add.reduceat(padded, self.heads, axis=-1) / self.lengths
+        if scores.shape[-1] != len(self.picks):
+            raise ValueError(f"got {scores.shape[-1]} scores for {len(self.picks)} picks")
+        source, heads, lengths = self.pooling
+        padded = np.concatenate((scores, np.zeros(scores.shape[:-1] + (1,))), -1)[..., source]
+        return np.add.reduceat(padded, heads, axis=-1) / lengths
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         """The [T] gradient of the picks for an [M] gradient of the means."""
-        t = self.n_picks
-        return np.bincount(self.source, (g / self.lengths).repeat(self.lengths + 1), t + 1)[:t]
+        source, _, lengths = self.pooling
+        t = len(self.picks)
+        return np.bincount(source, (g / lengths).repeat(lengths + 1), t + 1)[:t]
+
+
+def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> SegmentIndexMap:
+    """Assign each pick to the segment whose inclusive bounds contain it."""
+    return SegmentIndexMap(picks, cps)
 
 
 def segment_values(scores, picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:
-    """The decoder's knapsack values: `PoolingPlan(picks, cps)(scores)`."""
-    return PoolingPlan(picks, cps)(scores)
+    """The decoder's knapsack values: `SegmentIndexMap(picks, cps)(scores)`."""
+    return SegmentIndexMap(picks, cps)(scores)

@@ -199,9 +199,9 @@ def build_video_loss(
 ) -> tuple[dc.Node, losses.LossBreakdown]:
     """One tape: scorer, head, and all four loss terms for a single video.
 
-    The stability loss pools the signal into segment values through the
-    video's `pooling_plan`, the pooling the decoder runs, so its knapsack
-    sees the decoder's values bit for bit."""
+    The stability loss pools the signal through the video's `segment_map`
+    and budgets its partition's `n_frames`, as the decoder does, so its
+    knapsack sees the decoder's instance bit for bit."""
     seg = video.segment_map
     out, signal = model_forward(params, video.features, seg, cfg, noise.latent)
     main, target = losses.likelihood(
@@ -209,7 +209,7 @@ def build_video_loss(
     )
     rank = losses.ranking_hinge(signal, target, noise.pairs, cfg.loss.rank_margin)
     kl = losses.kl_standard_normal(out.mu_z, out.log_var_z)
-    pooled = dc.segment_pool(signal, video.pooling_plan)
+    pooled = dc.segment_pool(signal, seg)
     stab = losses.stability_loss(
         pooled, seg.lengths, budget(cfg.train.rho, video.n_frames), cfg.loss, noise.stab
     )

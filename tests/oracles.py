@@ -238,12 +238,12 @@ def expand_scores(scores, picks, n_frames):
 
 
 def frame_weights(picks, cps):
-    """The dense [M, T] pooling matrix, the reference form of
-    `timeline.PoolingPlan`: row k counts, for each pick, the frames of
+    """The dense [M, T] pooling matrix, the reference form of calling a
+    `timeline.SegmentIndexMap`: row k counts, for each pick, the frames of
     segment k that take its score (`expand_scores` of the identity), divided
-    once by the segment's length. So `frame_weights(picks, cps) @ s` is the
-    plan's forward up to rounding, and `frame_weights(picks, cps).T @ g` its
-    adjoint."""
+    once by the segment's length. So `frame_weights(picks, cps) @ s` is
+    `SegmentIndexMap(picks, cps)(s)` up to rounding, and
+    `frame_weights(picks, cps).T @ g` the map's `adjoint(g)`."""
     owners = expand_scores(np.eye(len(picks)), picks, cps.n_frames)
     return np.array([owners[:, s : e + 1].sum(axis=1) / (e - s + 1) for s, e in cps.segments])
 

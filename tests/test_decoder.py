@@ -11,6 +11,8 @@ from vastsum.decoder import (
     knapsack_select,
     select_segments,
 )
+from vastsum.errors import CoverageError
+from vastsum.evaluation import flip_rate
 from vastsum.timeline import ChangePointPartition, PickSequence, segment_values
 
 import oracles
@@ -636,6 +638,20 @@ class TestDecodeSummary:
         cps = ChangePointPartition(((0, 1), (2, 5)), 6)
         with pytest.raises(ValueError, match=r"shape \(2, 3\); select_segments"):
             decode_summary(np.ones((2, 3)), PickSequence((0, 2, 4)), cps, rho=0.5)
+
+    def test_a_pick_outside_the_partition_is_refused_by_every_decode(self):
+        # pick 50 lies past the last frame, so no segment holds its score
+        picks = PickSequence((0, 4, 50))
+        cps = ChangePointPartition(((0, 4), (5, 9)), 10)
+        scores = np.array([0.3, 0.9, 0.5])
+        message = r"^pick 50 \(timestep 2\) lies outside every segment$"
+        for decode in (
+            lambda: decode_summary(scores, picks, cps, rho=0.5),
+            lambda: select_segments(np.stack((scores, scores)), picks, cps, rho=0.5),
+            lambda: flip_rate(scores, picks, cps, 0.5, 0.1, 5, 0),
+        ):
+            with pytest.raises(CoverageError, match=message):
+                decode()
 
     def test_single_oversized_segment_gives_empty_summary(self):
         mask = decode_summary(

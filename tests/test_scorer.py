@@ -8,7 +8,7 @@ import vastsum.scorer as scorer
 from vastsum.config import RunConfig, ScorerConfig
 from vastsum.data import VideoRecord
 from vastsum.errors import ShapeError
-from vastsum.timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids
+from vastsum.timeline import ChangePointPartition, PickSequence, assign_segment_ids
 from vastsum.trainer import init_all_params, init_from_shapes, predict_scores
 
 from oracles import mean_rows
@@ -51,9 +51,16 @@ def zero_residual_branches(params, cfg):
 
 
 def simple_seg(ids, n_segments):
-    """A map whose segment lengths are their pick counts (at least 1)."""
-    counts = np.bincount(ids, minlength=n_segments)
-    return SegmentIndexMap(segment_ids=tuple(ids), lengths=tuple(max(int(c), 1) for c in counts))
+    """A map whose segment lengths are their pick counts (at least 1): one
+    pick per frame, under a partition with one segment per run of `ids`."""
+    picks, segments, start = [], [], 0
+    for count in np.bincount(ids, minlength=n_segments).tolist():
+        picks += range(start, start + count)
+        segments.append((start, start + max(count, 1) - 1))
+        start += max(count, 1)
+    seg = assign_segment_ids(PickSequence(tuple(picks)), ChangePointPartition(tuple(segments), start))
+    assert list(seg.segment_ids) == list(ids)
+    return seg
 
 
 class TestProjectAndEmbed:
@@ -90,7 +97,7 @@ class TestProjectAndEmbed:
             scorer.project_and_embed(too_long, p)
         # a library caller that skips `check_videos_fit` still gets an error
         run_cfg = RunConfig(scorer=cfg)
-        video = VideoRecord("long", 7, np.zeros((7, cfg.input_dim)), PickSequence(tuple(range(7))),
+        video = VideoRecord("long", np.zeros((7, cfg.input_dim)), PickSequence(tuple(range(7))),
                             ChangePointPartition(((0, 6),), 7), np.zeros((1, 7)))
         params = init_all_params(run_cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from vastsum.errors import CoverageError, ShapeError
 from vastsum.timeline import (
     ChangePointPartition,
     PickSequence,
-    PoolingPlan,
     SegmentIndexMap,
     assign_segment_ids,
     segment_values,
@@ -123,7 +122,7 @@ class TestAssignSegmentIds:
                 if k < 0 or p > segments[k][1]:
                     return f"pick {p} (timestep {t}) lies outside every segment"
                 ids.append(k)
-            return SegmentIndexMap(tuple(ids), tuple(e - a + 1 for a, e in segments))
+            return tuple(ids), tuple(e - a + 1 for a, e in segments)
 
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -135,7 +134,8 @@ class TestAssignSegmentIds:
                     seg_map(picks, segments, n)
                 assert str(excinfo.value) == expected
             else:
-                assert seg_map(picks, segments, n) == expected
+                seg = seg_map(picks, segments, n)
+                assert (seg.segment_ids, seg.lengths) == expected
 
     def test_segments_partition_timesteps(self):
         rng = np.random.default_rng(7)
@@ -239,18 +239,19 @@ def has_empty_segment(picks, cps):
 
 
 class TestPoolingPlan:
-    """The one pooling: `segment_values` is a plan built for the call, and
-    training's tape node runs a cached plan's forward and adjoint."""
+    """The one pooling, a `SegmentIndexMap` called on scores: `segment_values`
+    is a map built for the call, and training's tape node runs the video's
+    cached map's forward and adjoint."""
 
     def test_forward_is_segment_values_bit_for_bit(self):
         empty = 0
         for rng, picks, cps in pooling_cases(41):
-            plan = PoolingPlan(picks, cps)
+            seg = SegmentIndexMap(picks, cps)
             empty += has_empty_segment(picks, cps)
             for shape in ((len(picks),), (3, len(picks))):
                 scores = rng.standard_normal(shape)
-                assert plan(scores).tobytes() == segment_values(scores, picks, cps).tobytes()
-                assert plan(scores).shape == shape[:-1] + (cps.n_segments,)
+                assert seg(scores).tobytes() == segment_values(scores, picks, cps).tobytes()
+                assert seg(scores).shape == shape[:-1] + (cps.n_segments,)
         assert empty > 0
 
     def test_adjoint_is_the_transposed_frame_weights(self):
@@ -258,7 +259,7 @@ class TestPoolingPlan:
         for rng, picks, cps in pooling_cases(43):
             empty += has_empty_segment(picks, cps)
             g = rng.standard_normal(cps.n_segments)
-            got = PoolingPlan(picks, cps).adjoint(g)
+            got = SegmentIndexMap(picks, cps).adjoint(g)
             assert got.shape == (len(picks),)
             np.testing.assert_allclose(got, frame_weights(picks, cps).T @ g, rtol=1e-12, atol=1e-12)
         assert empty > 0
@@ -267,25 +268,25 @@ class TestPoolingPlan:
         # segments 1 and 4 hold no pick and take pick 2's and pick 5's scores
         picks = PickSequence((0, 2, 4, 6, 8, 10))
         cps = ChangePointPartition(((0, 4), (5, 5), (6, 7), (8, 13), (14, 15)), 16)
-        plan = PoolingPlan(picks, cps)
+        seg = SegmentIndexMap(picks, cps)
         x = np.random.default_rng(44).standard_normal(6)
-        node = dc.segment_pool(dc.Tape().param("x", x), plan)
+        node = dc.segment_pool(dc.Tape().param("x", x), seg)
         assert node.kind == "segment-pool"
         assert node.value.tobytes() == segment_values(x, picks, cps).tobytes()
         g = np.random.default_rng(45).standard_normal(5)
-        assert node.vjp(g)[0].tobytes() == plan.adjoint(g).tobytes()
+        assert node.vjp(g)[0].tobytes() == seg.adjoint(g).tobytes()
 
         def build(theta):
             tape = dc.Tape()
-            pooled = dc.segment_pool(dc.lift_params(tape, theta)["x"], plan)
+            pooled = dc.segment_pool(dc.lift_params(tape, theta)["x"], seg)
             return mean_rows(dc.square(pooled))
 
         assert dc.finite_difference_check(build, {"x": x}) < 1e-6
 
     def test_node_takes_a_single_row(self):
-        plan = PoolingPlan(PickSequence((0, 1)), ChangePointPartition(((0, 2),), 3))
+        seg = SegmentIndexMap(PickSequence((0, 1)), ChangePointPartition(((0, 2),), 3))
         with pytest.raises(ShapeError, match="segment-pool"):
-            dc.segment_pool(dc.Tape().param("x", np.zeros((2, 2))), plan)
+            dc.segment_pool(dc.Tape().param("x", np.zeros((2, 2))), seg)
 
 
 class TestFrameWeights:
@@ -365,7 +366,13 @@ class TestTokenPool:
         assert not pool.flags.writeable
         fresh = seg_map((0, 1, 3, 5), ((0, 2), (3, 5)), 6)
         assert "token_pool" not in vars(fresh)
-        assert seg == fresh and hash(seg) == hash(fresh)
+        assert (seg.segment_ids, seg.lengths) == (fresh.segment_ids, fresh.lengths)
+        # the decoder's pooling index too is built on the first pool, and kept
+        assert "pooling" not in vars(seg) and "pooling" not in vars(fresh)
+        index = seg.pooling
+        seg(np.zeros(4))
+        seg.adjoint(np.zeros(2))
+        assert seg.pooling is index and "pooling" not in vars(fresh)
 
     def test_segment_tokenize_gradcheck_partial_and_empty(self):
         # segments 1 and 4 hold no pick; the others hold 3, 1 and 2 of the 6

@@ -14,6 +14,7 @@ import vastsum.trainer as trainer
 from vastsum.checkpoint import load_params, params_to_bytes, save_params, validate_shapes
 from vastsum.config import HeadConfig, LossConfig, RunConfig, ScorerConfig, TrainConfig
 from vastsum.data import Dataset, SyntheticConfig, VideoRecord, generate_synthetic, make_folds
+from vastsum.decoder import budget
 from vastsum.errors import ConfigError, NumericError
 from vastsum.timeline import (
     ChangePointPartition,
@@ -477,7 +478,7 @@ class TestStabilityPool:
 
     def train_and_check_pool(self, monkeypatch, mode, labels):
         rng = np.random.default_rng(6)
-        video = VideoRecord("v", 30, rng.standard_normal((3, 8)), self.PICKS, self.CPS, labels(rng))
+        video = VideoRecord("v", rng.standard_normal((3, 8)), self.PICKS, self.CPS, labels(rng))
         seen = {}
 
         def spy(name, fn):
@@ -501,6 +502,28 @@ class TestStabilityPool:
         summaries = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
         signal = self.train_and_check_pool(monkeypatch, "summe", lambda rng: summaries)
         assert ((signal > 0) & (signal < 1)).all()
+
+    def test_stability_capacity_is_the_decoders_budget(self, monkeypatch):
+        # a record's frame count is its partition's: stretching the last
+        # segment to four times the frames moves the budget with it
+        video = small_dataset(n_videos=1).videos[0]
+        n = 4 * video.change_points.n_frames
+        *head, (start, _) = video.change_points.segments
+        cps = ChangePointPartition((*head, (start, n - 1)), n)
+        video = dataclasses.replace(video, change_points=cps)
+        assert video.n_frames == n
+        capacities = []
+        stability_loss = trainer.losses.stability_loss
+
+        def spy(pooled, lengths, capacity, *rest):
+            capacities.append(capacity)
+            return stability_loss(pooled, lengths, capacity, *rest)
+
+        monkeypatch.setattr(trainer.losses, "stability_loss", spy)
+        cfg = small_cfg(epochs=2, accumulate=1)
+        train(Dataset("tvsum", [video]), cfg)
+        assert capacities == [budget(cfg.train.rho, cps.n_frames)] * 2
+        assert budget(cfg.train.rho, cps.n_frames) != budget(cfg.train.rho, n // 4)
 
 
 class TestEmptySegment:
