@@ -1,10 +1,18 @@
 """Variational frame-importance head.
 
 A diagonal Gaussian posterior over a per-frame latent, sampled with the
-reparameterization trick during training (posterior mean at inference, i.e.
-zero noise), feeding a small MLP that emits an importance logit and an
-observation log-variance per timestep. Log-variances are clamped to keep the
-heteroscedastic likelihood well-behaved.
+reparameterization trick during training, feeding a small MLP that emits an
+importance logit and an observation log-variance per timestep. Log-variances
+are clamped to keep the heteroscedastic likelihood well-behaved.
+
+Inference reads the logit at the posterior mean (`posterior_mean_logit`) and
+evaluates neither log-variance head. It is the training forward at zero
+noise, bit for bit: there z = mu_z + sigma * 0, and the clamp keeps
+sigma = exp(0.5 * log_var) finite and positive, so sigma * 0 is +0.0. The
+mean path adds a +0.0 constant in its place, which turns a -0.0 of mu_z into
++0.0 as that sum does, and then runs the same hidden layer and logit affine
+(`_logit_and_hidden`) as `importance_params`. Only a NaN log-variance, which
+makes sigma * 0 NaN, tells the two apart: the mean path never reads it.
 """
 
 from __future__ import annotations
@@ -51,11 +59,15 @@ def param_shapes(scorer_cfg: ScorerConfig, head_cfg: HeadConfig) -> dict[str, tu
     }
 
 
+def _latent_mean(h_hat: dc.Node, params: Mapping[str, dc.Node]) -> dc.Node:
+    return dc.affine(h_hat, params["head.latent_mu.w"], params["head.latent_mu.b"])
+
+
 def posterior_params(
     h_hat: dc.Node, params: Mapping[str, dc.Node]
 ) -> tuple[dc.Node, dc.Node]:
     """Latent posterior mean and clamped log-variance from the refined tokens."""
-    mu_z = dc.affine(h_hat, params["head.latent_mu.w"], params["head.latent_mu.b"])
+    mu_z = _latent_mean(h_hat, params)
     raw = dc.affine(h_hat, params["head.latent_logvar.w"], params["head.latent_logvar.b"])
     return mu_z, dc.clip(raw, LOGVAR_MIN, LOGVAR_MAX)
 
@@ -69,15 +81,31 @@ def sample_latent(mu_z: dc.Node, log_var_z: dc.Node, noise: np.ndarray) -> dc.No
     return dc.add(mu_z, dc.multiply(sigma, mu_z.tape.constant(noise)))
 
 
+def _logit_and_hidden(
+    h_hat: dc.Node, z: dc.Node, params: Mapping[str, dc.Node]
+) -> tuple[dc.Node, dc.Node]:
+    """Importance logit mu_t from [h; z], and the hidden layer it reads."""
+    joint = dc.concat_last([h_hat, z])
+    hidden = dc.gelu(dc.affine(joint, params["head.mlp.w"], params["head.mlp.b"]))
+    return dc.affine(hidden, params["head.mu.w"], params["head.mu.b"]), hidden
+
+
 def importance_params(
     h_hat: dc.Node, z: dc.Node, params: Mapping[str, dc.Node]
 ) -> tuple[dc.Node, dc.Node]:
     """Importance logit mu_t and clamped observation log-variance from [h; z]."""
-    joint = dc.concat_last([h_hat, z])
-    hidden = dc.gelu(dc.affine(joint, params["head.mlp.w"], params["head.mlp.b"]))
-    mu = dc.affine(hidden, params["head.mu.w"], params["head.mu.b"])
+    mu, hidden = _logit_and_hidden(h_hat, z, params)
     raw_v = dc.affine(hidden, params["head.logv.w"], params["head.logv.b"])
     return mu, dc.clip(raw_v, LOGVAR_MIN, LOGVAR_MAX)
+
+
+def posterior_mean_logit(h_hat: dc.Node, params: Mapping[str, dc.Node]) -> dc.Node:
+    """Importance logit at the posterior-mean latent, the inference read-out:
+    `forward(h_hat, params, zeros).mu` bit for bit (see the module docstring),
+    without the log-variance heads or the sampling arithmetic."""
+    mu_z = _latent_mean(h_hat, params)
+    z = dc.add(mu_z, mu_z.tape.constant(np.zeros(mu_z.value.shape)))
+    return _logit_and_hidden(h_hat, z, params)[0]
 
 
 def calibrate_probability(mu: dc.Node, temperature: float) -> dc.Node:

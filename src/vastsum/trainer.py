@@ -1,8 +1,9 @@
 """End-to-end optimization loop.
 
 Forward composes scorer -> head -> losses on one tape per video, released
-once `backward` has read it (see `diffcore`); inference (`predict_scores`)
-runs on a gradient-free tape, which keeps no graph. Gradients are averaged
+once `backward` has read it (see `diffcore`). Inference (`predict_scores`)
+runs the scorer and the head's posterior-mean logit on a gradient-free tape,
+which keeps no graph, and evaluates no variance head. Gradients are averaged
 over an accumulation window, clipped by global norm, and applied with AdamW
 (decoupled weight decay). Parameters, the gradient accumulator and the AdamW
 moments are each one flat float64 buffer with named views
@@ -173,21 +174,21 @@ def model_forward(
     seg: SegmentIndexMap,
     cfg: RunConfig,
     latent_noise: np.ndarray,
-    grad: bool = True,
 ) -> tuple[prob_head.ImportanceOutput, dc.Node]:
-    """The model on a fresh tape: lifted parameters, scorer, head, and the
-    decode signal (mu in tvsum mode, calibrated probabilities in summe mode).
-    Zero latent noise gives the posterior-mean prediction. With grad=False
-    the tape records no graph (`dc.Tape(grad=False)`): the values are the
-    same bits, each activation is freed once its consumers are done, and
-    `dc.backward` refuses the tape."""
-    tape = dc.Tape(grad=grad)
+    """The training forward on a fresh gradient tape: lifted parameters,
+    scorer, head with the latent drawn from `latent_noise`, and the decode
+    signal (mu in tvsum mode, calibrated probabilities in summe mode)."""
+    tape = dc.Tape()
     pnodes = dc.lift_params(tape, params)
     h_hat = scorer.forward(tape.constant(features), seg, pnodes, cfg.scorer)
     out = prob_head.forward(h_hat, pnodes, latent_noise)
+    return out, _decode_signal(out.mu, cfg)
+
+
+def _decode_signal(mu: dc.Node, cfg: RunConfig) -> dc.Node:
     if cfg.train.mode == "summe":
-        return out, prob_head.calibrate_probability(out.mu, cfg.head.temperature)
-    return out, out.mu
+        return prob_head.calibrate_probability(mu, cfg.head.temperature)
+    return mu
 
 
 def build_video_loss(
@@ -228,21 +229,24 @@ def build_video_loss(
 def predict_scores(
     params: dict[str, np.ndarray], video: VideoRecord, seg: SegmentIndexMap, cfg: RunConfig
 ) -> dict[str, np.ndarray]:
-    """Deterministic inference: posterior-mean latent, no sampling.
-
-    Returns the logits mu and the decode signal (mu for tvsum, calibrated
-    probabilities for summe). A signal that is not finite (finite weights or
+    """Deterministic inference: the decode signal at the posterior-mean
+    latent (`prob_head.posterior_mean_logit`), which is `model_forward`'s
+    signal at zero latent noise bit for bit, without evaluating either
+    log-variance head. Returns {"signal": ...}: mu for tvsum, calibrated
+    probabilities for summe. A signal that is not finite (finite weights or
     features can still overflow the forward pass) raises ValueError naming
     the video. The forward pass runs on a gradient-free tape, which keeps no
     graph, so nothing is left to release and no activation outlives its use."""
-    latent = np.zeros((video.n_timesteps, cfg.head.latent_dim))
-    out, signal = model_forward(params, video.features, seg, cfg, latent, grad=False)
+    tape = dc.Tape(grad=False)
+    pnodes = dc.lift_params(tape, params)
+    h_hat = scorer.forward(tape.constant(video.features), seg, pnodes, cfg.scorer)
+    signal = _decode_signal(prob_head.posterior_mean_logit(h_hat, pnodes), cfg)
     bad = int(np.count_nonzero(~np.isfinite(signal.value)))
     if bad:
         raise ValueError(
             f"video {video.video_id!r}: prediction is not finite ({bad} of {signal.value.size} scores)"
         )
-    return {"mu": out.mu.value.copy(), "signal": signal.value.copy(), "log_v": out.log_v.value.copy()}
+    return {"signal": signal.value.copy()}
 
 
 def _validation_rho(params, videos, cfg) -> float:

@@ -212,3 +212,48 @@ class TestForward:
             return dc.add(total, kl_ish)
 
         assert dc.finite_difference_check(build, params) < 1e-4
+
+
+class TestPosteriorMeanLogit:
+    """The inference read-out equals the training forward at zero noise,
+    bit for bit."""
+
+    @staticmethod
+    def both(params, h, temperature=None):
+        tape, p = lifted(params)
+        mean = prob_head.posterior_mean_logit(tape.constant(h), p)
+        tape, p = lifted(params)
+        drawn = prob_head.forward(tape.constant(h), p, np.zeros((h.shape[0], 2))).mu
+        if temperature is not None:
+            mean = prob_head.calibrate_probability(mean, temperature)
+            drawn = prob_head.calibrate_probability(drawn, temperature)
+        return mean.value, drawn.value
+
+    def test_random_heads(self):
+        scorer_cfg, head_cfg = configs()
+        rng = np.random.default_rng(12)
+        for seed in range(5):
+            params = init(scorer_cfg, head_cfg, seed=seed)
+            for name in ("head.latent_mu.b", "head.latent_logvar.b", "head.mlp.b", "head.mu.b"):
+                params[name][:] = rng.uniform(-1, 1, params[name].shape)
+            mean, drawn = self.both(params, 3.0 * rng.standard_normal((7, 4)))
+            assert mean.tobytes() == drawn.tobytes()
+
+    def test_zero_latent_mean(self):
+        scorer_cfg, head_cfg = configs()
+        params = init(scorer_cfg, head_cfg, seed=13)
+        params["head.latent_mu.w"][:] = 0.0
+        params["head.latent_mu.b"][:] = 0.0
+        h = np.random.default_rng(14).standard_normal((6, 4))
+        tape, p = lifted(params)
+        assert not prob_head.posterior_params(tape.constant(h), p)[0].value.any()
+        mean, drawn = self.both(params, h)
+        assert mean.tobytes() == drawn.tobytes()
+
+    def test_summe_probabilities(self):
+        scorer_cfg, head_cfg = configs(temperature=0.7)
+        params = init(scorer_cfg, head_cfg, seed=15)
+        h = np.random.default_rng(16).standard_normal((9, 4))
+        mean, drawn = self.both(params, h, head_cfg.temperature)
+        assert mean.tobytes() == drawn.tobytes()
+        assert ((mean > 0) & (mean < 1)).all()

@@ -415,8 +415,9 @@ class TestTapeRelease:
 
 
 class TestNoGradForward:
-    """`predict_scores` runs the model on a gradient-free tape, which gives
-    the graph forward's values bit for bit."""
+    """`predict_scores` reads the posterior-mean logit on a gradient-free
+    tape, which gives the graph forward's signal at zero latent noise bit
+    for bit."""
 
     @pytest.mark.parametrize(
         "shape, mode",
@@ -438,33 +439,64 @@ class TestNoGradForward:
         params = trainer.init_all_params(cfg, np.random.default_rng(2))
         seg = assign_segment_ids(video.picks, video.change_points)
         latent = np.zeros((t_len, cfg.head.latent_dim))
-        graph_out, graph_signal = trainer.model_forward(params, video.features, seg, cfg, latent)
-        free_out, free_signal = trainer.model_forward(params, video.features, seg, cfg, latent, grad=False)
-        assert graph_signal.tape.grad and free_signal.tape.grad is False
-        assert free_signal.tape.nodes == [] and free_signal.parents == ()
-        for graph, free in ((graph_signal, free_signal), (graph_out.mu, free_out.mu),
-                            (graph_out.log_v, free_out.log_v)):
-            assert np.array_equal(graph.value, free.value)
+        _, graph_signal = trainer.model_forward(params, video.features, seg, cfg, latent)
         scores = trainer.predict_scores(params, video, seg, cfg)
-        assert np.array_equal(scores["signal"], graph_signal.value)
-        assert np.array_equal(scores["mu"], graph_out.mu.value)
-        assert np.array_equal(scores["log_v"], graph_out.log_v.value)
+        assert set(scores) == {"signal"}
+        assert scores["signal"].tobytes() == graph_signal.value.tobytes()
 
     def test_predict_scores_records_no_graph(self, monkeypatch):
         dataset, cfg = TestTapeRelease.desk()
         video = dataset.videos[0]
         tapes = []
-        forward = trainer.model_forward
+        make = dc.Tape.__init__
 
-        def spy(*args, **kwargs):
-            out, signal = forward(*args, **kwargs)
-            tapes.append(signal.tape)
-            return out, signal
+        def init(tape, *args, **kwargs):
+            make(tape, *args, **kwargs)
+            tapes.append(tape)
 
-        monkeypatch.setattr(trainer, "model_forward", spy)
+        monkeypatch.setattr(dc.Tape, "__init__", init)
         params = trainer.init_all_params(cfg, np.random.default_rng(0))
         trainer.predict_scores(params, video, assign_segment_ids(video.picks, video.change_points), cfg)
         assert len(tapes) == 1 and tapes[0].grad is False and tapes[0].nodes == []
+
+
+class TestInferenceReadsNoVarianceHead:
+    """Inference evaluates only the posterior-mean logit: neither
+    log-variance head, nor the latent draw's exp and clips."""
+
+    VARIANCE_HEADS = ("head.latent_logvar.w", "head.latent_logvar.b", "head.logv.w", "head.logv.b")
+
+    @pytest.mark.parametrize("mode", ["tvsum", "summe"])
+    def test_nan_variance_heads_leave_the_prediction_alone(self, mode):
+        dataset, cfg = TestTapeRelease.desk()
+        cfg.train = dataclasses.replace(cfg.train, mode=mode)
+        video = dataset.videos[0]
+        params = trainer.init_all_params(cfg, np.random.default_rng(4))
+        poisoned = {name: value.copy() for name, value in params.items()}
+        for name in self.VARIANCE_HEADS:
+            poisoned[name].fill(np.nan)
+        want = trainer.predict_scores(params, video, video.segment_map, cfg)["signal"]
+        got = trainer.predict_scores(poisoned, video, video.segment_map, cfg)["signal"]
+        assert got.tobytes() == want.tobytes()
+
+    def test_predict_calls_no_exp_or_clip(self, monkeypatch):
+        dataset, cfg = TestTapeRelease.desk()
+        video = dataset.videos[0]
+        params = trainer.init_all_params(cfg, np.random.default_rng(0))
+        calls = []
+
+        def spy(name):
+            primitive = getattr(dc, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return primitive(*args, **kwargs)
+            monkeypatch.setattr(dc, name, wrapped)
+
+        spy("exp")
+        spy("clip")
+        scores = trainer.predict_scores(params, video, video.segment_map, cfg)
+        assert calls == [] and np.isfinite(scores["signal"]).all()
 
 
 class TestStabilityPool:
