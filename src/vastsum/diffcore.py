@@ -282,12 +282,13 @@ def gelu(a: Node) -> Node:
 
 
 def sigmoid(a: Node) -> Node:
-    """1/(1+exp(-a)) for a >= 0 and exp(a)/(1+exp(a)) below, from one exp:
-    exp(-|a|) is exp(-a) above zero and exp(a) below, so neither branch
-    overflows."""
+    """1/(1+exp(-a)) for a >= 0 and exp(a)/(1+exp(a)) below, from one exp
+    and one divide: e = exp(-|a|) is exp(-a) above zero and exp(a) below, so
+    neither branch overflows, and where(a >= 0, 1, e) / (1 + e) divides the
+    two branches' own operands."""
     av = a.value
     e = np.exp(-np.abs(av))
-    s = np.where(av >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    s = np.where(av >= 0, 1.0, e) / (1.0 + e)
     return a.tape._record("sigmoid", s, (a,), lambda g: (g * s * (1.0 - s),))
 
 

@@ -6,7 +6,8 @@ formula is shared with the implementation (e.g. the tau-b normalization),
 the combinatorial quantities feeding it are derived independently. The
 exceptions are `mean_rows`, a tape reducer the gradient tests build losses
 with, and the earlier formulations kept to check the current ones bit for
-bit: `reference_value_dp`, `packed_key_dp` and `reference_stability_loss`.
+bit: `reference_value_dp`, `packed_key_dp`, `unreduced_knapsack` and
+`reference_stability_loss`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ from itertools import combinations
 import numpy as np
 
 import vastsum.diffcore as dc
-from vastsum.decoder import SegmentKnapsackInstance, _backtrack, _ranges, knapsack_select
+import vastsum.decoder as decoder
+from vastsum.decoder import (
+    SegmentKnapsackInstance,
+    _backtrack,
+    _keyed_dp,
+    _ranges,
+    _value_dp,
+    knapsack_select,
+)
 
 
 def brute_force_knapsack(values, weights, capacity):
@@ -68,6 +77,23 @@ def reference_value_dp(rows, weights, cap, fits):
         selection[:, fits[j]] = taken
         np.subtract(cell, weights[fits[j]], out=cell, where=taken)
     return selection, tied
+
+
+def unreduced_knapsack(values, weights, cap):
+    """`decoder.knapsack_select` without the reduction, kept as its
+    reference: the same row blocks, each solved by the value pass and the
+    keyed pass over every fitting item (the passes as imported, so a test
+    that spies on the decoder's does not see these calls)."""
+    rows = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    fits = [i for i, w in enumerate(weights) if w <= cap]
+    block = max(1, decoder._BLOCK_CELLS // (cap + 1))
+    selection = np.empty(rows.shape, dtype=bool)
+    for s in range(0, len(rows), block):
+        part, tied = _value_dp(rows[s : s + block], tuple(weights), cap, fits)
+        if tied.any():
+            part[tied] = _keyed_dp(rows[s : s + block][tied], tuple(weights), cap, fits)
+        selection[s : s + block] = part
+    return selection.reshape(np.shape(values))
 
 
 def _rerank(key, shift, item_bits, cap):

@@ -11,12 +11,22 @@ from vastsum.decoder import (
     knapsack_select,
     select_segments,
 )
+from vastsum import trainer
+from vastsum.config import RunConfig
+from vastsum.data import VideoRecord
 from vastsum.errors import CoverageError
 from vastsum.evaluation import flip_rate
-from vastsum.timeline import ChangePointPartition, PickSequence, segment_values
+from vastsum.timeline import ChangePointPartition, PickSequence, assign_segment_ids, segment_values
 
 import oracles
-from oracles import brute_force_knapsack, expand_scores, random_partition, random_picks, reference_value_dp
+from oracles import (
+    brute_force_knapsack,
+    expand_scores,
+    random_partition,
+    random_picks,
+    reference_value_dp,
+    unreduced_knapsack,
+)
 
 
 def total_value(values, selection):
@@ -29,6 +39,7 @@ def total_value(values, selection):
 _KEYED_DP = decoder._keyed_dp
 _BLOCK_CELLS = decoder._BLOCK_CELLS
 _TILE_CELLS = decoder._TILE_CELLS
+_REDUCED_ITEMS = decoder._REDUCED_ITEMS
 
 
 def keyed_dp(rows, weights, cap):
@@ -630,6 +641,163 @@ class TestLiveCells:
         for n in (1, 7, 16 * 21, 1537 * 42):
             table = decoder._aligned(n)
             assert table.shape == (n,) and table.ctypes.data % 64 == 0
+
+
+def paper_flip_batch(seed):
+    """The flip rate's batch at paper scale, from a seeded-init model: 320
+    picks 32 frames apart (10,240 frames), 80 segments cut at frame level on
+    a jittered grid, each pick's 1,024 features made as the paper corpus
+    makes them (its segment's embedding, plus an importance times a shared
+    one, plus noise), and the signal with 100 noisy copies (sigma 0.05),
+    pooled to segment values. Returns the [101, 80] values and the segment
+    lengths; the budget is 1536."""
+    rng = np.random.default_rng(seed)
+    picks = PickSequence(range(0, 10240, 32))
+    bounds = np.concatenate([[0], np.arange(1, 80) * 128 + rng.integers(-32, 33, 79), [10240]])
+    cps = ChangePointPartition(tuple((int(a), int(b) - 1) for a, b in zip(bounds[:-1], bounds[1:])), 10240)
+    seg = assign_segment_ids(picks, cps)
+    ids = np.array(seg.segment_ids)
+    embed = rng.uniform(-1.0, 1.0, (81, 1024))
+    features = rng.uniform(0.0, 1.0, 80)[ids, None] * embed[0] + embed[1:][ids]
+    features += 0.05 * rng.standard_normal((320, 1024))
+    cfg = RunConfig()  # the paper dims
+    params = trainer.init_all_params(cfg, rng)
+    video = VideoRecord("paper", features, picks, cps, np.zeros((1, 320)))
+    signal = trainer.predict_scores(params, video, seg, cfg)["signal"]
+    rows = np.concatenate((signal[None], signal + rng.normal(0.0, 0.05, (100, 320))))
+    return segment_values(rows, picks, cps), cps.lengths()
+
+
+@pytest.fixture()
+def dp_items(monkeypatch):
+    """The number of items each block's value DP receives."""
+    counts = []
+    value_dp = decoder._value_dp
+
+    def spy(rows, weights, cap, fits):
+        counts.append(len(fits))
+        return value_dp(rows, weights, cap, fits)
+
+    monkeypatch.setattr(decoder, "_value_dp", spy)
+    return counts
+
+
+def check_unreduced(rows, weights, cap):
+    """knapsack_select's selection, checked against the unreduced DP's bit for bit."""
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        batch = knapsack_select(SegmentKnapsackInstance(rows, weights, cap))
+        assert np.array_equal(batch, unreduced_knapsack(rows, weights, cap))
+    return batch
+
+
+class TestReduction:
+    """Each block drops the items that no row's optimum can hold (module
+    docstring), and every selection stays the unreduced DP's."""
+
+    def test_paper_batches_equal_the_unreduced_dp(self, dp_items):
+        for seed in range(4):
+            rows, weights = paper_flip_batch(seed)
+            assert sum(w % 32 != 0 for w in weights) > 60  # frame-level cuts
+            for k in (1, 9, 101):
+                dp_items.clear()
+                check_unreduced(rows[:k], weights, 1536)
+                assert max(dp_items) < 80
+
+    def test_tie_heavy_integer_and_signed_rows_equal_the_unreduced_dp(self, dp_items, keyed_rows):
+        # rounded ties (0.1 steps), exact ties (integers, dyadics with signed
+        # zeros), and rows of mostly negative or zero values, with enough
+        # items to reduce and weights scaled up to capacities in the hundreds
+        rng = np.random.default_rng(46)
+        kinds = [
+            lambda k, m: rng.choice([0.1, 0.2, 0.3, 0.7, 1.0, -0.1], (k, m)),
+            lambda k, m: rng.integers(-1, 4, (k, m)).astype(float),
+            lambda k, m: rng.choice([0.25, 0.5, 1.0, 0.0, -0.0, -0.25], (k, m)),
+            lambda k, m: rng.choice([-1.0, -0.5, 0.0, -0.0, 0.5], (k, m)),
+            lambda k, m: rng.uniform(-1.0, 0.3, (k, m)),
+        ]
+        fitting = 0
+        for trial in range(100):
+            m = int(rng.integers(_REDUCED_ITEMS, 49))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m) * int(rng.integers(1, 9)))
+            cap = int(rng.integers(1, sum(weights) // 2 + 2))
+            rows = kinds[trial % len(kinds)](int(rng.integers(1, 5)), m)
+            dp_items.clear()
+            check_unreduced(rows, weights, cap)
+            fits = sum(w <= cap for w in weights)
+            fitting += fits >= _REDUCED_ITEMS and max(dp_items) < fits
+        # most instances dropped items, and tied rows went through the keyed pass
+        assert fitting > 50 and len(keyed_rows) > 20
+
+    def test_non_finite_rows_take_the_fallback(self, dp_items):
+        # a NaN or infinite value anywhere in a block: every fitting item
+        # reaches the DP, and the selection is still the unreduced one
+        rng = np.random.default_rng(47)
+        for _ in range(30):
+            m = int(rng.integers(_REDUCED_ITEMS, 49))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            cap = int(rng.integers(sum(weights) // 8, sum(weights) // 2))
+            rows = rng.uniform(0.0, 1.0, (3, m))
+            rows[int(rng.integers(0, 3)), int(rng.integers(0, m))] = rng.choice([np.nan, np.inf, -np.inf])
+            dp_items.clear()
+            check_unreduced(rows, weights, cap)
+            assert dp_items == [sum(w <= cap for w in weights)]
+
+    def test_small_instances_reach_the_brute_force_value(self, monkeypatch, dp_items):
+        # the gate lowered to one item, so instances small enough to
+        # enumerate reduce too
+        monkeypatch.setattr(decoder, "_REDUCED_ITEMS", 1)
+        rng = np.random.default_rng(48)
+        dropped = 0
+        for trial in range(300):
+            m = int(rng.integers(1, 10))
+            weights = tuple(int(w) for w in rng.integers(1, 21, m))
+            cap = int(rng.integers(0, sum(weights) + 5))
+            rows = mixed_rows(rng, m)[:5]  # continuous, dyadic, constant, 0.1-step, integer
+            check_unreduced(rows, weights, cap)
+            for r, row in enumerate(rows):  # one row a block, which drops the most
+                dp_items.clear()
+                selection = check_unreduced(row, weights, cap)
+                dropped += max(dp_items, default=0) < sum(w <= cap for w in weights)
+                best_value, best_subset = brute_force_knapsack(row, weights, cap)
+                assert total_value(row, selection) == best_value
+                if r in (1, 2, 4):  # exact sums: the brute-force set too
+                    assert tuple(np.flatnonzero(selection)) == best_subset
+        assert dropped > 300
+
+    def test_the_reduction_is_live_and_gated(self, monkeypatch, dp_items):
+        # paper batches: fewer than half the fitting items reach the DP, in
+        # the flip rate's K = 101 blocks and in a single decode
+        kept = []
+        batches = [paper_flip_batch(seed) for seed in range(4)]
+        for rows, weights in batches:
+            dp_items.clear()
+            knapsack_select(SegmentKnapsackInstance(rows, weights, 1536))
+            kept += dp_items
+            dp_items.clear()
+            knapsack_select(SegmentKnapsackInstance(rows[0], weights, 1536))
+            assert dp_items[0] < 40
+        assert len(kept) > 4 and sum(kept) < 40 * len(kept)
+        # below the gate, every fitting item reaches it
+        rng = np.random.default_rng(49)
+        for m in (6, _REDUCED_ITEMS - 1):
+            weights = tuple(int(w) for w in rng.integers(1, 200, m))
+            dp_items.clear()
+            knapsack_select(SegmentKnapsackInstance(rng.uniform(0, 1, (9, m)), weights, 1536))
+            assert dp_items == [sum(w <= 1536 for w in weights)]
+        # and with the gate out of reach, every item of a paper batch does
+        monkeypatch.setattr(decoder, "_REDUCED_ITEMS", 1 << 40)
+        dp_items.clear()
+        knapsack_select(SegmentKnapsackInstance(*batches[0], 1536))
+        assert dp_items and all(n == 80 for n in dp_items)
+        # by hand: ratios 2, 1.5, 1 and 0.1; the LP prefix {0, 1} weighs 9 of
+        # 10, so r = 1 (item 2, the break item), U = 16 + 1 and LB = 16. A
+        # set that holds the heavy item 3 is worth at most U - (1*10 - 1) = 8
+        # < LB, so it goes; the break item stays; the items of value 0 and -2 go
+        values = np.array([[10.0, 6.0, 4.0, 1.0, 0.0, -2.0]])
+        weights = (5, 4, 4, 10, 1, 1)
+        assert decoder._reduce(values, weights, 10, list(range(6))) == [0, 1, 2]
+        assert knapsack_select(SegmentKnapsackInstance(values[0], weights, 10)).tolist() == [
+            True, True, False, False, False, False]
 
 
 class TestDecodeSummary:
