@@ -1,11 +1,11 @@
 """Budgeted summary decoding.
 
 Sampled scores are pooled into the mean score of each change-point segment's
-frames (`timeline.segment_values`), and a 0/1 knapsack over segment lengths
-picks the summary under capacity floor(rho * N). The solver is an exact dynamic
-program with deterministic tie-breaking (equal value: prefer the lighter
-selection, then the lexicographically smallest index set), so decoding is a
-pure function of its inputs.
+frames by calling the video's `timeline.SegmentIndexMap`, and a 0/1 knapsack
+over segment lengths picks the summary under capacity floor(rho * N). The
+solver is an exact dynamic program with deterministic tie-breaking (equal
+value: prefer the lighter selection, then the lexicographically smallest index
+set), so decoding is a pure function of its inputs.
 
 The DP (Kellerer, Pferschy & Pisinger, *Knapsack Problems*, 2004, ch. 2)
 takes items in forward index order and works on all capacity cells at once.
@@ -160,7 +160,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .timeline import ChangePointPartition, PickSequence, _integer, _integers, segment_values
+from .timeline import ChangePointPartition, PickSequence, SegmentIndexMap, _integer, _integers
 
 # DP cells (rows * (cap + 1)) in one block of rows: 512 KiB per float64 table
 _BLOCK_CELLS = 1 << 16
@@ -371,17 +371,14 @@ def budget(rho: float, n_frames: int) -> int:
     return int(math.floor(rho * n_frames))
 
 
-def select_segments(
-    scores, picks: PickSequence, cps: ChangePointPartition, rho: float
-) -> np.ndarray:
-    """The decode pipeline: budget, pool, solve.
+def select_segments(scores, seg: SegmentIndexMap, rho: float) -> np.ndarray:
+    """The decode pipeline on the caller's map: budget, pool, solve.
 
     scores is [T] or [K, T]; the selection is [M] or [K, M], each row solved
     as its own decode in one knapsack call.
     """
-    capacity = budget(rho, cps.n_frames)
-    values = segment_values(scores, picks, cps)
-    return knapsack_select(SegmentKnapsackInstance(values, cps.lengths(), capacity))
+    capacity = budget(rho, seg.cps.n_frames)
+    return knapsack_select(SegmentKnapsackInstance(seg(scores), seg.lengths, capacity))
 
 
 def decode_summary(
@@ -391,6 +388,7 @@ def decode_summary(
     if np.ndim(scores) != 1:
         raise ValueError(f"decode_summary takes one [T] score row, got shape {np.shape(scores)}; "
                          "select_segments decodes a [K, T] batch")
-    selection = select_segments(scores, picks, cps, rho)
+    seg = SegmentIndexMap(picks, cps)
+    selection = select_segments(scores, seg, rho)
     selected = tuple(selection.nonzero()[0].tolist())
-    return SummaryMask(y=selection.repeat(cps.lengths()), selected_segments=selected)
+    return SummaryMask(y=selection.repeat(seg.lengths), selected_segments=selected)

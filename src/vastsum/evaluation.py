@@ -39,7 +39,7 @@ from .checkpoint import write_csv
 # decode_summary is not called here; perfbench's tracer and tests reach it as
 # evaluation.decode_summary, so the name stays bound.
 from .decoder import decode_summary, select_segments  # noqa: F401
-from .timeline import ChangePointPartition, PickSequence
+from .timeline import ChangePointPartition, PickSequence, SegmentIndexMap
 
 
 # Rows must be shorter than this: rho's int64 rank sums are exact
@@ -274,15 +274,15 @@ def flip_rate(
     from the unperturbed decode.
 
     Row 0 is the unperturbed decode and rows 1.. the trials; all rows are
-    decoded by one `select_segments` call, with the same selections as one
-    `decode_summary` per row.
+    decoded by one `select_segments` call on one map, with the same selections
+    as one `decode_summary` per row.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     noise = np.random.default_rng(seed).normal(0.0, sigma, (trials,) + scores.shape)
     rows = np.concatenate((scores[None], scores + noise))  # np.vstack's call
-    selection = select_segments(rows, picks, cps, rho)
+    selection = select_segments(rows, SegmentIndexMap(picks, cps), rho)
     return int(np.count_nonzero(np.logical_or.reduce(selection[1:] != selection[0], 1))) / trials
 
 

@@ -11,7 +11,7 @@ noise, bit for bit: there z = mu_z + sigma * 0, and the clamp keeps
 sigma = exp(0.5 * log_var) finite and positive, so sigma * 0 is +0.0. The
 mean path adds a +0.0 constant in its place, which turns a -0.0 of mu_z into
 +0.0 as that sum does, and then runs the same hidden layer and logit affine
-(`_logit_and_hidden`) as `importance_params`. Only a NaN log-variance, which
+(`_logit_and_hidden`) as `forward`. Only a NaN log-variance, which
 makes sigma * 0 NaN, tells the two apart: the mean path never reads it.
 """
 
@@ -63,24 +63,6 @@ def _latent_mean(h_hat: dc.Node, params: Mapping[str, dc.Node]) -> dc.Node:
     return dc.affine(h_hat, params["head.latent_mu.w"], params["head.latent_mu.b"])
 
 
-def posterior_params(
-    h_hat: dc.Node, params: Mapping[str, dc.Node]
-) -> tuple[dc.Node, dc.Node]:
-    """Latent posterior mean and clamped log-variance from the refined tokens."""
-    mu_z = _latent_mean(h_hat, params)
-    raw = dc.affine(h_hat, params["head.latent_logvar.w"], params["head.latent_logvar.b"])
-    return mu_z, dc.clip(raw, LOGVAR_MIN, LOGVAR_MAX)
-
-
-def sample_latent(mu_z: dc.Node, log_var_z: dc.Node, noise: np.ndarray) -> dc.Node:
-    """Reparameterized draw z = mu + exp(log_var / 2) * noise (zero noise = mean)."""
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != mu_z.value.shape:
-        raise ValueError(f"noise shape {noise.shape} does not match {mu_z.value.shape}")
-    sigma = dc.exp(dc.scale(log_var_z, 0.5))
-    return dc.add(mu_z, dc.multiply(sigma, mu_z.tape.constant(noise)))
-
-
 def _logit_and_hidden(
     h_hat: dc.Node, z: dc.Node, params: Mapping[str, dc.Node]
 ) -> tuple[dc.Node, dc.Node]:
@@ -88,15 +70,6 @@ def _logit_and_hidden(
     joint = dc.concat_last([h_hat, z])
     hidden = dc.gelu(dc.affine(joint, params["head.mlp.w"], params["head.mlp.b"]))
     return dc.affine(hidden, params["head.mu.w"], params["head.mu.b"]), hidden
-
-
-def importance_params(
-    h_hat: dc.Node, z: dc.Node, params: Mapping[str, dc.Node]
-) -> tuple[dc.Node, dc.Node]:
-    """Importance logit mu_t and clamped observation log-variance from [h; z]."""
-    mu, hidden = _logit_and_hidden(h_hat, z, params)
-    raw_v = dc.affine(hidden, params["head.logv.w"], params["head.logv.b"])
-    return mu, dc.clip(raw_v, LOGVAR_MIN, LOGVAR_MAX)
 
 
 def posterior_mean_logit(h_hat: dc.Node, params: Mapping[str, dc.Node]) -> dc.Node:
@@ -118,8 +91,19 @@ def calibrate_probability(mu: dc.Node, temperature: float) -> dc.Node:
 def forward(
     h_hat: dc.Node, params: Mapping[str, dc.Node], noise: np.ndarray
 ) -> ImportanceOutput:
-    """Posterior, latent draw, and importance outputs in one pass."""
-    mu_z, log_var_z = posterior_params(h_hat, params)
-    z = sample_latent(mu_z, log_var_z, noise)
-    mu, log_v = importance_params(h_hat, z, params)
+    """Posterior, latent draw, and importance outputs in one pass: the latent
+    mean and clamped log-variance, the reparameterized draw
+    z = mu_z + exp(log_var_z / 2) * noise (zero noise gives the mean), then the
+    logit and clamped observation log-variance from [h; z]."""
+    mu_z = _latent_mean(h_hat, params)
+    raw_z = dc.affine(h_hat, params["head.latent_logvar.w"], params["head.latent_logvar.b"])
+    log_var_z = dc.clip(raw_z, LOGVAR_MIN, LOGVAR_MAX)
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != mu_z.value.shape:
+        raise ValueError(f"noise shape {noise.shape} does not match {mu_z.value.shape}")
+    sigma = dc.exp(dc.scale(log_var_z, 0.5))
+    z = dc.add(mu_z, dc.multiply(sigma, mu_z.tape.constant(noise)))
+    mu, hidden = _logit_and_hidden(h_hat, z, params)
+    raw_v = dc.affine(hidden, params["head.logv.w"], params["head.logv.b"])
+    log_v = dc.clip(raw_v, LOGVAR_MIN, LOGVAR_MAX)
     return ImportanceOutput(mu=mu, log_v=log_v, mu_z=mu_z, log_var_z=log_var_z, z=z)

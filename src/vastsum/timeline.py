@@ -174,7 +174,3 @@ def assign_segment_ids(picks: PickSequence, cps: ChangePointPartition) -> Segmen
     """Assign each pick to the segment whose inclusive bounds contain it."""
     return SegmentIndexMap(picks, cps)
 
-
-def segment_values(scores, picks: PickSequence, cps: ChangePointPartition) -> np.ndarray:
-    """The decoder's knapsack values: `SegmentIndexMap(picks, cps)(scores)`."""
-    return SegmentIndexMap(picks, cps)(scores)

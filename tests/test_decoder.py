@@ -11,12 +11,12 @@ from vastsum.decoder import (
     knapsack_select,
     select_segments,
 )
-from vastsum import trainer
+from vastsum import evaluation, trainer
 from vastsum.config import RunConfig
 from vastsum.data import VideoRecord
 from vastsum.errors import CoverageError
 from vastsum.evaluation import flip_rate
-from vastsum.timeline import ChangePointPartition, PickSequence, assign_segment_ids, segment_values
+from vastsum.timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids
 
 import oracles
 from oracles import (
@@ -69,23 +69,23 @@ def every_frame(cps):
 class TestSegmentValues:
     def test_constant_blocks(self):
         cps = ChangePointPartition(((0, 2), (3, 4)), 5)
-        assert segment_values([1, 1, 1, 5, 5], every_frame(cps), cps).tolist() == [1, 5]
+        assert SegmentIndexMap(every_frame(cps), cps)([1, 1, 1, 5, 5]).tolist() == [1, 5]
         assert tuple(cps.lengths()) == (3, 2)
 
     def test_single_segment_global_mean(self):
         cps = ChangePointPartition(((0, 2),), 3)
-        assert segment_values([2.0, 4.0, 6.0], every_frame(cps), cps).tolist() == [4.0]
+        assert SegmentIndexMap(every_frame(cps), cps)([2.0, 4.0, 6.0]).tolist() == [4.0]
         assert tuple(cps.lengths()) == (3,)
 
     def test_two_pair_means(self):
         cps = ChangePointPartition(((0, 1), (2, 3)), 4)
-        assert segment_values([0, 2, 4, 6], every_frame(cps), cps).tolist() == [1, 5]
+        assert SegmentIndexMap(every_frame(cps), cps)([0, 2, 4, 6]).tolist() == [1, 5]
         assert tuple(cps.lengths()) == (2, 2)
 
     def test_length_mismatch(self):
         cps = ChangePointPartition(((0, 1),), 2)
         with pytest.raises(ValueError):
-            segment_values([1.0], every_frame(cps), cps)
+            SegmentIndexMap(every_frame(cps), cps)([1.0])
 
     def test_select_segments_weighs_each_segment_by_its_length(self, monkeypatch):
         instances = []
@@ -96,7 +96,7 @@ class TestSegmentValues:
 
         monkeypatch.setattr(decoder, "knapsack_select", spy)
         cps = ChangePointPartition(((0, 2), (3, 4)), 5)
-        select_segments([1, 1, 1, 5, 5], every_frame(cps), cps, 0.6)
+        select_segments([1, 1, 1, 5, 5], SegmentIndexMap(every_frame(cps), cps), 0.6)
         (inst,) = instances
         assert inst.values.tolist() == [1, 5]
         assert inst.weights == (3, 2) and inst.capacity == 3
@@ -117,11 +117,11 @@ class TestSegmentValues:
                 (rng.uniform(0, 1, (k, len(picks))), picks),
             ):
                 frames = expand_scores(scores, pick_seq, cps.n_frames)
-                values = segment_values(scores, pick_seq, cps)
+                values = SegmentIndexMap(pick_seq, cps)(scores)
                 expected = [[row[a : e + 1].mean() for a, e in cps.segments] for row in frames]
                 assert values.shape == (k, cps.n_segments)
                 assert values.tobytes() == np.array(expected).tobytes()
-                assert segment_values(scores[0], pick_seq, cps).tobytes() == values[0].tobytes()
+                assert SegmentIndexMap(pick_seq, cps)(scores[0]).tobytes() == values[0].tobytes()
 
 
 class TestKnapsackSelect:
@@ -665,7 +665,7 @@ def paper_flip_batch(seed):
     video = VideoRecord("paper", features, picks, cps, np.zeros((1, 320)))
     signal = trainer.predict_scores(params, video, seg, cfg)["signal"]
     rows = np.concatenate((signal[None], signal + rng.normal(0.0, 0.05, (100, 320))))
-    return segment_values(rows, picks, cps), cps.lengths()
+    return SegmentIndexMap(picks, cps)(rows), cps.lengths()
 
 
 @pytest.fixture()
@@ -815,7 +815,7 @@ class TestDecodeSummary:
         message = r"^pick 50 \(timestep 2\) lies outside every segment$"
         for decode in (
             lambda: decode_summary(scores, picks, cps, rho=0.5),
-            lambda: select_segments(np.stack((scores, scores)), picks, cps, rho=0.5),
+            lambda: select_segments(np.stack((scores, scores)), SegmentIndexMap(picks, cps), rho=0.5),
             lambda: flip_rate(scores, picks, cps, 0.5, 0.1, 5, 0),
         ):
             with pytest.raises(CoverageError, match=message):
@@ -909,6 +909,69 @@ class TestDecodeSummary:
             sel_b = knapsack_select(SegmentKnapsackInstance(shifted + 10.0, [1] * m, m // 2))
             # +10 keeps all values positive so exactly cap items are chosen
             assert np.array_equal(sel_a, sel_b)
+
+
+def shaped_video(shape, seed):
+    """A video on the benchmark corpus's timeline for `shape`: desk is 64
+    picks 2 frames apart and 6 segments cut at random picks, paper 320 picks
+    32 frames apart and 80 segments cut on a jittered grid."""
+    rng = np.random.default_rng(seed)
+    t_len, step, m = {"desk": (64, 2, 6), "paper": (320, 32, 80)}[shape]
+    if shape == "desk":
+        cuts = np.sort(rng.choice(np.arange(1, t_len), m - 1, replace=False))
+    else:
+        cuts = np.round(np.arange(1, m) * t_len / m).astype(int) + rng.integers(-1, 2, m - 1)
+    starts = [0] + [int(c) * step for c in cuts]
+    ends = [s - 1 for s in starts[1:]] + [t_len * step - 1]
+    cps = ChangePointPartition(tuple(zip(starts, ends)), t_len * step)
+    return VideoRecord(shape, np.zeros((t_len, 1)), PickSequence(range(0, t_len * step, step)), cps,
+                       np.zeros((1, t_len)))
+
+
+@pytest.fixture()
+def maps_built(monkeypatch):
+    """The number of `SegmentIndexMap`s built since the last reset."""
+    built = [0]
+    init = SegmentIndexMap.__init__
+
+    def counted(self, picks, cps):
+        built[0] += 1
+        init(self, picks, cps)
+
+    monkeypatch.setattr(SegmentIndexMap, "__init__", counted)
+    return built
+
+
+class TestOneMapPerDecode:
+    @pytest.mark.parametrize("shape", ["desk", "paper"])
+    def test_decode_and_flip_rate_build_one_map_each(self, shape, maps_built, monkeypatch):
+        """`decode_summary` (K = 1) and `flip_rate` (K = 101) build one map a
+        call and pass it to `select_segments`; `select_segments` on the
+        video's cached map builds none and selects the same segments, bit
+        for bit."""
+        video = shaped_video(shape, 3)
+        seg = video.segment_map
+        signal = np.random.default_rng(4).uniform(0, 1, video.n_timesteps)
+        batches = []
+
+        def kept(rows, call_seg, rho):
+            batches.append((rows, select_segments(rows, call_seg, rho)))
+            return batches[-1][1]
+
+        monkeypatch.setattr(evaluation, "select_segments", kept)
+        maps_built[0] = 0
+        mask = decode_summary(signal, video.picks, video.change_points, 0.15)
+        assert maps_built[0] == 1
+        flip_rate(signal, video.picks, video.change_points, 0.15, 0.05, 100, 7)
+        assert maps_built[0] == 2
+        ((rows, batch),) = batches
+        single = select_segments(signal, seg, 0.15)
+        again = select_segments(rows, seg, 0.15)
+        assert maps_built[0] == 2
+        assert single.shape == (seg.n_segments,) and batch.shape == (101, seg.n_segments)
+        assert mask.selected_segments == tuple(single.nonzero()[0].tolist())
+        assert mask.y.tobytes() == single.repeat(seg.lengths).tobytes()
+        assert again.tobytes() == batch.tobytes()
 
 
 class TestBudget:

@@ -28,74 +28,90 @@ def lifted(params):
     return tape, dc.lift_params(tape, params)
 
 
+def latent_head(mu_z, log_var_z, hidden=None):
+    """d = 1 head params whose latent mean and log-variance are the rows
+    mu_z and log_var_z at every timestep: zero latent weights, the values as
+    biases (0.0 + b is b exactly)."""
+    scorer_cfg, head_cfg = configs(d=1, dz=len(mu_z), hidden=hidden)
+    params = init(scorer_cfg, head_cfg)
+    params["head.latent_mu.w"][:] = 0.0
+    params["head.latent_mu.b"][:] = mu_z
+    params["head.latent_logvar.w"][:] = 0.0
+    params["head.latent_logvar.b"][:] = log_var_z
+    return params
+
+
+def run_forward(params, h, noise):
+    tape, p = lifted(params)
+    return prob_head.forward(tape.constant(np.asarray(h, dtype=np.float64)), p, np.asarray(noise))
+
+
 class TestPosteriorParams:
+    """The latent mean and clamped log-variance `forward` records first."""
+
     def test_zero_weights(self):
         scorer_cfg, head_cfg = configs()
         params = init(scorer_cfg, head_cfg)
         params["head.latent_mu.w"][:] = 0.0
         params["head.latent_logvar.w"][:] = 0.0
-        tape, p = lifted(params)
-        mu_z, log_var_z = prob_head.posterior_params(tape.constant(np.ones((3, 4))), p)
-        assert np.array_equal(mu_z.value, np.zeros((3, 2)))
-        assert np.array_equal(log_var_z.value, np.zeros((3, 2)))
+        out = run_forward(params, np.ones((3, 4)), np.zeros((3, 2)))
+        assert np.array_equal(out.mu_z.value, np.zeros((3, 2)))
+        assert np.array_equal(out.log_var_z.value, np.zeros((3, 2)))
 
     def test_log_variance_clamped_both_ways(self):
         scorer_cfg, head_cfg = configs(d=1, dz=1)
         params = init(scorer_cfg, head_cfg)
         params["head.latent_logvar.w"][:] = 1.0
         params["head.latent_logvar.b"][:] = 0.0
-        tape, p = lifted(params)
-        _, log_var = prob_head.posterior_params(tape.constant([[12.0], [-20.0]]), p)
-        assert log_var.value.tolist() == [[5.0], [-10.0]]
+        out = run_forward(params, [[12.0], [-20.0]], np.zeros((2, 1)))
+        assert out.log_var_z.value.tolist() == [[5.0], [-10.0]]
 
     def test_identity_projection(self):
         scorer_cfg, head_cfg = configs(d=1, dz=1)
         params = init(scorer_cfg, head_cfg)
         params["head.latent_mu.w"][:] = 1.0
         params["head.latent_mu.b"][:] = 0.0
-        tape, p = lifted(params)
-        mu_z, _ = prob_head.posterior_params(tape.constant([[0.3]]), p)
-        assert mu_z.value[0, 0] == pytest.approx(0.3, abs=1e-15)
+        out = run_forward(params, [[0.3]], np.zeros((1, 1)))
+        assert out.mu_z.value[0, 0] == pytest.approx(0.3, abs=1e-15)
 
 
 class TestSampleLatent:
-    def _nodes(self, mu, log_var):
-        tape = dc.Tape()
-        return tape.constant(np.asarray(mu)), tape.constant(np.asarray(log_var))
+    """The reparameterized draw z = mu_z + exp(log_var_z / 2) * noise."""
 
     def test_zero_noise_returns_mean(self):
-        mu, lv = self._nodes([[0.7, -0.2]], [[1.0, -3.0]])
-        z = prob_head.sample_latent(mu, lv, np.zeros((1, 2)))
-        assert np.array_equal(z.value, mu.value)
+        out = run_forward(latent_head([0.7, -0.2], [1.0, -3.0]), [[1.0]], np.zeros((1, 2)))
+        assert out.mu_z.value.tolist() == [[0.7, -0.2]]
+        assert out.log_var_z.value.tolist() == [[1.0, -3.0]]
+        assert np.array_equal(out.z.value, out.mu_z.value)
 
     def test_unit_sigma(self):
-        mu, lv = self._nodes([[0.0]], [[0.0]])
-        z = prob_head.sample_latent(mu, lv, np.array([[1.5]]))
-        assert z.value[0, 0] == 1.5
+        out = run_forward(latent_head([0.0], [0.0]), [[1.0]], [[1.5]])
+        assert out.z.value[0, 0] == 1.5
 
     def test_sigma_two(self):
-        mu, lv = self._nodes([[1.0]], [[math.log(4.0)]])
-        z = prob_head.sample_latent(mu, lv, np.array([[-1.0]]))
-        assert z.value[0, 0] == pytest.approx(-1.0, abs=1e-12)
+        out = run_forward(latent_head([1.0], [math.log(4.0)]), [[1.0]], [[-1.0]])
+        assert out.log_var_z.value[0, 0] == math.log(4.0)
+        assert out.z.value[0, 0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        mu, lv = self._nodes([[0.0]], [[0.0]])
         with pytest.raises(ValueError, match="noise shape"):
-            prob_head.sample_latent(mu, lv, np.zeros((2, 1)))
+            run_forward(latent_head([0.0], [0.0]), [[1.0]], np.zeros((2, 1)))
 
 
 class TestImportanceParams:
+    """The logit and clamped observation log-variance from [h; z]."""
+
     def test_zero_mlp(self):
         scorer_cfg, head_cfg = configs()
         params = init(scorer_cfg, head_cfg)
+        params["head.latent_mu.w"][:] = 0.0
+        params["head.latent_mu.b"][:] = 1.0
         for name in ("head.mlp.w", "head.mu.w", "head.logv.w"):
             params[name][:] = 0.0
-        tape, p = lifted(params)
-        h = tape.constant(np.ones((3, 4)))
-        z = tape.constant(np.ones((3, 2)))
-        mu, log_v = prob_head.importance_params(h, z, p)
-        assert np.array_equal(mu.value, np.zeros(3))
-        assert np.array_equal(log_v.value, np.zeros(3))
+        out = run_forward(params, np.ones((3, 4)), np.zeros((3, 2)))
+        assert np.array_equal(out.z.value, np.ones((3, 2)))
+        assert np.array_equal(out.mu.value, np.zeros(3))
+        assert np.array_equal(out.log_v.value, np.zeros(3))
 
     def test_log_v_clamp_ceiling(self):
         scorer_cfg, head_cfg = configs()
@@ -103,27 +119,52 @@ class TestImportanceParams:
         params["head.mlp.w"][:] = 0.0
         params["head.logv.w"][:] = 0.0
         params["head.logv.b"][:] = 7.0
-        tape, p = lifted(params)
-        _, log_v = prob_head.importance_params(
-            tape.constant(np.zeros((2, 4))), tape.constant(np.zeros((2, 2))), p
-        )
-        assert log_v.value.tolist() == [5.0, 5.0]
+        out = run_forward(params, np.zeros((2, 4)), np.zeros((2, 2)))
+        assert np.array_equal(out.z.value, np.zeros((2, 2)))
+        assert out.log_v.value.tolist() == [5.0, 5.0]
 
     def test_hand_single_hidden_unit(self):
-        scorer_cfg, head_cfg = configs(d=1, dz=1, hidden=1)
-        params = init(scorer_cfg, head_cfg)
+        h_val, z_val = 0.4, -0.8
+        params = latent_head([z_val], [0.0], hidden=1)
         params["head.mlp.w"][:] = [[0.5], [0.25]]
         params["head.mlp.b"][:] = 0.1
         params["head.mu.w"][:] = 2.0
         params["head.mu.b"][:] = -0.05
-        tape, p = lifted(params)
-        h_val, z_val = 0.4, -0.8
-        mu, _ = prob_head.importance_params(
-            tape.constant([[h_val]]), tape.constant([[z_val]]), p
-        )
+        out = run_forward(params, [[h_val]], np.zeros((1, 1)))
+        assert out.z.value[0, 0] == z_val
         pre = 0.5 * h_val + 0.25 * z_val + 0.1
         hidden = pre * 0.5 * (1.0 + math.erf(pre / math.sqrt(2.0)))
-        assert mu.value[0] == pytest.approx(2.0 * hidden - 0.05, abs=1e-12)
+        assert out.mu.value[0] == pytest.approx(2.0 * hidden - 0.05, abs=1e-12)
+
+
+class TestTapeOrder:
+    """The exact nodes each read-out records, in order, at desk dims (d = 32,
+    dz = 8, T = 64): their kinds, and the weight each affine reads. Training's
+    bytes follow the tape's order, so a reordered stage shows here before it
+    moves a checkpoint."""
+
+    def test_forward_and_posterior_mean_logit(self):
+        scorer_cfg, head_cfg = configs(d=32, dz=8)
+        params = init(scorer_cfg, head_cfg, seed=17)
+        h = np.random.default_rng(18).standard_normal((64, 32))
+        expected = {
+            "forward": ["affine head.latent_mu.w", "affine head.latent_logvar.w", "clip",
+                        "scalar-scale", "exp", "const", "multiply", "add", "concat-last-dim",
+                        "affine head.mlp.w", "gelu", "affine head.mu.w", "affine head.logv.w", "clip"],
+            "posterior_mean_logit": ["affine head.latent_mu.w", "const", "add", "concat-last-dim",
+                                     "affine head.mlp.w", "gelu", "affine head.mu.w"],
+        }
+        for name, nodes in expected.items():
+            tape, p = lifted(params)
+            h_node = tape.constant(h)
+            start = len(tape.nodes)
+            if name == "forward":
+                prob_head.forward(h_node, p, np.zeros((64, 8)))
+            else:
+                prob_head.posterior_mean_logit(h_node, p)
+            recorded = [f"{node.kind} {node.parents[1].name}" if node.kind == "affine" else node.kind
+                        for node in tape.nodes[start:]]
+            assert recorded == nodes, name
 
 
 class TestCalibrateProbability:
@@ -245,8 +286,7 @@ class TestPosteriorMeanLogit:
         params["head.latent_mu.w"][:] = 0.0
         params["head.latent_mu.b"][:] = 0.0
         h = np.random.default_rng(14).standard_normal((6, 4))
-        tape, p = lifted(params)
-        assert not prob_head.posterior_params(tape.constant(h), p)[0].value.any()
+        assert not run_forward(params, h, np.zeros((6, 2))).mu_z.value.any()
         mean, drawn = self.both(params, h)
         assert mean.tobytes() == drawn.tobytes()
 

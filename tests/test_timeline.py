@@ -11,7 +11,6 @@ from vastsum.timeline import (
     PickSequence,
     SegmentIndexMap,
     assign_segment_ids,
-    segment_values,
 )
 
 from oracles import expand_scores, frame_weights, mean_rows, random_partition, random_picks
@@ -155,8 +154,8 @@ class TestAssignSegmentIds:
 
 
 class TestExpandScores:
-    """The frame rule `segment_values` pools under, on its reference
-    `oracles.expand_scores`; `segment_values` refuses the same inputs."""
+    """The frame rule a `SegmentIndexMap` call pools under, on its
+    reference `oracles.expand_scores`; the call refuses the same inputs."""
 
     def test_even_picks(self):
         out = expand_scores([10.0, 20.0, 30.0], PickSequence((0, 2, 4)), 6)
@@ -174,11 +173,11 @@ class TestExpandScores:
 
     def test_empty_scores_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            segment_values([], PickSequence((0,)), ChangePointPartition(((0, 2),), 3))
+            SegmentIndexMap(PickSequence((0,)), ChangePointPartition(((0, 2),), 3))([])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="2 picks"):
-            segment_values([1.0], PickSequence((0, 1)), ChangePointPartition(((0, 2),), 3))
+            SegmentIndexMap(PickSequence((0, 1)), ChangePointPartition(((0, 2),), 3))([1.0])
 
     def test_rows_expand_like_single_rows(self):
         rng = np.random.default_rng(8)
@@ -239,8 +238,8 @@ def has_empty_segment(picks, cps):
 
 
 class TestPoolingPlan:
-    """The one pooling, a `SegmentIndexMap` called on scores: `segment_values`
-    is a map built for the call, and training's tape node runs the video's
+    """The one pooling, a `SegmentIndexMap` called on scores: a map keeps
+    its pooling index across calls, and training's tape node runs the video's
     cached map's forward and adjoint."""
 
     def test_forward_is_segment_values_bit_for_bit(self):
@@ -250,7 +249,7 @@ class TestPoolingPlan:
             empty += has_empty_segment(picks, cps)
             for shape in ((len(picks),), (3, len(picks))):
                 scores = rng.standard_normal(shape)
-                assert seg(scores).tobytes() == segment_values(scores, picks, cps).tobytes()
+                assert seg(scores).tobytes() == SegmentIndexMap(picks, cps)(scores).tobytes()
                 assert seg(scores).shape == shape[:-1] + (cps.n_segments,)
         assert empty > 0
 
@@ -272,7 +271,7 @@ class TestPoolingPlan:
         x = np.random.default_rng(44).standard_normal(6)
         node = dc.segment_pool(dc.Tape().param("x", x), seg)
         assert node.kind == "segment-pool"
-        assert node.value.tobytes() == segment_values(x, picks, cps).tobytes()
+        assert node.value.tobytes() == SegmentIndexMap(picks, cps)(x).tobytes()
         g = np.random.default_rng(45).standard_normal(5)
         assert node.vjp(g)[0].tobytes() == seg.adjoint(g).tobytes()
 
@@ -301,7 +300,7 @@ class TestFrameWeights:
         assert weights.shape == (4, 3)
         pooled = weights @ scores
         np.testing.assert_allclose(pooled, [0.9, 0.9, -4.0 / 15.0, 0.2], rtol=0, atol=1e-15)
-        decoded = segment_values(scores, picks, cps)
+        decoded = SegmentIndexMap(picks, cps)(scores)
         np.testing.assert_allclose(pooled, decoded, rtol=0, atol=1e-15)
         # the pick-mean pool sees [0.9, 0, -0.15, 0] here
         assert weights[2].tolist() == [0.0, 10 / 15, 5 / 15]
@@ -318,7 +317,7 @@ class TestFrameWeights:
                 counts = np.bincount(frame_pick[start : end + 1], minlength=len(picks))
                 assert np.array_equal(weights[k], counts / (end - start + 1))
             scores = rng.standard_normal((3, len(picks)))
-            decoded = segment_values(scores, picks, cps)
+            decoded = SegmentIndexMap(picks, cps)(scores)
             np.testing.assert_allclose(scores @ weights.T, decoded, rtol=1e-12, atol=1e-12)
 
     def test_equal_spans_give_the_pick_mean_pool(self):

@@ -19,8 +19,8 @@ from vastsum.errors import ConfigError, NumericError
 from vastsum.timeline import (
     ChangePointPartition,
     PickSequence,
+    SegmentIndexMap,
     assign_segment_ids,
-    segment_values,
 )
 from vastsum.trainer import OptimizerState, adamw_step, clip_global_norm, train
 
@@ -500,8 +500,8 @@ class TestInferenceReadsNoVarianceHead:
 
 
 class TestStabilityPool:
-    """What the stability loss receives is the decoder's `segment_values` of
-    the decode signal, exactly."""
+    """What the stability loss receives is the decoder's segment values (a
+    `SegmentIndexMap` called on the decode signal), exactly."""
 
     # picks (0, 10, 20) span 10, 10 and 10 frames across segments of
     # 5, 5, 15 and 5 frames: the pick mean would give [s0, 0, mean(s1, s2), 0]
@@ -523,7 +523,7 @@ class TestStabilityPool:
         spy("stability_loss", trainer.losses.stability_loss)
         train(Dataset(mode, [video]), small_cfg(mode, epochs=1, accumulate=1))
         signal, pooled = seen["ranking_hinge"], seen["stability_loss"]
-        assert np.array_equal(pooled, segment_values(signal, self.PICKS, self.CPS))
+        assert np.array_equal(pooled, SegmentIndexMap(self.PICKS, self.CPS)(signal))
         assert pooled[0] == pooled[1] == signal[0]
         return signal
 

@@ -169,7 +169,7 @@ class TestDecodeAndRankBits:
             picks = PickSequence(random_picks(rng, cps.n_frames))
             shape = (len(picks),) if rows is None else (rows, len(picks))
             scores = np.asarray(special(rng, rng.standard_normal(shape), kind), order=order)
-            got = timeline.segment_values(scores, picks, cps)
+            got = timeline.SegmentIndexMap(picks, cps)(scores)
             assert same(got, wrapper_segment_values(expand_scores(scores, picks, cps.n_frames), cps))
 
     @pytest.mark.parametrize("kind", ["plain", "ties"])
@@ -182,7 +182,7 @@ class TestDecodeAndRankBits:
             rows = rng.integers(0, 3, shape).astype(np.float64) if kind == "ties" else rng.standard_normal(shape)
             rows = np.asfortranarray(rows)
             rho = float(rng.uniform(0.1, 0.6))
-            batch = decoder.select_segments(rows, picks, cps, rho)
+            batch = decoder.select_segments(rows, timeline.SegmentIndexMap(picks, cps), rho)
             assert batch.shape == (len(rows), cps.n_segments)
             for row, selection in zip(rows, batch):
                 single = decoder.decode_summary(row, picks, cps, rho).selected_segments
