@@ -10,6 +10,17 @@ from the reported means. Every reduction is exact before its one rounding,
 so no result depends on summation order: rank statistics are integer sums,
 and means over rows and videos go through math.fsum.
 
+One call ranks all its videos together. It checks every video first, in list
+order, so an input error names the first bad video. The videos are then
+grouped by their length T, and each group is cut, in list order, into chunks
+of at most `_CHUNK_CELLS` pair-row cells (row pairs x T), never splitting a
+video, so peak memory does not grow with the number of videos. A chunk
+stacks its videos' prediction rows and target rows, all of one length, so no
+row is padded and every row ranks as it would alone; a [T] prediction is
+ranked once and indexed for each target row it meets. Each statistic is built
+from exact integer counts of its own row pair put through one float formula,
+so no result depends on how the videos are grouped.
+
 Each side is ranked by one argsort (`_ranks`), and both statistics read that
 one ranking. The sort is numpy's default unstable one: every rank it yields
 is a function of a run of equal values (the run's start, its end, its
@@ -46,16 +57,20 @@ from .timeline import ChangePointPartition, PickSequence, SegmentIndexMap
 # only while T**3 < 2**63.
 _MAX_T = 1 << 21
 
+# A chunk of one length group holds at most this many pair-row cells (row
+# pairs x T), unless one video alone holds more.
+_CHUNK_CELLS = 1 << 16
+
 
 def _pair(name: str, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """`a` and `b` as float64 [T] or [K, T] arrays of one length
-    2 <= T < `_MAX_T` (a [T] side is paired with every row of a [K, T]
-    side); both finite."""
+    """`a` as a float64 [T] or [K, T] array and `b` as float64 [K, T] rows,
+    of one length 2 <= T < `_MAX_T` (a [T] `a` is paired with every row of
+    `b`); both finite."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if not (
-        a.ndim in (1, 2) and b.ndim in (1, 2) and a.shape[-1] == b.shape[-1] >= 2
-        and (a.ndim == 1 or b.ndim == 1 or a.shape[0] == b.shape[0])
+        a.ndim in (1, 2) and b.ndim == 2 and a.shape[-1] == b.shape[1] >= 2
+        and (a.ndim == 1 or a.shape[0] == b.shape[0])
     ):
         raise ValueError(f"{name} needs [T] or [K, T] inputs of one length T >= 2")
     if a.shape[-1] >= _MAX_T:
@@ -108,7 +123,8 @@ def _inversions(seq: np.ndarray, bound: int) -> np.ndarray:
 
     A bottom-up merge sort over all rows at once. At width w each block of 2w
     holds two sorted halves; adding (bound + 1) x the block's index to the
-    keys lets one stable argsort of the whole array merge every block. A
+    keys lets one stable argsort per row merge all of the row's blocks (row
+    by row, a sort's cost per element does not grow with the rows). A
     right-half element then moves left by the number of left-half elements
     greater than it, so the sum of those moves is the block's cross
     inversions. Rows are padded to a power of two with `bound`, which adds
@@ -120,42 +136,41 @@ def _inversions(seq: np.ndarray, bound: int) -> np.ndarray:
     is exact (the sum stays below 2**61 while T < `_MAX_T`)."""
     k, t = seq.shape
     width = 1 << (t - 1).bit_length()
-    vals = np.full(k * width, bound, dtype=np.int64)
-    vals.reshape(k, width)[:, :t] = seq
-    pos = np.arange(k * width)
+    vals = np.full((k, width), bound, dtype=np.int64)
+    vals[:, :t] = seq
+    pos = np.arange(width)
+    row_starts = np.arange(0, k * width, width)[:, None]
     counts = np.zeros(k, dtype=np.int64)
     shift = 1
     while 1 << shift <= width:
         w = 1 << (shift - 1)
-        order = (vals + (pos >> shift) * (bound + 1)).argsort(kind="stable")
-        counts += np.add.reduce(((order & w) * (order - pos)).reshape(k, width), 1) >> (shift - 1)
-        vals = vals[order]
+        order = (vals + (pos >> shift) * (bound + 1)).argsort(axis=1, kind="stable")
+        counts += np.add.reduce((order & w) * (order - pos), 1) >> (shift - 1)
+        vals = vals.reshape(-1)[order + row_starts]
         shift += 1
     return counts
 
 
 def _tau(ra, ties_a, rb, ties_b) -> np.ndarray:
-    """Tau-b per row from each side's min ranks and tied-pair counts; NaN
-    where either side is constant."""
-    n = ra.shape[-1]
+    """Tau-b of each row pair from each side's [R, T] min ranks and tied-pair
+    counts; NaN where either side is constant.
+
+    Each count is an exact int64 below 2**53, so its float64 is exact, and
+    the product, square root and division each round once, as the formula
+    on Python integers does."""
+    n = ra.shape[1]
     # sorting (a, b) rank keys leaves b's ranks in (a, b) order: b ascends
     # within each tie of a, so its inversions are exactly the discordant pairs
-    keys = (ra * n + rb).reshape(-1, n)
+    keys = ra * n + rb
     keys.sort(axis=1)
     ties_ab = _tied_pairs(_run_starts(keys))
     discordant = _inversions(keys % n, n)
     n0 = n * (n - 1) // 2
-    zeros = np.zeros(len(keys), dtype=np.int64)  # broadcasts a one-row side's count to every row
-    taus = []
-    for ta, tb, tab, d in zip(
-        (ties_a + zeros).tolist(), (ties_b + zeros).tolist(), ties_ab.tolist(), discordant.tolist()
-    ):
-        if ta == n0 or tb == n0:
-            taus.append(float("nan"))
-        else:
-            # concordant + discordant = n0 - ties_a - ties_b + ties_ab
-            taus.append((n0 - ta - tb + tab - 2 * d) / math.sqrt(float((n0 - ta) * (n0 - tb))))
-    return np.array(taus)
+    untied_a, untied_b = n0 - ties_a, n0 - ties_b
+    den = np.sqrt(untied_a * untied_b.astype(np.float64))
+    # concordant - discordant = n0 - ties_a - ties_b + ties_ab - 2 * discordant
+    return np.divide(untied_a - ties_b + ties_ab - 2 * discordant, den,
+                     out=np.full(len(keys), np.nan), where=den > 0)
 
 
 def _rho(ca, cb) -> np.ndarray:
@@ -215,20 +230,47 @@ def protocol_targets(protocol: str, annotations) -> np.ndarray:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def _correlate(video_id: str, preds, targets: np.ndarray) -> VideoCorrelation:
-    """Mean tau and rho over the (prediction, target) rows where neither side
-    is constant; degenerate when no row is left. `preds` is one [T]
-    prediction for every target row, or [K, T]. Each side is ranked once,
-    and both statistics read those ranks."""
-    preds, targets = _pair(f"video {video_id!r}: evaluate", preds, targets)
-    rp, cp, ties_p = _ranks(preds)
-    rt, ct, ties_t = _ranks(targets)
+def _chunks(videos):
+    """The index lists of the (predictions, targets) `videos` that are ranked
+    together: grouped by length, in list order, and cut before a chunk would
+    pass `_CHUNK_CELLS` pair-row cells, never inside a video."""
+    groups: dict[int, list[int]] = {}
+    for i, (_, targets) in enumerate(videos):
+        groups.setdefault(targets.shape[1], []).append(i)
+    for members in groups.values():
+        chunk, cells = [], 0
+        for i in members:
+            if chunk and cells + videos[i][1].size > _CHUNK_CELLS:
+                yield chunk
+                chunk, cells = [], 0
+            chunk.append(i)
+            cells += videos[i][1].size
+        yield chunk
+
+
+def _chunk_rows(preds, targets) -> tuple[list[float], list[float]]:
+    """Tau and rho of every row pair of one chunk's videos, video by video:
+    their [T] or [K, T] `preds` against their [K, T] `targets`, all of one
+    length T. Each side is ranked once, and both statistics read those
+    ranks."""
+    # a [T] prediction's one row is read by each of its video's target rows
+    reads = []
+    for pred, target in zip(preds, targets):
+        reads += [1] * len(pred) if pred.ndim == 2 else [len(target)]
+    rows = np.concatenate([pred.reshape(-1, pred.shape[-1]) for pred in preds])
+    ra, ca, ties_a = (side.repeat(reads, axis=0) for side in _ranks(rows))
+    rb, cb, ties_b = _ranks(np.concatenate(targets))
     # a constant row on either side makes both statistics NaN
-    taus = _tau(rp, ties_p, rt, ties_t)
-    keep = ~np.isnan(taus)
-    if not np.logical_or.reduce(keep):
+    return _tau(ra, ties_a, rb, ties_b).tolist(), _rho(ca, cb).tolist()
+
+
+def _video_row(video_id: str, taus: list[float], rhos: list[float]) -> VideoCorrelation:
+    """Mean tau and rho over a video's row pairs where neither side is
+    constant; degenerate when no pair is left."""
+    kept = [(tau, rho) for tau, rho in zip(taus, rhos) if not math.isnan(tau)]
+    if not kept:
         return VideoCorrelation(video_id, float("nan"), float("nan"), True)
-    taus, rhos = taus[keep], _rho(cp, ct)[keep]
+    taus, rhos = zip(*kept)
     return VideoCorrelation(video_id, math.fsum(taus) / len(taus), math.fsum(rhos) / len(rhos), False)
 
 
@@ -246,13 +288,24 @@ def evaluate(protocol: str, video_ids, predictions, annotations) -> CorrelationR
     """Correlate each prediction with its protocol targets, average per video,
     then across videos. Each video's annotations are [U, T], one row per
     annotator. Constant predictions or all-constant targets are flagged
-    degenerate."""
-    rows = []
+    degenerate. Every video is checked before any is ranked, and then all
+    are ranked together (see the module docstring)."""
+    ids, videos = [], []
     for vid, pred, ann in _per_video(video_ids, predictions=predictions, annotations=annotations):
         ann = np.asarray(ann, dtype=np.float64)
         if ann.ndim != 2:
             raise ValueError(f"video {vid!r}: evaluate needs [U, T] annotations, got shape {ann.shape}")
-        rows.append(_correlate(vid, pred, protocol_targets(protocol, ann)))
+        pred, targets = _pair(f"video {vid!r}: evaluate", pred, protocol_targets(protocol, ann))
+        ids.append(vid)
+        videos.append((pred, targets))
+    rows = [None] * len(videos)
+    for chunk in _chunks(videos):
+        taus, rhos = _chunk_rows(*zip(*(videos[i] for i in chunk)))
+        start = 0
+        for i in chunk:
+            end = start + len(videos[i][1])
+            rows[i] = _video_row(ids[i], taus[start:end], rhos[start:end])
+            start = end
     return _finish_report(rows)
 
 

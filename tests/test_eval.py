@@ -145,9 +145,19 @@ def all_tied_but_one(rng, n):
     return x
 
 
+def correlate(pred, targets):
+    """The one video of an `evaluate` call: a [T] or [K, T] prediction against
+    [K, T] target rows, or against one [T] target row for every prediction
+    row (repeated, as `evaluate` takes [U, T] annotations only)."""
+    targets = np.asarray(targets)
+    if targets.ndim == 1:
+        targets = np.broadcast_to(targets, np.shape(np.atleast_2d(pred)))
+    return evaluate("tvsum", ["v"], [pred], [targets]).per_video[0]
+
+
 class TestBatchedRows:
-    """[T] and [K, T] inputs through `_correlate`, checked with == against the
-    loop oracles."""
+    """[T] and [K, T] inputs through `evaluate` with one video, checked with
+    == against the loop oracles."""
 
     def cases(self, seed):
         # lengths 2, 3 and non-powers of two; untied, heavily tied, all-tied-but-one
@@ -165,7 +175,7 @@ class TestBatchedRows:
         for pred, targets in self.cases(seed=41):
             want_taus, want_rhos = [], []
             for target in targets:
-                row = evaluation._correlate("v", pred, target[None])
+                row = correlate(pred, target[None])
                 want_tau = naive_kendall_tau(pred.tolist(), target.tolist())
                 if math.isnan(want_tau):  # a constant row
                     assert row.degenerate and math.isnan(row.tau) and math.isnan(row.rho)
@@ -176,7 +186,7 @@ class TestBatchedRows:
                 want_taus.append(want_tau)
                 want_rhos.append(want_rho)
                 checked += 1
-            row = evaluation._correlate("v", pred, targets)
+            row = correlate(pred, targets)
             assert row.degenerate == (not want_taus)
             if want_taus:
                 assert row.tau == math.fsum(want_taus) / len(want_taus)
@@ -187,9 +197,9 @@ class TestBatchedRows:
         for pred, targets in self.cases(seed=42):
             for a, b in ((pred, targets), (targets, pred), (targets, targets[::-1])):
                 rows = np.broadcast_arrays(a, b)
-                singles = [evaluation._correlate("v", x, y[None]) for x, y in zip(*rows)]
+                singles = [correlate(x, y[None]) for x, y in zip(*rows)]
                 kept = [r for r in singles if not r.degenerate]
-                row = evaluation._correlate("v", a, b)
+                row = correlate(a, b)
                 assert row.degenerate == (not kept)
                 if kept:
                     assert repr(row.tau) == repr(math.fsum(r.tau for r in kept) / len(kept))
@@ -211,7 +221,7 @@ class TestBatchedRows:
                 report = evaluate("tvsum", ids, list(rows), [target[None] for target in targets])
                 for per_row in report.per_video:
                     assert per_row.degenerate == math.isnan(per_row.tau) == math.isnan(per_row.rho)
-                row = evaluation._correlate("v", preds, targets)
+                row = correlate(preds, targets)
                 if report.degenerate_count == len(targets):
                     assert row.degenerate and math.isnan(row.tau) and math.isnan(row.rho)
                     continue
@@ -259,6 +269,113 @@ class TestBatchedRows:
             tracemalloc.stop()
         assert -1.0 < tau < 1.0
         assert peak < 4 * 2**20
+
+
+class TestBatchedVideos:
+    """One `evaluate` call ranks all its videos together, grouped by length
+    and cut into chunks; every statistic equals one call per video."""
+
+    # nine length groups of four videos each, across the merge count's
+    # power-of-two widths 2, 4, 64, 128 and 2,048
+    LENGTHS = (2, 3, 4, 40, 63, 64, 65, 100, 1100)
+    KINDS = ("untied", "ties", "all-tied-but-one", "constant-prediction", "constant-target-row", "rows")
+
+    def videos(self, protocol, seed):
+        """Videos of every length and kind, with 1 to 25 annotator rows
+        (1 at T = 1,100, for the pairwise oracles' sake)."""
+        rng = np.random.default_rng(seed)
+        ids, preds, anns = [], [], []
+        for i in range(4 * len(self.LENGTHS)):
+            t = self.LENGTHS[i % len(self.LENGTHS)]
+            u = 1 if t > 100 else 1 + (7 * i) % 25
+            kind = self.KINDS[(i + i // len(self.LENGTHS)) % len(self.KINDS)]
+            if kind == "ties":
+                pred, ann = rng.integers(0, 3, t).astype(float), rng.integers(0, 2, (u, t)).astype(float)
+            elif kind == "all-tied-but-one":
+                pred, ann = all_tied_but_one(rng, t), np.array([all_tied_but_one(rng, t) for _ in range(u)])
+            else:
+                pred, ann = rng.standard_normal(t), rng.uniform(0, 1, (u, t))
+            if kind == "constant-prediction":
+                pred = np.full(t, 0.25)
+            elif kind == "constant-target-row":
+                ann[0] = 0.5
+            elif kind == "rows":  # a [K, T] prediction, one row per target row
+                pred = rng.standard_normal((u if protocol == "tvsum" else 1, t))
+            ids.append(f"v{i}")
+            preds.append(pred)
+            anns.append(ann)
+        assert {len(a) for a in anns} >= {1, 25}
+        return ids, preds, anns
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1, 4096])
+    @pytest.mark.parametrize("protocol", ["tvsum", "summe"])
+    def test_one_call_equals_a_call_per_video(self, monkeypatch, protocol, chunk_cells):
+        # the default chunks, one video a chunk, and chunks of a few videos
+        if chunk_cells is not None:
+            monkeypatch.setattr(evaluation, "_CHUNK_CELLS", chunk_cells)
+        ids, preds, anns = self.videos(protocol, seed=61)
+        report = evaluate(protocol, ids, preds, anns)
+        singles = [evaluate(protocol, [i], [p], [a]).per_video[0] for i, p, a in zip(ids, preds, anns)]
+        for got, want in zip(report.per_video, singles, strict=True):
+            assert (got.video_id, repr(got.tau), repr(got.rho), got.degenerate) == (
+                want.video_id, repr(want.tau), repr(want.rho), want.degenerate)
+        kept = [row for row in singles if not row.degenerate]
+        assert 0 < len(kept) < len(singles)
+        assert report.degenerate_count == len(singles) - len(kept)
+        assert repr(report.mean_tau) == repr(math.fsum(row.tau for row in kept) / len(kept))
+        assert repr(report.mean_rho) == repr(math.fsum(row.rho for row in kept) / len(kept))
+
+    @pytest.mark.parametrize("protocol", ["tvsum", "summe"])
+    def test_rows_match_the_oracles_exactly(self, protocol):
+        ids, preds, anns = self.videos(protocol, seed=62)
+        report = evaluate(protocol, ids, preds, anns)
+        for row, pred, ann in zip(report.per_video, preds, anns):
+            targets = protocol_targets(protocol, ann)
+            pairs = zip(*np.broadcast_arrays(pred, targets))
+            stats = [(naive_kendall_tau(a.tolist(), b.tolist()), naive_spearman(a.tolist(), b.tolist()))
+                     for a, b in pairs]
+            kept = [(tau, rho) for tau, rho in stats if not math.isnan(tau)]
+            assert row.degenerate == (not kept)
+            if kept:
+                assert row.tau == math.fsum(tau for tau, _ in kept) / len(kept)
+                assert row.rho == math.fsum(rho for _, rho in kept) / len(kept)
+
+    def test_peak_memory_does_not_grow_with_the_videos(self):
+        # desk-shaped videos (T = 64, U = 20); one chunk of every row would
+        # peak at ten times the 40 videos' peak
+        rng = np.random.default_rng(63)
+        peaks = []
+        for count in (40, 400):
+            preds = [rng.standard_normal(64) for _ in range(count)]
+            anns = [rng.uniform(0, 1, (20, 64)) for _ in range(count)]
+            tracemalloc.start()
+            try:
+                evaluate("tvsum", [f"v{i}" for i in range(count)], preds, anns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
+    @pytest.mark.parametrize("fault, message", [
+        ("non-finite", r"^video 'v2': evaluate needs finite inputs$"),
+        ("annotation-shape", r"^video 'v2': evaluate needs \[U, T\] annotations, got shape \(5,\)$"),
+        ("length-mismatch", r"^video 'v2': evaluate needs \[T\] or \[K, T\] inputs of one length T >= 2$"),
+    ])
+    def test_the_first_bad_video_is_named(self, fault, message):
+        # videos of three lengths, with a second fault in the last one: the
+        # check runs in list order before any video is ranked
+        rng = np.random.default_rng(64)
+        preds = [rng.standard_normal(t) for t in (5, 40, 5, 70, 5)]
+        anns = [rng.uniform(0, 1, (3, len(p))) for p in preds]
+        preds[4] = np.full(5, np.nan)
+        if fault == "non-finite":
+            anns[2][1, 3] = np.inf
+        elif fault == "annotation-shape":
+            anns[2] = anns[2][0]
+        else:
+            preds[2] = preds[2][:4]
+        with pytest.raises(ValueError, match=message):
+            evaluate("tvsum", [f"v{i}" for i in range(5)], preds, anns)
 
 
 def inversion_rows(kind, rng, k, n):

@@ -289,6 +289,11 @@ def test_hot_paths_enter_no_removed_wrapper(mode):
         decoder.decode_summary(signals[0], video.picks, video.change_points, cfg.train.rho)
         evaluation.evaluate(mode, [v.video_id for v in data.videos], signals,
                             [v.annotations for v in data.videos])
+        # the desk videos share one length and one stack; here two cut to
+        # T = 40 make one group and one cut to T = 5 a second
+        cuts = list(zip((40, 40, 5), signals, data.videos))
+        evaluation.evaluate(mode, [f"cut{i}" for i in range(len(cuts))], [s[:t] for t, s, _ in cuts],
+                            [v.annotations[:, :t] for t, _, v in cuts])
         evaluation.flip_rate(signals[0], video.picks, video.change_points, cfg.train.rho, 0.05, 5, 1)
 
     entered = entered_wrappers(run)
