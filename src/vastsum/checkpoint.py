@@ -32,7 +32,9 @@ _LENGTH_BYTES = 8
 
 
 def params_to_bytes(params: dict[str, np.ndarray], meta: dict | None = None) -> bytes:
-    arrays = {name: np.asarray(params[name], dtype="<f8") for name in sorted(params)}
+    # each tensor's own C-ordered buffer goes into the join, so the payload is
+    # copied once; np.ascontiguousarray would turn a 0-d tensor into 1-d
+    arrays = {name: np.asarray(params[name], dtype="<f8", order="C") for name in sorted(params)}
     tensors, offset = {}, 0
     for name, value in arrays.items():
         tensors[name] = {"offset": offset, "shape": list(value.shape)}
@@ -41,7 +43,7 @@ def params_to_bytes(params: dict[str, np.ndarray], meta: dict | None = None) -> 
     header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return b"".join(
         [len(header).to_bytes(_LENGTH_BYTES, "little"), header]
-        + [value.tobytes() for value in arrays.values()]
+        + list(arrays.values())
     )
 
 
@@ -106,6 +108,8 @@ def _read_header(path, blob: bytes) -> tuple[dict, int]:
         header = json.loads(blob[_LENGTH_BYTES:start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         refuse(f"header is not UTF-8 JSON ({exc})")
+    except RecursionError as exc:
+        refuse(f"header is nested too deeply ({exc})")
     if not isinstance(header, dict):
         refuse(f"header must be a JSON object, got {type(header).__name__}")
     if header.get("format") != FORMAT_NAME:

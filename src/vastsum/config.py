@@ -213,14 +213,18 @@ def run_config_from_dict(raw: dict) -> RunConfig:
     return RunConfig(**kwargs).validate()
 
 
-def read_json(path, what: str, error: type[Exception] = ConfigError):
-    """The JSON document in the file at `path`. A file that is not UTF-8 JSON
-    raises `error`, naming `what` the file holds and its path."""
+def read_json(path, what: str, error: type[Exception] = ConfigError, object_hook=None):
+    """The JSON document in the file at `path`. A file that is not UTF-8 JSON,
+    or that nests too deeply for the parser, raises `error`, naming `what`
+    the file holds and its path. `object_hook` goes to `json.load`, which
+    calls it on each object as the parser completes it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise error(f"cannot parse {what} {path}: {exc}") from exc
+        except RecursionError as exc:
+            raise error(f"cannot parse {what} {path}: nested too deeply ({exc})") from exc
 
 
 def load_run_config(path) -> RunConfig:

@@ -88,10 +88,34 @@ def _fail(video_id: str, reason: str):
     raise ValueError(f"video {video_id!r}: {reason}")
 
 
+# the keys whose lists become float64 arrays, and what a failed conversion raises
+_ARRAY_KEYS = ("features", *ANNOTATION_KEY.values())
+_NOT_NUMERIC = (TypeError, ValueError, OverflowError)  # OverflowError: an int too big for a float
+
+
+def _as_float64(value) -> np.ndarray:
+    """The one conversion of a JSON list to an array; a no-op on an array it made."""
+    return np.asarray(value, dtype=np.float64)
+
+
+def _convert_arrays(obj: dict) -> dict:
+    """`json.load`'s object_hook: turn the array keys' lists into arrays as the
+    parser completes each object, so one video's lists are alive at a time.
+    A list that fails to convert stays, for `_validate_record` to refuse by
+    video and key. The binary payload of ROADMAP item 10b deletes this hook."""
+    for key in _ARRAY_KEYS:
+        if isinstance(obj.get(key), list):
+            try:
+                obj[key] = _as_float64(obj[key])
+            except _NOT_NUMERIC:
+                pass
+    return obj
+
+
 def _float_array(video_id: str, raw: dict, key: str) -> np.ndarray:
     try:
-        return np.asarray(raw[key], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int too big for a float
+        return _as_float64(raw[key])
+    except _NOT_NUMERIC as exc:
         _fail(video_id, f"{key} must be numeric: {exc}")
 
 
@@ -162,8 +186,12 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None, index: int) 
 
 
 def load_dataset(path) -> Dataset:
-    """Parse and fully validate a dataset file."""
-    raw = read_json(path, "dataset", ValueError)
+    """Parse and fully validate a dataset file.
+
+    The whole text is read at once, but each video's `features` and
+    annotation lists become arrays as the parser completes that video, so a
+    load holds the text, the arrays so far and at most one video's lists."""
+    raw = read_json(path, "dataset", ValueError, _convert_arrays)
     if not isinstance(raw, dict) or "mode" not in raw or "videos" not in raw:
         raise ValueError("dataset must be an object with 'mode' and 'videos'")
     mode = raw["mode"]

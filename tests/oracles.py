@@ -6,12 +6,13 @@ formula is shared with the implementation (e.g. the tau-b normalization),
 the combinatorial quantities feeding it are derived independently. The
 exceptions are `mean_rows`, a tape reducer the gradient tests build losses
 with, and the earlier formulations kept to check the current ones bit for
-bit: `reference_value_dp`, `packed_key_dp`, `unreduced_knapsack` and
-`reference_stability_loss`.
+bit: `reference_value_dp`, `packed_key_dp`, `unreduced_knapsack`,
+`reference_stability_loss` and `tobytes_params_to_bytes`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 
@@ -413,3 +414,19 @@ def wrapper_ranks(x):
     np.put_along_axis(min_ranks, order, starts, axis=-1)
     np.put_along_axis(centered, order, starts + ends - n, axis=-1)
     return min_ranks, centered, (np.arange(n) - starts).sum(axis=-1)
+
+
+def tobytes_params_to_bytes(params, meta=None):
+    """checkpoint.params_to_bytes as it was before it joined the tensors' own
+    buffers: each tensor's `tobytes()` copy, then a join that copies again."""
+    arrays = {name: np.asarray(params[name], dtype="<f8") for name in sorted(params)}
+    tensors, offset = {}, 0
+    for name, value in arrays.items():
+        tensors[name] = {"offset": offset, "shape": list(value.shape)}
+        offset += value.nbytes
+    doc = {"format": "vastsum-params-v2", "meta": meta or {}, "tensors": tensors}
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join(
+        [len(header).to_bytes(8, "little"), header]
+        + [value.tobytes() for value in arrays.values()]
+    )

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vastsum
@@ -481,6 +482,49 @@ def test_integer_beyond_float_range_exit_2(tmp_path, trained, tiny_dataset, caps
         assert capsys.readouterr().err.splitlines() == [
             "error: video 'v000': features must be numeric: int too large to convert to float"
         ], argv[0]
+
+
+@pytest.mark.parametrize("fault", ["ragged-features", "string-in-scores", "int-beyond-float-range"])
+def test_bad_array_in_the_second_of_three_videos_exit_2(tmp_path, tiny_dataset, capsys, fault):
+    # the parse-time conversion leaves a bad list to the validator, which
+    # names the video and key with the message the plain conversion raises
+    doc = json.loads(Path(tiny_dataset).read_text())
+    video = doc["videos"][1]
+    key = "features" if fault == "ragged-features" else "scores"
+    if fault == "ragged-features":
+        video["features"][3].pop()
+    elif fault == "string-in-scores":
+        video["scores"][1][2] = "high"
+    else:
+        video["scores"][0][5] = 10**400
+    with pytest.raises((TypeError, ValueError, OverflowError)) as plain:
+        np.asarray(video[key], dtype=np.float64)
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("train", "--data", str(data), "--out-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: video 'v001': {key} must be numeric: {plain.value}"
+    ]
+
+
+@pytest.mark.parametrize("what", ["dataset", "config", "checkpoint"])
+def test_deeply_nested_file_exit_2(tmp_path, tiny_config_file, tiny_dataset, capsys, what):
+    # the parser runs out of recursion depth: one error line naming the file
+    path = tmp_path / f"deep-{what}.json"
+    if what == "checkpoint":
+        path.write_bytes(with_length(b"[" * 100_000))
+        argv = ["decode", "--checkpoint", str(path), "--data", tiny_dataset, "--out", str(tmp_path / "m.json")]
+        want = f"error: {path} is not a vastsum-params-v2 checkpoint: header is nested too deeply ("
+    else:
+        path.write_text("[" * 200_000)
+        data, config = (path, tiny_config_file) if what == "dataset" else (tiny_dataset, path)
+        argv = ["train", "--data", str(data), "--config", str(config), "--out-dir", str(tmp_path / "out")]
+        want = f"error: cannot parse {what} {path}: nested too deeply ("
+    capsys.readouterr()
+    assert run(*argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(want), lines
 
 
 class TestEval:

@@ -1,9 +1,12 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vastsum.data import (
+    ANNOTATION_KEY,
     SyntheticConfig,
     dataset_to_dict,
     generate_synthetic,
@@ -142,6 +145,73 @@ class TestLoadDataset:
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ValueError, match="mode"):
             load_dataset(write(tmp_path, {"mode": "other", "videos": [valid_video()]}))
+
+
+def write_compact(dataset, path):
+    """`dataset` as one compact JSON line, the layout of the benchmark corpus."""
+    path.write_text(json.dumps(dataset_to_dict(dataset), separators=(",", ":")))
+    return path
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "data"
+
+
+class TestArraysBuiltWhileParsing:
+    def test_load_peaks_below_a_bare_parse(self, tmp_path):
+        # paper proportions at test size: ~20 text bytes a float, so the
+        # parsed lists outweigh the text, and only one video's may be alive.
+        # The load then peaks in the text read, which holds the file's bytes
+        # and its str at once: ~0.75 of the bare parse's peak
+        cfg = SyntheticConfig(n_videos=6, timesteps=200, feature_dim=128, annotators=20,
+                              segments=20, seed=3)
+        path = write_compact(generate_synthetic(cfg), tmp_path / "six.json")
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def bare():
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+
+        assert peak(lambda: load_dataset(path)) <= 0.8 * peak(bare)
+
+    @pytest.mark.parametrize("source", ["example_tvsum", "example_summe", "generated"])
+    def test_arrays_equal_a_plain_parse_bit_for_bit(self, tmp_path, source):
+        if source == "generated":
+            doc = dataset_to_dict(generate_synthetic(SyntheticConfig(n_videos=3, seed=9)))
+            # JSON true and false load as 1.0 and 0.0
+            doc["videos"][1]["features"][0][:2] = [True, False]
+            doc["videos"][2]["scores"][0][0] = True
+            path = write(tmp_path, doc)
+        else:
+            path = EXAMPLES / f"{source}.json"
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        dataset = load_dataset(path)
+        key = ANNOTATION_KEY[doc["mode"]]
+        assert len(dataset.videos) == len(doc["videos"])
+        for video, raw in zip(dataset.videos, doc["videos"]):
+            for got, listed in ((video.features, raw["features"]), (video.annotations, raw[key])):
+                want = np.asarray(listed, dtype=np.float64)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous and got.flags.writeable
+
+    def test_a_features_key_inside_a_row_keeps_the_plain_message(self, tmp_path):
+        # the hook sees every object; a `features` key inside a feature row
+        # still fails the row's conversion, with the plain parse's message
+        bad = valid_video()
+        bad["features"][1] = [{"features": [1.0]}, 0.5]
+        with pytest.raises(ValueError) as info:
+            load_dataset(write(tmp_path, {"mode": "tvsum", "videos": [valid_video("a"), bad]}))
+        with pytest.raises(TypeError) as plain:
+            np.asarray(json.loads(json.dumps(bad["features"])), dtype=np.float64)
+        assert str(info.value) == f"video 'v0': features must be numeric: {plain.value}"
 
 
 class TestGenerateSynthetic:

@@ -24,6 +24,8 @@ from vastsum.timeline import (
 )
 from vastsum.trainer import OptimizerState, adamw_step, clip_global_norm, train
 
+from oracles import tobytes_params_to_bytes
+
 
 def small_cfg(mode="tvsum", epochs=3, **train_kw):
     train_defaults = dict(lr=3e-3, epochs=epochs, accumulate=2, seed=1, mode=mode)
@@ -646,6 +648,23 @@ class TestCheckpointRoundTrip:
         loaded, loaded_meta = load_params(path)
         assert loaded_meta == meta
         assert np.array_equal(loaded["w"].view(np.int64), params["w"].view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["flat-tensors", "plain-dict", "transposed", "float32",
+                                      "zero-d", "empty"])
+    def test_bytes_equal_the_two_copy_form(self, kind):
+        rng = np.random.default_rng(11)
+        flat = trainer.init_all_params(small_cfg(), rng)
+        params = {
+            "flat-tensors": flat,
+            "plain-dict": {name: value.copy() for name, value in flat.items()},
+            "transposed": {"a": rng.standard_normal((3, 5)).T, "b": rng.standard_normal((4, 6))[:, ::2]},
+            "float32": {"w": rng.standard_normal((2, 3)).astype(np.float32), "b": np.float32([1.5])},
+            "zero-d": {"scalar": np.array(-0.0), "w": np.array([2.5])},
+            "empty": {"none": np.zeros((0, 3)), "w": np.array([1.0, -1.0])},
+        }[kind]
+        meta = {"config": {"k": 1}}
+        assert params_to_bytes(params, meta) == tobytes_params_to_bytes(params, meta)
+        assert params_to_bytes(params) == tobytes_params_to_bytes(params)
 
     def test_bytes_ignore_insertion_order(self):
         params = trainer.init_all_params(small_cfg(), np.random.default_rng(0))
