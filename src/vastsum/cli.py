@@ -73,7 +73,6 @@ def cmd_train(args) -> int:
         cfg.train.seed = args.seed
     if args.epochs is not None:
         cfg.train.epochs = args.epochs
-    cfg.validate()
     dataset = load_dataset(args.data)
     cfg.train.mode = dataset.mode
     val_videos = None

@@ -2,6 +2,7 @@
 
 A run config is one JSON document with four sections (scorer, head, loss,
 train); unknown sections or keys are rejected before any work starts.
+`RunConfig.validate` is the one check of its values.
 
 Each setting declares its type and its rule once, on its dataclass field
 (`setting(default, rule)`). `check_fields` holds every field to both, so a
@@ -100,13 +101,6 @@ class ScorerConfig:
     ffn_mult: int = setting(4, at_least(1))
     max_timesteps: int = setting(1024, at_least(1))
 
-    def validate(self):
-        check_fields("scorer", self)
-        if self.model_dim % self.heads != 0:
-            raise ConfigError(
-                f"scorer.model_dim {self.model_dim} not divisible by heads {self.heads}"
-            )
-
     @property
     def head_dim(self) -> int:
         return self.model_dim // self.heads
@@ -119,9 +113,6 @@ class HeadConfig:
     latent_dim: int = setting(16, at_least(1))
     hidden_dim: int | None = setting(None, at_least(1))  # defaults to the scorer model_dim
     temperature: float = setting(1.0, POSITIVE)
-
-    def validate(self):
-        check_fields("head", self)
 
 
 @dataclass
@@ -142,9 +133,6 @@ class LossConfig:
     warmup_stab: int = setting(20, at_least(0))
     warmup_kl: int = setting(10, at_least(0))
 
-    def validate(self):
-        check_fields("loss", self)
-
 
 @dataclass
 class TrainConfig:
@@ -162,9 +150,6 @@ class TrainConfig:
     mode: str = setting("tvsum", MODE)
     rho: float = setting(0.15, FRACTION)
 
-    def validate(self):
-        check_fields("train", self)
-
 
 @dataclass
 class RunConfig:
@@ -176,14 +161,18 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
-        self.scorer.validate()
-        self.head.validate()
-        self.loss.validate()
-        self.train.validate()
+        """Every section's fields by their rules, then the one rule that
+        relates two keys; returns the config."""
+        for section in dataclasses.fields(self):
+            check_fields(section.name, getattr(self, section.name))
+        s = self.scorer
+        if s.model_dim % s.heads != 0:
+            raise ConfigError(f"scorer.model_dim {s.model_dim} not divisible by heads {s.heads}")
         return self
 
 
-_SECTIONS = {"scorer": ScorerConfig, "head": HeadConfig, "loss": LossConfig, "train": TrainConfig}
+# the sections are RunConfig's fields, named and typed once there
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def _build_section(cls, values: dict):

@@ -10,10 +10,10 @@ A dataset is one JSON document:
                  | "summaries": [[0/1, ...], ...]}]}       # summe, U x T
 
 Loading is the single validation gate: every invariant is checked and a
-violation aborts with the offending video id. A `VideoRecord` describes its
-timeline once: `n_frames` is its partition's, and `segment_map`, built at
-load and kept, is the `SegmentIndexMap` from which training and inference
-read the token pool and the decoder's pooling. The synthetic generator
+violation aborts with the offending video id. A `VideoRecord` keeps its
+timeline once, as the `SegmentIndexMap` built at load: its `picks`,
+`change_points` and `n_frames` read that map, as do training's token pool
+and the decoder's pooling. The synthetic generator
 embeds a per-segment latent importance linearly into the features so that a
 trained model (or even a linear probe) can recover it.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,13 +34,21 @@ from .timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assig
 @dataclass
 class VideoRecord:
     """One video: features and supervision on the sampled timeline, plus the
-    pick/partition metadata tying it to the original timeline."""
+    `SegmentIndexMap` tying it to the original timeline, the only place its
+    picks and partition are kept."""
 
     video_id: str
     features: np.ndarray
-    picks: PickSequence
-    change_points: ChangePointPartition
+    segment_map: SegmentIndexMap
     annotations: np.ndarray
+
+    @property
+    def picks(self) -> PickSequence:
+        return self.segment_map.picks
+
+    @property
+    def change_points(self) -> ChangePointPartition:
+        return self.segment_map.cps
 
     @property
     def n_timesteps(self) -> int:
@@ -49,12 +56,7 @@ class VideoRecord:
 
     @property
     def n_frames(self) -> int:
-        return self.change_points.n_frames
-
-    @cached_property
-    def segment_map(self) -> SegmentIndexMap:
-        """`assign_segment_ids(picks, change_points)`, built once and kept."""
-        return assign_segment_ids(self.picks, self.change_points)
+        return self.segment_map.cps.n_frames
 
 
 @dataclass
@@ -150,10 +152,9 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None, index: int) 
         # a JSON integral float (2.0) passed is_integral; the constructors take ints only
         picks = PickSequence(tuple(map(int, raw["picks"])))
         cps = ChangePointPartition(tuple((int(s), int(e)) for s, e in pairs), n_frames)
+        segment_map = assign_segment_ids(picks, cps)  # a CoverageError is a ValueError
     except ValueError as exc:
         _fail(vid, str(exc))
-    if picks.picks[-1] >= n_frames:
-        _fail(vid, f"pick {picks.picks[-1]} outside [0, {n_frames - 1}]")
 
     features = _float_array(vid, raw, "features")
     if features.ndim != 2 or features.shape[0] != len(picks):
@@ -174,15 +175,7 @@ def _validate_record(raw: dict, mode: str, feature_dim: int | None, index: int) 
     else:
         if not np.all(np.isin(annotations, (0.0, 1.0))):
             _fail(vid, "summe summaries must be binary")
-    record = VideoRecord(
-        video_id=vid,
-        features=features,
-        picks=picks,
-        change_points=cps,
-        annotations=annotations,
-    )
-    record.segment_map  # built here and kept; every pick lies in the partition, so no CoverageError
-    return record
+    return VideoRecord(video_id=vid, features=features, segment_map=segment_map, annotations=annotations)
 
 
 def load_dataset(path) -> Dataset:
@@ -194,6 +187,9 @@ def load_dataset(path) -> Dataset:
     raw = read_json(path, "dataset", ValueError, _convert_arrays)
     if not isinstance(raw, dict) or "mode" not in raw or "videos" not in raw:
         raise ValueError("dataset must be an object with 'mode' and 'videos'")
+    unknown = set(raw) - {"mode", "videos"}
+    if unknown:
+        raise ValueError(f"dataset has unknown keys {sorted(unknown)}")
     mode = raw["mode"]
     if mode not in MODES:
         raise ValueError(f"dataset mode must be one of {MODES}, got {mode!r}")
@@ -276,15 +272,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
             thresholds = rng.uniform(0.3, 0.7, cfg.annotators)
             noise = cfg.annotator_noise * rng.standard_normal((cfg.annotators, t_len))
             annotations = (importance[None, :] + noise >= thresholds[:, None]).astype(np.float64)
-        videos.append(
-            VideoRecord(
-                video_id=f"v{v:03d}",
-                features=features,
-                picks=picks,
-                change_points=cps,
-                annotations=annotations,
-            )
-        )
+        videos.append(VideoRecord(f"v{v:03d}", features, seg, annotations))
     return Dataset(mode=cfg.mode, videos=videos)
 
 

@@ -508,6 +508,23 @@ def test_bad_array_in_the_second_of_three_videos_exit_2(tmp_path, tiny_dataset, 
     ]
 
 
+@pytest.mark.parametrize("fault", ["unknown-top-level-key", "last-pick-at-n-frames"])
+def test_dataset_check_exit_2_with_one_line(tmp_path, tiny_dataset, capsys, fault):
+    doc = json.loads(Path(tiny_dataset).read_text())
+    if fault == "unknown-top-level-key":
+        doc["extra"] = 1
+        want = "error: dataset has unknown keys ['extra']"
+    else:
+        video = doc["videos"][0]
+        video["picks"][-1] = n = video["n_frames"]
+        want = f"error: video 'v000': pick {n} (timestep {len(video['picks']) - 1}) lies outside every segment"
+    data = tmp_path / "bad.json"
+    data.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("train", "--data", str(data), "--out-dir", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [want]
+
+
 @pytest.mark.parametrize("what", ["dataset", "config", "checkpoint"])
 def test_deeply_nested_file_exit_2(tmp_path, tiny_config_file, tiny_dataset, capsys, what):
     # the parser runs out of recursion depth: one error line naming the file

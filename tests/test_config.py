@@ -5,7 +5,9 @@ import dataclasses
 
 import pytest
 
-from vastsum.config import MODES, HeadConfig, LossConfig, ScorerConfig, TrainConfig, run_config_from_dict
+from vastsum.config import (
+    MODES, HeadConfig, LossConfig, RunConfig, ScorerConfig, TrainConfig, run_config_from_dict,
+)
 from vastsum.data import SyntheticConfig
 from vastsum.errors import ConfigError
 
@@ -31,17 +33,23 @@ OUT_OF_RULE = {
     f"be one of {MODES}": ["other", ""],
 }
 
+
+def validate(section, obj):
+    """A run-config section is checked as part of its `RunConfig`."""
+    (RunConfig(**{section: obj}) if section in FILE_SECTIONS else obj).validate()
+
+
 FIELDS = [(section, spec) for section, cls in SECTIONS.items() for spec in dataclasses.fields(cls)]
 
 
 @pytest.mark.parametrize("section, spec", FIELDS, ids=[f"{s}.{spec.name}" for s, spec in FIELDS])
 def test_every_field_refuses_wrong_type_and_out_of_rule_value_by_name(section, spec):
     cls = SECTIONS[section]
-    cls().validate()  # the defaults keep every rule
+    validate(section, cls())  # the defaults keep every rule
     for value in WRONG_TYPE[spec.type] + OUT_OF_RULE[spec.metadata["rule"].text]:
         named = rf"^{section}\.{spec.name} must .*, got "
         with pytest.raises(ConfigError, match=named):
-            cls(**{spec.name: value}).validate()
+            validate(section, cls(**{spec.name: value}))
         if section in FILE_SECTIONS:
             with pytest.raises(ConfigError, match=named):
                 run_config_from_dict({section: {spec.name: value}})
@@ -57,4 +65,4 @@ def test_integral_json_number_becomes_an_int_only_in_an_int_field():
 
 def test_model_dim_divisible_by_heads():
     with pytest.raises(ConfigError, match="scorer.model_dim 16 not divisible by heads 3"):
-        ScorerConfig(model_dim=16, heads=3).validate()
+        RunConfig(scorer=ScorerConfig(model_dim=16, heads=3)).validate()

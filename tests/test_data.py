@@ -146,6 +146,22 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="mode"):
             load_dataset(write(tmp_path, {"mode": "other", "videos": [valid_video()]}))
 
+    def test_unknown_top_level_key_named(self, tmp_path):
+        payload = {"mode": "tvsum", "videos": [valid_video()], "extra": 1}
+        with pytest.raises(ValueError, match=r"^dataset has unknown keys \['extra'\]$"):
+            load_dataset(write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("source", ["loaded", "synthetic"])
+def test_a_record_reads_its_timeline_from_its_map(tmp_path, source):
+    if source == "loaded":
+        video = load_dataset(write(tmp_path, {"mode": "tvsum", "videos": [valid_video()]})).videos[0]
+    else:
+        video = generate_synthetic(SyntheticConfig(n_videos=1)).videos[0]
+    seg = video.segment_map
+    assert video.picks is seg.picks and video.change_points is seg.cps
+    assert video.n_frames == seg.cps.n_frames
+
 
 def write_compact(dataset, path):
     """`dataset` as one compact JSON line, the layout of the benchmark corpus."""

@@ -662,7 +662,7 @@ def paper_flip_batch(seed):
     features += 0.05 * rng.standard_normal((320, 1024))
     cfg = RunConfig()  # the paper dims
     params = trainer.init_all_params(cfg, rng)
-    video = VideoRecord("paper", features, picks, cps, np.zeros((1, 320)))
+    video = VideoRecord("paper", features, seg, np.zeros((1, 320)))
     signal = trainer.predict_scores(params, video, seg, cfg)["signal"]
     rows = np.concatenate((signal[None], signal + rng.normal(0.0, 0.05, (100, 320))))
     return SegmentIndexMap(picks, cps)(rows), cps.lengths()
@@ -924,8 +924,8 @@ def shaped_video(shape, seed):
     starts = [0] + [int(c) * step for c in cuts]
     ends = [s - 1 for s in starts[1:]] + [t_len * step - 1]
     cps = ChangePointPartition(tuple(zip(starts, ends)), t_len * step)
-    return VideoRecord(shape, np.zeros((t_len, 1)), PickSequence(range(0, t_len * step, step)), cps,
-                       np.zeros((1, t_len)))
+    return VideoRecord(shape, np.zeros((t_len, 1)),
+                       SegmentIndexMap(PickSequence(range(0, t_len * step, step)), cps), np.zeros((1, t_len)))
 
 
 @pytest.fixture()

@@ -8,7 +8,7 @@ import vastsum.scorer as scorer
 from vastsum.config import RunConfig, ScorerConfig
 from vastsum.data import VideoRecord
 from vastsum.errors import ShapeError
-from vastsum.timeline import ChangePointPartition, PickSequence, assign_segment_ids
+from vastsum.timeline import ChangePointPartition, PickSequence, SegmentIndexMap, assign_segment_ids
 from vastsum.trainer import init_all_params, init_from_shapes, predict_scores
 
 from oracles import mean_rows
@@ -21,7 +21,7 @@ def tiny_cfg(**kw):
     )
     base.update(kw)
     cfg = ScorerConfig(**base)
-    cfg.validate()
+    RunConfig(scorer=cfg).validate()
     return cfg
 
 
@@ -97,8 +97,9 @@ class TestProjectAndEmbed:
             scorer.project_and_embed(too_long, p)
         # a library caller that skips `check_videos_fit` still gets an error
         run_cfg = RunConfig(scorer=cfg)
-        video = VideoRecord("long", np.zeros((7, cfg.input_dim)), PickSequence(tuple(range(7))),
-                            ChangePointPartition(((0, 6),), 7), np.zeros((1, 7)))
+        video = VideoRecord("long", np.zeros((7, cfg.input_dim)),
+                            SegmentIndexMap(PickSequence(tuple(range(7))), ChangePointPartition(((0, 6),), 7)),
+                            np.zeros((1, 7)))
         params = init_all_params(run_cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
             predict_scores(params, video, video.segment_map, run_cfg)

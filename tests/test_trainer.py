@@ -512,7 +512,7 @@ class TestStabilityPool:
 
     def train_and_check_pool(self, monkeypatch, mode, labels):
         rng = np.random.default_rng(6)
-        video = VideoRecord("v", rng.standard_normal((3, 8)), self.PICKS, self.CPS, labels(rng))
+        video = VideoRecord("v", rng.standard_normal((3, 8)), SegmentIndexMap(self.PICKS, self.CPS), labels(rng))
         seen = {}
 
         def spy(name, fn):
@@ -544,7 +544,7 @@ class TestStabilityPool:
         n = 4 * video.change_points.n_frames
         *head, (start, _) = video.change_points.segments
         cps = ChangePointPartition((*head, (start, n - 1)), n)
-        video = dataclasses.replace(video, change_points=cps)
+        video = dataclasses.replace(video, segment_map=SegmentIndexMap(video.picks, cps))
         assert video.n_frames == n
         capacities = []
         stability_loss = trainer.losses.stability_loss
@@ -560,6 +560,22 @@ class TestStabilityPool:
         assert budget(cfg.train.rho, cps.n_frames) != budget(cfg.train.rho, n // 4)
 
 
+def test_a_synthetic_corpus_builds_one_map_per_video(monkeypatch):
+    """A synthetic record keeps the map its generator placed the segments
+    with, so a training epoch builds no second one."""
+    built = []
+    init = SegmentIndexMap.__init__
+
+    def counted(self, picks, cps):
+        built.append(picks)
+        init(self, picks, cps)
+
+    monkeypatch.setattr(SegmentIndexMap, "__init__", counted)
+    ds = small_dataset()
+    train(ds, small_cfg(epochs=1))
+    assert built == [v.picks for v in ds.videos]
+
+
 class TestEmptySegment:
     def test_training_on_a_segment_with_no_pick(self, monkeypatch):
         # picks fall on even frames; frame p0 + 1 alone is a segment with no pick
@@ -567,7 +583,7 @@ class TestEmptySegment:
         video = ds.videos[1]
         p0, p1, n = video.picks.picks[0], video.picks.picks[1], video.n_frames
         cps = ChangePointPartition(((0, p0), (p0 + 1, p1 - 1), (p1, n - 1)), n)
-        ds.videos[1] = video = dataclasses.replace(video, change_points=cps)
+        ds.videos[1] = video = dataclasses.replace(video, segment_map=SegmentIndexMap(video.picks, cps))
         seg = assign_segment_ids(video.picks, cps)
         assert np.bincount(seg.segment_ids, minlength=3)[1] == 0
 
